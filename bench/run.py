@@ -125,8 +125,10 @@ def make_checker(workload: Workload):
                         text, p["k_min"], p["k_step"], p["points"], tuple(p["n_list"]))
                 else:
                     seen[key] = checks.check_folds(text, n_list)
-            except (ValueError, TypeError, KeyError, IndexError) as exc:  # malformed output
-                seen[key] = checks.Verdict(ops=max(len(n_list), 1),
+            except (ValueError, TypeError, KeyError, IndexError, ArithmeticError) as exc:
+                # malformed output
+                ops = p["points"] if kind == "dispersion" else max(len(n_list), 1)
+                seen[key] = checks.Verdict(ops=ops,
                                            errors=[f"{kind}: unreadable output ({exc!r})"])
         return seen[key]
 
@@ -136,16 +138,17 @@ def make_checker(workload: Workload):
 def check_job(job: dict, workload: Workload, check) -> dict:
     """Operations attempted and failed by one job, and the errors found.
 
-    Each command is one operation.  A command that exits non-zero or writes
-    nothing has failed.  The per-n `folds` outputs are joined into one table,
+    Each command stands for `Command.ops` operations (a `dispersion` grid row
+    is one).  A command that exits non-zero or writes nothing has failed all
+    of them.  The per-n `folds` outputs are joined into one table,
     so that k_c can be checked to rise with n.
     """
     texts = []
     for out, rec in zip(job["outs"], job["commands"]):
         path = Path(out)
         texts.append(path.read_text(encoding="utf-8") if rec["rc"] == 0 and path.exists() else None)
-    attempted = len(texts)
-    failed = sum(t is None for t in texts)
+    attempted = sum(cmd.ops for cmd in workload.commands)
+    failed = sum(cmd.ops for cmd, t in zip(workload.commands, texts) if t is None)
     verdicts = []
     if workload.name == "fold-scan":
         done = [(int(cmd.argv[-1]), t) for cmd, t in zip(workload.commands, texts) if t is not None]

@@ -16,11 +16,17 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 import checks  # noqa: E402
 import tracing  # noqa: E402
+import workloads  # noqa: E402
 from attractor_kit.cli import main as cli_main  # noqa: E402
 
 N = 12
 R = Fraction(83, 97)
-GRID = dict(k_min=0.005, k_step=0.01, points=120, orders=(1, 2, 20, 50))
+GRID = dict(k_min=workloads.GRID_K_MIN, k_step=workloads.GRID_STEP,
+            points=workloads.GRID_POINTS, orders=workloads.BRANCH_ORDERS)
+GRID_ARGV = ("dispersion", "--k-min", "0", "--k-max", "1.2", "--k-step", "0.01",
+             "--n-list", "1,2,20,50")
+# rows where a branch exists but the program reads physical_n* = 0
+FAILED_K = (0.50, 1.03)
 FOLD_N = (1, 2, 10, 120)
 
 
@@ -41,8 +47,7 @@ def outputs(tmp_path_factory):
         "two-point": run_cli(tmp, "ce-coeffs", "--weight", f"bounded-custom={weight}",
                              "--n-max", str(N)),
         "borel": run_cli(tmp, "borel", "--weight", "gaussian"),
-        "dispersion": run_cli(tmp, "dispersion", "--k-min", "0.005", "--k-max", "1.195",
-                              "--n-list", "1,2,20,50"),
+        "dispersion": run_cli(tmp, *GRID_ARGV),
         "folds": run_cli(tmp, "folds", "--n-list", ",".join(map(str, FOLD_N))),
     }
 
@@ -142,7 +147,41 @@ def check_disp(text):
 
 def test_dispersion_accepts_program_output(outputs):
     v = check_disp(outputs["dispersion"])
-    assert (v.errors, v.items) == ([], 120)
+    failed = len(FAILED_K)
+    assert (v.errors, v.ops, v.failed, v.items) == ([], 121, failed, 121 - failed)
+
+
+def empty_branch_from(text: str, n: int, k0: float) -> str:
+    """Mark the n-branch non-physical, with empty cells, from k0 on."""
+    for i, r in enumerate(csv.DictReader(io.StringIO(text))):
+        if float(r["k"]) >= k0 - 1e-9:
+            for col, value in ((f"physical_n{n}", "0"), (f"omega_branch_n{n}", ""),
+                               (f"dev_branch_n{n}", "")):
+                text = edit(text, i, col, lambda s, value=value: value)
+    return text
+
+
+@pytest.mark.parametrize("n, k0", [(2, 0.62), (20, 0.94), (2, 0.55), (50, 1.0)])
+def test_dispersion_counts_branch_ended_early_as_failed(outputs, n, k0):
+    # the signature of the known fault: the flag turns 0 while the branch exists
+    v = check_disp(empty_branch_from(outputs["dispersion"], n, k0))
+    assert v.errors == [] and v.failed > len(FAILED_K)
+
+
+def set_branch(text: str, k: float, n: int, w: float) -> str:
+    """Mark the n-branch physical at k with value w, its dev cell consistent."""
+    row = find_row(text, lambda r: abs(float(r["k"]) - k) < 1e-9)
+    exact = float(list(csv.DictReader(io.StringIO(text)))[row]["omega_exact"])
+    for col, value in ((f"physical_n{n}", "1"), (f"omega_branch_n{n}", repr(w)),
+                       (f"dev_branch_n{n}", repr(w - exact))):
+        text = edit(text, row, col, lambda s, value=value: value)
+    return text
+
+
+@pytest.mark.parametrize("n, k, w", [(1, 0.51, -0.5), (20, 0.95, -0.719), (2, 0.63, -0.53)])
+def test_dispersion_rejects_branch_past_fold(outputs, n, k, w):
+    # the flag may turn 0 late only if the value is no real eigenvalue
+    assert check_disp(set_branch(outputs["dispersion"], k, n, w)).errors
 
 
 @pytest.mark.parametrize("col, k, delta", [
@@ -151,20 +190,35 @@ def test_dispersion_accepts_program_output(outputs):
     ("omega_branch_n1", 0.2, 1e-8),
     ("omega_resummed", 0.9, 1e-5),
     ("omega_exact", 0.7, 1e-9),
+    ("omega_exact", 0.0, 1e-9),
     ("omega_ce4", 0.6, 1e-12),
     ("dev_branch_n2", 0.4, 1e-12),
 ])
 def test_dispersion_rejects_moved_value(outputs, col, k, delta):
     text = outputs["dispersion"]
-    row = find_row(text, lambda r: abs(float(r["k"]) - (k + 0.005)) < 1e-9)
-    assert check_disp(edit(text, row, col, shift(delta))).errors
+    row = find_row(text, lambda r: abs(float(r["k"]) - k) < 1e-9)
+    v = check_disp(edit(text, row, col, shift(delta)))
+    assert v.errors and v.items == 0
 
 
 def test_dispersion_rejects_wrong_flag_and_empty_cell(outputs):
     text = outputs["dispersion"]
-    row = find_row(text, lambda r: abs(float(r["k"]) - 0.615) < 1e-9)
+    row = find_row(text, lambda r: abs(float(r["k"]) - 0.61) < 1e-9)
     assert check_disp(edit(text, row, "physical_n2", lambda s: "0")).errors
     assert check_disp(edit(text, 10, "omega_resummed", lambda s: "")).errors
+
+
+def outputs_text(tmp_path):
+    return run_cli(tmp_path, *GRID_ARGV)
+
+
+def test_dispersion_unreadable_output_counts_every_row(tmp_path):
+    import run
+    from workloads import make_workload
+
+    check = run.make_checker(make_workload("dispersion-figure", 1, tmp_path))
+    v = check("dispersion", edit(outputs_text(tmp_path), 3, "k", lambda s: "abc"))
+    assert v.errors and v.ops == 121 and v.wrong == 1
 
 
 # --- folds ------------------------------------------------------------------

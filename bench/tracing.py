@@ -79,16 +79,6 @@ class Tracer:
         scipy.integrate.quad = self.wrap("scipy.integrate.quad", scipy.integrate.quad)
 
 
-def _outermost(spans, i: int) -> bool:
-    """No ancestor of span i has its name (recursion is counted once)."""
-    name, p = spans[i][NAME], spans[i][PARENT]
-    while p >= 0:
-        if spans[p][NAME] == name:
-            return False
-        p = spans[p][PARENT]
-    return True
-
-
 def _has_ancestor(spans, i: int, name: str) -> bool:
     p = spans[i][PARENT]
     while p >= 0:
@@ -106,8 +96,9 @@ def layer_metrics(spans: list, scale: float) -> dict:
         if s[PARENT] >= 0:
             child[s[PARENT]] += dur[i]
 
-    def total(name):  # inclusive time of the outermost calls
-        return sum((dur[i] for i, s in enumerate(spans) if s[NAME] == name and _outermost(spans, i)), 0.0)
+    def total(name):  # inclusive time of the outermost calls (recursion counted once)
+        return sum((dur[i] for i, s in enumerate(spans)
+                    if s[NAME] == name and not _has_ancestor(spans, i, name)), 0.0)
 
     def self_time(pred):
         return sum((dur[i] - child[i] for i, s in enumerate(spans) if pred(s[NAME])), 0.0)

@@ -15,15 +15,15 @@ from pathlib import Path
 
 COEFFS_N_MAX = 50  # --n-max for each of the three ce-coeffs commands
 
-# The README figure grid is k = 0, 0.01, ..., 1.2.  The seed shifts it by
-# j/1000 and drops the last point, so every job emits 120 rows.  Shifts 0, 2
-# and 3 are left out: they put a grid point on k = 1/2 or in the gap between
-# the last physical continuation sample of the n = 2 branch (k ~ 0.6215) and
-# its fold k_c(2) = 0.62347, where `physical_n*` flips too early (a program
-# fault, recorded in CHANGES.md).
-GRID_SHIFTS_MILLI = (1, 4, 5, 6, 7, 8, 9)
+# The README figure grid, k = 0, 0.01, ..., 1.2, the same for every seed.
+# Each grid row is one operation.  Two rows fail in every job: at k = 0.50
+# (n = 1) and k = 1.03 (n = 50) the branch still exists, but
+# `BranchCurve.omega_at` refuses k past the branch's last continuation
+# sample, so `physical_n*` reads 0 there (a program fault, CHANGES.md).
+GRID_K_MIN = 0
+GRID_K_MAX = 1.2
 GRID_STEP = 0.01
-GRID_POINTS = 120
+GRID_POINTS = 121
 BRANCH_ORDERS = (1, 2, 20, 50)
 PADE = (14, 14)
 
@@ -41,6 +41,7 @@ class Command:
 
     kind: str
     argv: tuple
+    ops: int = 1  # operations the command stands for
 
     def with_out(self, path: Path) -> list:
         return list(self.argv) + ["--out", str(path)]
@@ -85,17 +86,15 @@ def make_workload(name: str, seed: int, workdir: Path) -> Workload:
         )
         return Workload(name, commands, {"n_max": COEFFS_N_MAX, "r": str(r)})
     if name == "dispersion-figure":
-        k_min = rng.choice(GRID_SHIFTS_MILLI) / 1000
-        k_max = k_min + (GRID_POINTS - 1) * GRID_STEP
         argv = (
             "dispersion",
-            "--k-min", repr(k_min), "--k-max", repr(round(k_max, 6)),
+            "--k-min", repr(GRID_K_MIN), "--k-max", repr(GRID_K_MAX),
             "--k-step", repr(GRID_STEP),
             "--n-list", ",".join(map(str, BRANCH_ORDERS)),
             "--pade", str(PADE[0]), str(PADE[1]),
         )
-        return Workload(name, (Command("dispersion", argv),),
-                        {"k_min": k_min, "k_step": GRID_STEP, "points": GRID_POINTS,
+        return Workload(name, (Command("dispersion", argv, ops=GRID_POINTS),),
+                        {"k_min": GRID_K_MIN, "k_step": GRID_STEP, "points": GRID_POINTS,
                          "n_list": list(BRANCH_ORDERS), "pade": list(PADE)})
     if name == "fold-scan":
         # one command per n, so that the calibration loop runs between them:
