@@ -12,16 +12,12 @@ import enum
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .exactseries import (
-    TruncatedSeries,
-    series_derivative,
-    series_int_pow,
-    series_mul,
-)
+from .exactseries import TruncatedSeries
 
 
 class InsufficientData(Exception):
@@ -126,25 +122,69 @@ class CECoefficients:
         return self.values[i]
 
 
+def _recip_square(a: list, d: int) -> tuple:
+    """(a/d)^{-2} for integers a over denominator d with a[0] == d.
+
+    Power-series recurrence for A^alpha with A_0 = 1 and alpha = -2:
+    j P_j = -sum_{i=1..j} (i + j) A_i P_{j-i}.  Returns (nums, den) with den
+    the lcm of the coefficients' reduced denominators.
+    """
+    t, q = [1], 1
+    for j in range(1, len(a)):
+        num = -sum((i + j) * a[i] * t[j - i] for i in range(1, j + 1))
+        den = j * d * q
+        g = math.gcd(num, den)
+        num, den = num // g, den // g
+        grow = den // math.gcd(q, den)
+        if grow != 1:
+            t = [c * grow for c in t]
+            q *= grow
+        t.append(num * (q // den))
+    return t, q
+
+
+def _mul_reduced(p: list, dp: int, s: list, ds: int) -> tuple:
+    """(p/dp)(s/ds) truncated to len(p), reduced by one gcd over the vector."""
+    rs = s[::-1]
+    top = len(p) - 1
+    c = [sum(map(mul, p[: k + 1], rs[top - k :])) for k in range(top + 1)]
+    den = dp * ds
+    g = math.gcd(den, *c)
+    if g != 1:
+        c = [v // g for v in c]
+        den //= g
+    return c, den
+
+
 def ce_coefficients(w: WeightModel, n_max: int) -> CECoefficients:
     """All coefficients a_{2n}, n = 1..n_max, by Lagrange inversion.
 
-    Equivalent to calling ``lagrange_coefficient`` for each n, but the
-    reciprocal-square power (1+F)^{-2n} is accumulated incrementally so the
-    whole run costs two series products per order.
+    a_{2n} = (1/n) [x^{n-1}] F'(x) (1+F(x))^{-2n}, the same value as
+    ``lagrange_coefficient`` for each n.  Every series is a list of Python
+    ints over one common denominator: (1+F)^{-2} is computed once, the
+    running power (1+F)^{-2n} is advanced by one integer Cauchy product and
+    one gcd per order, and each coefficient is read from it with a single
+    dot product against F'.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    F = build_source_series(w, n_max)
-    Fp = series_derivative(F)  # order n_max - 1, enough for [x^{n-1}]
-    one_plus = F + TruncatedSeries.constant(1, n_max)
-    recip_sq = series_int_pow(one_plus, -2)
-    power = TruncatedSeries.constant(1, n_max)
+    mus = [w.moment(m) for m in range(1, n_max + 1)]
+    d = math.lcm(*(mu.denominator for mu in mus))
+    # F = sum_{m>=1} (-1)^m mu_{2m} x^m over d; f[0] = 0
+    f = [0] + [
+        (-1) ** m * mu.numerator * (d // mu.denominator)
+        for m, mu in enumerate(mus, start=1)
+    ]
+    fp = [m * f[m] for m in range(1, n_max + 1)]  # F' over d
+    # 1+F to order n_max - 1, as far as [x^{n-1}] reads
+    recip_sq, drecip = _recip_square([d] + f[1:n_max], d)
+    power, dpow = recip_sq, drecip  # (1+F)^{-2n} at n = 1
     values = []
     for n in range(1, n_max + 1):
-        power = series_mul(power, recip_sq)  # (1+F)^{-2n}
-        g = series_mul(Fp, power)
-        values.append(g.coeffs[n - 1] / n)
+        if n > 1:
+            power, dpow = _mul_reduced(power, dpow, recip_sq, drecip)
+        dot = sum(map(mul, fp[:n], power[n - 1 :: -1]))
+        values.append(Fraction(dot, n * d * dpow))
     return CECoefficients(tuple(values), w)
 
 

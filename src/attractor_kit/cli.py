@@ -50,6 +50,14 @@ def _fmt_exact(x: Fraction) -> str:
     return str(x)  # Fraction renders as "p/q" or "p"
 
 
+def _log10_abs(a: Fraction) -> float:
+    """log10|a| for a nonzero rational, also where |a| leaves the float range."""
+    try:
+        return math.log10(abs(a))
+    except (OverflowError, ValueError):
+        return math.log10(abs(a.numerator)) - math.log10(a.denominator)
+
+
 def parse_weight(spec: str) -> WeightModel:
     if spec == "gaussian":
         return WeightModel.gaussian()
@@ -129,7 +137,7 @@ def cmd_ce_coeffs(args) -> int:
             [
                 str(n),
                 _fmt_exact(a),
-                _fmt_float(math.log10(abs(a)) if a != 0 else math.nan),
+                _fmt_float(_log10_abs(a) if a != 0 else math.nan),
                 _fmt_float(r),
                 _fmt_float(r / (2 * (n + 1)) if not math.isnan(r) else r),
             ]

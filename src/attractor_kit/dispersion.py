@@ -117,14 +117,21 @@ def solve_exact_gaussian(k: float, tol: float = 1e-14) -> DispersionSample:
     return DispersionSample(k, w, abs(f(w)), Method.EXACT_GAUSSIAN)
 
 
-def _bounded_series_sum(w_model: WeightModel, x: float, n_terms: int = 60) -> float:
-    """Sum of the bounded-weight moment series at x, with divergence guard."""
-    F = build_source_series(w_model, n_terms)
+# terms of a custom weight's moment series that the exact solver sums
+_BOUNDED_SERIES_TERMS = 60
+
+
+def _bounded_series_sum(coeffs: Sequence[float], x: float) -> float:
+    """Sum of the moment series sum_m coeffs[m-1] x^m, with divergence guard.
+
+    ``coeffs`` are the float source-series coefficients (-1)^m mu_{2m},
+    built once per solve.
+    """
     total = 0.0
     prev_term = math.inf
     growing = 0
-    for m in range(1, n_terms + 1):
-        term = float(F.coeffs[m]) * x**m
+    for m, c in enumerate(coeffs, start=1):
+        term = c * x**m
         total += term
         if abs(term) > prev_term:
             growing += 1
@@ -166,9 +173,12 @@ def solve_exact_bounded(
         root = _safeguarded_newton(f, fprime, -1 + 1e-12, 0.0, -k * k / 3, tol)
         return DispersionSample(k, root, abs(f(root)), Method.EXACT_BOUNDED)
 
+    source = build_source_series(w, _BOUNDED_SERIES_TERMS)
+    coeffs = [float(c) for c in source.coeffs[1:]]
+
     def f(om):
         x = k * k / (1 + om) ** 2
-        return om - _bounded_series_sum(w, x)
+        return om - _bounded_series_sum(coeffs, x)
 
     def fprime(om, h=1e-7):
         return (f(om + h) - f(om - h)) / (2 * h)

@@ -117,12 +117,25 @@ class BranchCurve:
     fold: Optional[FoldPoint] = None
 
     def omega_at(self, k: float) -> float:
-        """Branch value at wavenumber k: nearest-sample seed + Newton polish."""
+        """Branch value at wavenumber k, for 0 <= k < k_c.
+
+        Up to the last physical sample: nearest-sample seed + Newton polish.
+        Between that sample and the fold: the root of P_n(., k^2) bracketed
+        by omega_c and the last sample's omega.  At k_c itself the branch
+        root has merged with its partner into a double root, and the branch
+        has ended.
+        """
         phys = [s for s in self.samples if s.physical]
-        if not phys or k > max(s.k for s in phys) + 1e-12:
+        if not phys:
+            raise NoBranchPoint(f"n={self.n} branch has no physical samples")
+        last = max(phys, key=lambda s: s.k)
+        past_samples = k > last.k + 1e-12
+        if past_samples and (self.fold is None or k >= self.fold.k_c):
             raise NoBranchPoint(f"n={self.n} branch does not reach k={k}")
         if k == 0:
             return 0.0
+        if past_samples:
+            return self._root_before_fold(k, last.omega)
         seed = min(phys, key=lambda s: abs(s.k - k)).omega
         w = seed
         for _ in range(50):
@@ -134,6 +147,37 @@ class BranchCurve:
             if abs(step) < 1e-14:
                 return w
         raise NoBranchPoint(f"Newton polish failed at k={k} for n={self.n}")
+
+    def _root_before_fold(self, k: float, omega_last: float) -> float:
+        """Root of P_n(., k^2) on [omega_c, omega_last], last_k < k < k_c.
+
+        Newton steps kept inside a shrinking sign-change bracket, bisection
+        when they leave it.  Below k_c the two roots merging at the fold
+        straddle omega_c, so the physical one is the only root in the
+        bracket; where rounding hides the sign change (k within rounding of
+        k_c) the root is omega_c.
+        """
+        q = k * k
+        lo, hi = self.fold.omega_c, omega_last
+        p_lo = _eval_state(self.n, lo, q)[0][0]
+        if p_lo == 0 or p_lo * _eval_state(self.n, hi, q)[0][0] > 0:
+            return lo
+        w = 0.5 * (lo + hi)
+        for _ in range(200):
+            st, _ls = _eval_state(self.n, w, q)
+            if st[0] == 0:
+                return w
+            if st[0] * p_lo > 0:
+                lo, p_lo = w, st[0]
+            else:
+                hi = w
+            w_new = w - st[0] / st[1] if st[1] != 0 else math.nan
+            if not (lo < w_new < hi):
+                w_new = 0.5 * (lo + hi)
+            if abs(w_new - w) < 1e-15 or hi - lo < 1e-15:
+                return w_new
+            w = w_new
+        raise NoBranchPoint(f"bracketed solve failed at k={k} for n={self.n}")
 
 
 _RESIDUAL_TOL = 1e-10

@@ -55,12 +55,63 @@ def test_uniform_coefficients():
 
 
 def test_incremental_path_equals_per_order_lagrange():
-    for w in (WeightModel.gaussian(), WeightModel.bounded_uniform()):
+    # the last weight has non-geometric moments with unrelated denominators,
+    # so the common denominator of (1+F)^{-2n} changes and is reduced
+    custom = WeightModel.bounded_custom(
+        [Fr(1, m + 2) + Fr(1, 7 * (3 * m + 1)) for m in range(1, 10)]
+    )
+    for w in (WeightModel.gaussian(), WeightModel.bounded_uniform(), custom):
         c = ce_coefficients(w, 9)
         F = build_source_series(w, 9)
         assert c.values == tuple(
             lagrange_coefficient(F, n) for n in range(1, 10)
         )
+
+
+# --- closed forms, independent of the Lagrange kernel ---------------------------
+
+def connected_chord_diagrams(n_max):
+    """A000699: a(1) = 1, a(n) = (n-1) sum_{i=1}^{n-1} a(i) a(n-i)."""
+    a = [0, 1]
+    for n in range(2, n_max + 1):
+        a.append((n - 1) * sum(a[i] * a[n - i] for i in range(1, n)))
+    return a[1:]
+
+
+def bernoulli_numbers(m_max):
+    """B_0..B_{m_max} from sum_{j=0}^{m} C(m+1, j) B_j = 0."""
+    B = [Fr(1)]
+    for m in range(1, m_max + 1):
+        B.append(-sum(math.comb(m + 1, j) * B[j] for j in range(m)) / (m + 1))
+    return B
+
+
+def test_gaussian_matches_connected_chord_diagrams():
+    c = ce_coefficients(WeightModel.gaussian(), 60)
+    chords = connected_chord_diagrams(60)
+    assert c.values == tuple(Fr((-1) ** n * a) for n, a in enumerate(chords, 1))
+
+
+def test_uniform_matches_k_cot_k():
+    # arctan(k/(1+w)) = k gives w = k cot k - 1 = sum (-1)^n 2^2n B_2n k^2n/(2n)!
+    c = ce_coefficients(WeightModel.bounded_uniform(), 30)
+    B = bernoulli_numbers(60)
+    expected = tuple(
+        (-1) ** n * 2 ** (2 * n) * B[2 * n] / math.factorial(2 * n)
+        for n in range(1, 31)
+    )
+    assert c.values == expected
+
+
+def test_two_point_weight_matches_catalan():
+    # mu_2m = r^2m gives w(1+w) + r^2 k^2 = 0, so a_2n = -C_{n-1} r^2n
+    r = Fr(93, 97)
+    w = WeightModel.bounded_custom([r ** (2 * m) for m in range(1, 41)])
+    c = ce_coefficients(w, 40)
+    expected = tuple(
+        -Fr(math.comb(2 * n - 2, n - 1), n) * r ** (2 * n) for n in range(1, 41)
+    )
+    assert c.values == expected
 
 
 def test_gaussian_signs_alternate():

@@ -1,4 +1,5 @@
 import json
+import math
 from importlib import resources
 
 import jsonschema
@@ -42,6 +43,18 @@ def test_ce_coeffs_bounded_exact_strings(tmp_path):
     assert code == 0
     _, rows = read_csv(out)
     assert [r[1] for r in rows] == ["-1/3", "-1/45"]
+
+
+def test_ce_coeffs_gaussian_past_float_range(tmp_path):
+    # |a_2n| exceeds the largest float from n = 151 on; abs_log10 is still
+    # printed, from the exact value's integer logarithms
+    code, out = run(tmp_path, "ce-coeffs", "--weight", "gaussian", "--n-max", "155")
+    assert code == 0
+    _, rows = read_csv(out)
+    for row in rows[149:]:
+        num = abs(int(row[1].split("/")[0]))
+        assert float(row[2]) == pytest.approx(math.log10(num), rel=1e-14)
+    assert float(rows[150][2]) > 308.3
 
 
 def test_ce_coeffs_rejects_zero_order(tmp_path):

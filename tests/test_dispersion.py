@@ -172,6 +172,25 @@ def test_bounded_custom_series_divergence():
         solve_exact_bounded(0.9, w)
 
 
+# solve_exact_bounded for mu_2m = 3/(2m+3) at k = 0.05, 0.10, ..., 0.65, as
+# computed when the Fraction source series was rebuilt on every residual call
+BOUNDED_CUSTOM_PINNED = (
+    -0.001501826170275155, -0.00602944934917501, -0.01365108598960557,
+    -0.02448672064376583, -0.03871889213913746, -0.05661103975281841,
+    -0.07853829553679181, -0.10504069950357206, -0.13692080509700674,
+    -0.17543983426322293, -0.22276962071190246, -0.28328850937846606,
+    -0.3471711245232637,
+)
+
+
+def test_bounded_custom_bit_identical_on_grid():
+    # the float moments are built once per solve; the sums, and so the roots,
+    # must not change by a single bit
+    w = WeightModel.bounded_custom([Fr(3, 2 * m + 3) for m in range(1, 61)])
+    got = tuple(solve_exact_bounded(i / 20, w).omega for i in range(1, 14))
+    assert got == BOUNDED_CUSTOM_PINNED
+
+
 def test_bounded_rejects_gaussian():
     with pytest.raises(ValueError):
         solve_exact_bounded(0.5, WeightModel.gaussian())

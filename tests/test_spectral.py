@@ -137,6 +137,49 @@ def test_branch_no_point_past_fold(branch_1):
         branch_1.omega_at(0.7)
 
 
+def test_branch_reaches_fold_past_last_sample(branch_1):
+    # the last physical continuation sample lies at k = 0.4998 < k_c = 1/2;
+    # the branch itself reaches the fold
+    last = max(s.k for s in branch_1.samples if s.physical)
+    for k in (0.4999, 0.499999):
+        assert k > last
+        expected = (-1 + math.sqrt(1 - 4 * k * k)) / 2
+        assert branch_1.omega_at(k) == pytest.approx(expected, abs=1e-10)
+    # at k_c the root is the double root -1/2, shared with the kinetic partner
+    for k in (branch_1.fold.k_c, branch_1.fold.k_c + 1e-9):
+        with pytest.raises(NoBranchPoint):
+            branch_1.omega_at(k)
+
+
+def test_branch_n2_between_last_sample_and_fold():
+    curve = trace_branch(2)
+    last = max(s.k for s in curve.samples if s.physical)
+    for k in (0.622, 0.623):
+        assert last < k < curve.fold.k_c
+        w = curve.omega_at(k)
+        q = k * k
+        quartic = [1, 3, 3 + 6 * q, 1 + 7 * q, q * (1 + 3 * q)]
+        # a root of the explicit P_2 (Newton distance), and the physical one:
+        # the largest real root, above the partner it merges with at the fold
+        newton_dist = np.polyval(quartic, w) / np.polyval(np.polyder(quartic), w)
+        assert abs(newton_dist) < 1e-12
+        real = [r.real for r in np.roots(quartic) if abs(r.imag) < 1e-9]
+        assert w == pytest.approx(max(real), abs=1e-9)
+    with pytest.raises(NoBranchPoint):
+        curve.omega_at(curve.fold.k_c + 1e-9)
+
+
+def test_branch_n50_between_last_sample_and_fold(branch_50):
+    from attractor_kit.spectral import _eval_state
+
+    last = max(s.k for s in branch_50.samples if s.physical)
+    assert last < 1.03 < branch_50.fold.k_c
+    w = branch_50.omega_at(1.03)
+    assert branch_50.fold.omega_c < w < -0.5
+    st, _ = _eval_state(50, w, 1.03**2)
+    assert _normalized_residual(st[0], st[1]) < 1e-12
+
+
 def test_branch_marks_unphysical_past_fold(branch_50):
     assert branch_50.fold is not None
     assert any(not s.physical for s in branch_50.samples)
