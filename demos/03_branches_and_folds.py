@@ -25,8 +25,9 @@ for n in (2, 5, 10, 20, 50):
     dev = max(abs(curve.omega_at(k) - exact[k]) for k in ks)
     print(f"  n = {n:<3d}  {dev:.3e}")
 
-# Past the fold the continuation keeps going but the samples are flagged.
+# The continuation ends at the fold: its last sample lies just below k_c.
 curve = trace_branch(5)
-unphysical = [s for s in curve.samples if not s.physical]
-print(f"\nOrder-5 branch: fold at k_c = {curve.fold.k_c:.6f}, "
-      f"{len(unphysical)} post-fold samples flagged unphysical")
+last = curve.samples[-1]
+print(f"\nOrder-5 branch: fold at (k_c, omega_c) = "
+      f"({curve.fold.k_c:.6f}, {curve.fold.omega_c:.6f}), "
+      f"last sample at (k, omega) = ({last.k:.6f}, {last.omega:.6f})")

@@ -230,10 +230,3 @@ def radius_estimate(c: CECoefficients) -> RadiusEstimate:
     radius = max(float(intercept), 0.0)
     return RadiusEstimate(radius, radius < _DIVERGENT_RADIUS)
 
-
-def growth_normalized(c: CECoefficients) -> list:
-    """|a_{2n}| / (n! 2^n) for each n: flat when growth is factorial-times-2^n."""
-    return [
-        abs(float(Fraction(a) / (math.factorial(n) * 2**n)))
-        for n, a in enumerate(c.values, start=1)
-    ]

@@ -16,10 +16,8 @@ import sys
 import tempfile
 from fractions import Fraction
 
-import numpy as np
-
 from . import __version__
-from .borel import borel_transform, pade
+from .borel import _SPURIOUS_RESIDUE, borel_transform, pade
 from .ce import (
     InvalidWeight,
     WeightModel,
@@ -147,7 +145,10 @@ def cmd_ce_coeffs(args) -> int:
 
 
 def cmd_dispersion(args) -> int:
-    ks = list(np.arange(args.k_min, args.k_max + args.k_step / 2, args.k_step))
+    # k_min + i k_step up to k_max: the values np.arange gives, without its
+    # overshoot past k_max
+    points = math.floor((args.k_max - args.k_min) / args.k_step + 1e-9) + 1
+    ks = [args.k_min + args.k_step * i for i in range(points)]
     branch_orders = args.n_list
     table = compare_methods(ks, branch_orders, args.pade[0], args.pade[1])
     columns = list(table.columns)
@@ -189,7 +190,7 @@ def cmd_borel(args) -> int:
         rows.append(["coeff", str(n), _fmt_exact(bn), "", "", "", ""])
     physical = []
     for p, r in zip(approx.poles, approx.residues):
-        spurious = abs(r) <= 1e-8
+        spurious = abs(r) <= _SPURIOUS_RESIDUE
         if not spurious:
             physical.append(p)
         rows.append(
@@ -269,8 +270,10 @@ def build_parser() -> argparse.ArgumentParser:
 def validate(args) -> None:
     if getattr(args, "n_max", 1) < 1 or getattr(args, "n_max", 1) > 200:
         raise ValueError("--n-max must be in 1..200")
-    if hasattr(args, "n_list") and (not args.n_list or min(args.n_list) < 1):
-        raise ValueError("--n-list entries must be >= 1")
+    if hasattr(args, "n_list") and (
+        not args.n_list or min(args.n_list) < 1 or max(args.n_list) > 200
+    ):
+        raise ValueError("--n-list entries must be in 1..200")
     if hasattr(args, "pade") and (args.pade[0] < 0 or args.pade[1] < 0):
         raise ValueError("--pade orders must be non-negative")
     if hasattr(args, "k_step"):

@@ -11,17 +11,18 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from scipy.special import erfcx
 
 from .borel import ce_truncation_eval, resum_dispersion
 from .ce import WeightKind, WeightModel, build_source_series, ce_coefficients
-from .spectral import NoBranchPoint, trace_branch
-
-
-class NoRootInInterval(Exception):
-    """The safeguarded bracket (-1, 0] contains no sign change."""
+from .spectral import (
+    NoBranchPoint,
+    NoRootInInterval,
+    _safeguarded_newton,
+    trace_branch,
+)
 
 
 class SeriesDivergent(Exception):
@@ -31,9 +32,6 @@ class SeriesDivergent(Exception):
 class Method(enum.Enum):
     EXACT_GAUSSIAN = "exact-gaussian"
     EXACT_BOUNDED = "exact-bounded"
-    RESUMMED = "resummed"
-    BRANCH = "branch"
-    CE_TRUNCATION = "ce-truncation"
 
 
 @dataclass(frozen=True)
@@ -62,36 +60,6 @@ def _gaussian_resolvent_dA(A: float) -> float:
     e = float(erfcx(u))
     dI_du = math.sqrt(math.pi) * (e + 2 * u * u * e) - 2 * u
     return dI_du / (4 * u)
-
-
-def _safeguarded_newton(f, fprime, lo, hi, x0, tol, max_iter=100):
-    """Newton iteration that falls back to bisection on a sign-change bracket."""
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0:
-        raise NoRootInInterval(
-            f"no sign change on [{lo:.6g}, {hi:.6g}] (f = {flo:.3g}, {fhi:.3g})"
-        )
-    x = min(max(x0, lo), hi)
-    for _ in range(max_iter):
-        fx = f(x)
-        if fx == 0.0:
-            return x
-        if fx * flo < 0:
-            hi = x
-        else:
-            lo, flo = x, fx
-        d = fprime(x)
-        x_new = x - fx / d if d != 0 else math.nan
-        if not (lo < x_new < hi):
-            x_new = 0.5 * (lo + hi)
-        if abs(x_new - x) < tol:
-            return x_new
-        x = x_new
-    return x
 
 
 def solve_exact_gaussian(k: float, tol: float = 1e-14) -> DispersionSample:
@@ -203,16 +171,12 @@ class ComparisonTable:
     k_grid: list
     columns: dict  # name -> list of float (NaN marks missing cells)
 
-    def column(self, name: str) -> list:
-        return self.columns[name]
-
 
 def compare_methods(
     k_grid: Sequence[float],
     branch_orders: Iterable[int] = (1, 2, 20, 50),
     pade_L: int = 14,
     pade_M: int = 14,
-    n_max: Optional[int] = None,
 ) -> ComparisonTable:
     """Evaluate every method of reconstructing omega(k) on a common grid.
 
@@ -224,9 +188,7 @@ def compare_methods(
     if any(k < 0 or k > 1.2 + 1e-9 for k in ks):
         raise ValueError("grid must lie within [0, 1.2]")
     branch_orders = tuple(branch_orders)
-    if n_max is None:
-        n_max = pade_L + pade_M + 1
-    coeffs = ce_coefficients(WeightModel.gaussian(), n_max)
+    coeffs = ce_coefficients(WeightModel.gaussian(), pade_L + pade_M + 1)
     resum = resum_dispersion(coeffs, pade_L, pade_M)
     branches = {n: trace_branch(n) for n in branch_orders}
 

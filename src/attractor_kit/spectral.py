@@ -105,12 +105,48 @@ class FoldPoint:
 class BranchSample:
     k: float
     omega: float
-    physical: bool  # False past the fold
+
+
+class NoRootInInterval(Exception):
+    """The safeguarded bracket contains no sign change."""
+
+
+def _safeguarded_newton(f, fprime, lo, hi, x0, tol, max_iter=100):
+    """Newton iteration that falls back to bisection on a sign-change bracket."""
+    flo, fhi = f(lo), f(hi)
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    if flo * fhi > 0:
+        raise NoRootInInterval(
+            f"no sign change on [{lo:.6g}, {hi:.6g}] (f = {flo:.3g}, {fhi:.3g})"
+        )
+    x = min(max(x0, lo), hi)
+    for _ in range(max_iter):
+        fx = f(x)
+        if fx == 0.0:
+            return x
+        if fx * flo < 0:
+            hi = x
+        else:
+            lo, flo = x, fx
+        d = fprime(x)
+        x_new = x - fx / d if d != 0 else math.nan
+        if not (lo < x_new < hi):
+            x_new = 0.5 * (lo + hi)
+        if abs(x_new - x) < tol:
+            return x_new
+        x = x_new
+    return x
 
 
 @dataclass
 class BranchCurve:
-    """Arc of the P_n = 0 root branch through the origin, with its fold."""
+    """Arc of the P_n = 0 root branch from the origin up to its fold.
+
+    The samples rise strictly in k; the fold lies past the last one.
+    """
 
     n: int
     samples: list = field(default_factory=list)
@@ -119,27 +155,35 @@ class BranchCurve:
     def omega_at(self, k: float) -> float:
         """Branch value at wavenumber k, for 0 <= k < k_c.
 
-        Up to the last physical sample: nearest-sample seed + Newton polish.
+        Up to the last sample: nearest-sample seed + Newton polish.
         Between that sample and the fold: the root of P_n(., k^2) bracketed
-        by omega_c and the last sample's omega.  At k_c itself the branch
-        root has merged with its partner into a double root, and the branch
-        has ended.
+        by omega_c and the last sample's omega; below k_c the two roots
+        merging at the fold straddle omega_c, so the branch root is the only
+        one in the bracket, and where rounding hides the sign change (k
+        within rounding of k_c) the root is omega_c.  At k_c itself the
+        branch root has merged with its partner into a double root, and the
+        branch has ended.
         """
-        phys = [s for s in self.samples if s.physical]
-        if not phys:
-            raise NoBranchPoint(f"n={self.n} branch has no physical samples")
-        last = max(phys, key=lambda s: s.k)
+        last = self.samples[-1]
         past_samples = k > last.k + 1e-12
         if past_samples and (self.fold is None or k >= self.fold.k_c):
             raise NoBranchPoint(f"n={self.n} branch does not reach k={k}")
         if k == 0:
             return 0.0
+        q = k * k
         if past_samples:
-            return self._root_before_fold(k, last.omega)
-        seed = min(phys, key=lambda s: abs(s.k - k)).omega
-        w = seed
+            lo = self.fold.omega_c
+            try:
+                return _safeguarded_newton(
+                    lambda w: _eval_state(self.n, w, q)[0][0],
+                    lambda w: _eval_state(self.n, w, q)[0][1],
+                    lo, last.omega, 0.5 * (lo + last.omega), 1e-15,
+                )
+            except NoRootInInterval:
+                return lo
+        w = min(self.samples, key=lambda s: abs(s.k - k)).omega
         for _ in range(50):
-            st, _ls = _eval_state(self.n, w, k * k)
+            st, _ls = _eval_state(self.n, w, q)
             if st[1] == 0:
                 break
             step = st[0] / st[1]
@@ -148,39 +192,14 @@ class BranchCurve:
                 return w
         raise NoBranchPoint(f"Newton polish failed at k={k} for n={self.n}")
 
-    def _root_before_fold(self, k: float, omega_last: float) -> float:
-        """Root of P_n(., k^2) on [omega_c, omega_last], last_k < k < k_c.
-
-        Newton steps kept inside a shrinking sign-change bracket, bisection
-        when they leave it.  Below k_c the two roots merging at the fold
-        straddle omega_c, so the physical one is the only root in the
-        bracket; where rounding hides the sign change (k within rounding of
-        k_c) the root is omega_c.
-        """
-        q = k * k
-        lo, hi = self.fold.omega_c, omega_last
-        p_lo = _eval_state(self.n, lo, q)[0][0]
-        if p_lo == 0 or p_lo * _eval_state(self.n, hi, q)[0][0] > 0:
-            return lo
-        w = 0.5 * (lo + hi)
-        for _ in range(200):
-            st, _ls = _eval_state(self.n, w, q)
-            if st[0] == 0:
-                return w
-            if st[0] * p_lo > 0:
-                lo, p_lo = w, st[0]
-            else:
-                hi = w
-            w_new = w - st[0] / st[1] if st[1] != 0 else math.nan
-            if not (lo < w_new < hi):
-                w_new = 0.5 * (lo + hi)
-            if abs(w_new - w) < 1e-15 or hi - lo < 1e-15:
-                return w_new
-            w = w_new
-        raise NoBranchPoint(f"bracketed solve failed at k={k} for n={self.n}")
-
 
 _RESIDUAL_TOL = 1e-10
+
+# pseudo-arclength continuation: initial, smallest and largest step, budget
+_STEP = 0.01
+_STEP_MIN = 1e-4
+_STEP_MAX = 0.05
+_MAX_ARCLENGTH = 4.0
 
 
 def _normalized_residual(P: float, Pw: float, Pk: float = 0.0) -> float:
@@ -208,129 +227,53 @@ def _tangent(n: int, w: float, q: float, k: float, prev=None):
     return t
 
 
-def trace_branch(n: int, step: float = 0.01, max_arclength: float = 4.0) -> BranchCurve:
-    """Trace the physical root branch by pseudo-arclength continuation.
+def _correct(n: int, pred, t):
+    """Newton on {P_n = 0, t . (v - pred) = 0} from the predictor ``pred``.
 
-    Predictor: Euler step along the unit tangent.  Corrector: Newton on
-    {P_n = 0, orthogonality to the tangent}.  The step adapts between
-    1e-4 and 0.05 on corrector iteration count.  Past the fold the branch
-    is followed for an extra 0.3 of arclength and flagged unphysical.
+    Returns (point, iterations), or None when the iteration fails.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not (0 < step <= 0.05):
-        raise ValueError("step must lie in (0, 0.05]")
-
-    curve = BranchCurve(n, [BranchSample(0.0, 0.0, True)])
-    u = np.array([0.0, 0.0])  # (k, omega)
-    t = _tangent(n, u[1], u[0] ** 2, u[0])
-    h = step
-    arclength = 0.0
-    fold_arclength = None
-    k_max_seen = 0.0
-
-    while arclength < max_arclength:
-        accepted = False
-        for _halving in range(7):
-            pred = u + h * t
-            v = pred.copy()
-            iters = 0
-            converged = False
-            for iters in range(1, 26):
-                st, _ = _eval_state(n, v[1], v[0] ** 2)
-                P, Pw = st[0], st[1]
-                Pk = st[2] * 2 * v[0]
-                G = np.array([P, float(t @ (v - pred))])
-                J = np.array([[Pk, Pw], [t[0], t[1]]])
-                try:
-                    d = np.linalg.solve(J, -G)
-                except np.linalg.LinAlgError:
-                    break
-                v += d
-                if (
-                    _normalized_residual(P, Pw, Pk) < _RESIDUAL_TOL
-                    and np.max(np.abs(d)) < 1e-10
-                ):
-                    converged = True
-                    break
-            if converged:
-                accepted = True
-                break
-            h = max(h / 2, 1e-4)
-        if not accepted:
-            raise CorrectorDiverged(
-                f"corrector failed near (k, w) = ({u[0]:.4f}, {u[1]:.4f}) for n={n}"
-            )
-
-        t_new = _tangent(n, v[1], v[0] ** 2, v[0], prev=t)
-        arclength += float(np.hypot(*(v - u)))
-        u_prev, u = u, v
-
-        past_fold = fold_arclength is not None
-        if not past_fold and t[0] > 0 and t_new[0] < 0:
-            # dk/ds changed sign: refine from the pre-fold side first, since
-            # a long post-fold step can drop into the basin of the kinetic
-            # root w = -1
-            last_err = None
-            for seed in (u_prev, 0.5 * (u_prev + u), u):
-                try:
-                    curve.fold = find_fold(n, seed=(float(seed[0]), float(seed[1])))
-                    break
-                except NoFoldFound as exc:
-                    last_err = exc
-            else:
-                raise NoFoldFound(
-                    f"fold refinement failed near k = {u[0]:.4f} for n={n}"
-                ) from last_err
-            fold_arclength = arclength
-            past_fold = True
-        curve.samples.append(BranchSample(float(u[0]), float(u[1]), not past_fold))
-        k_max_seen = max(k_max_seen, float(u[0]))
-        t = t_new
-
-        if fold_arclength is not None:
-            if u[0] < k_max_seen - 0.2 or arclength > fold_arclength + 0.3:
-                break
-
-        # adapt on corrector effort
-        if iters <= 3:
-            h = min(h * 2, 0.05)
-        elif iters > 8:
-            h = max(h / 2, 1e-4)
-
-    return curve
+    v = pred.copy()
+    for iters in range(1, 26):
+        st, _ = _eval_state(n, v[1], v[0] ** 2)
+        P, Pw = st[0], st[1]
+        Pk = st[2] * 2 * v[0]
+        G = np.array([P, float(t @ (v - pred))])
+        J = np.array([[Pk, Pw], [t[0], t[1]]])
+        try:
+            d = np.linalg.solve(J, -G)
+        except np.linalg.LinAlgError:
+            return None
+        v += d
+        if _normalized_residual(P, Pw, Pk) < _RESIDUAL_TOL and np.max(np.abs(d)) < 1e-10:
+            return v, iters
+    return None
 
 
-def find_fold(n: int, seed: Optional[tuple] = None, bracket_hint: Optional[tuple] = None) -> FoldPoint:
-    """Refine the fold of the P_n branch: Newton on {P_n = 0, dP_n/dw = 0}.
+def _refine_fold(n: int, u, t, h: float) -> FoldPoint:
+    """Fold inside the continuation step of length h from u along t.
 
-    ``seed`` is a (k, omega) starting point; without one the branch is
-    traced first and its maximal-k sample used.  ``bracket_hint`` =
-    (k_lo, k_hi) restricts the admissible k_c.
+    dk/ds > 0 at u and < 0 at the step's end: bisect the step's arclength
+    on the sign of dk/ds down to the smallest continuation step, then
+    Newton on {P_n = 0, dP_n/dw = 0} from the last bisection point.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if seed is None:
-        curve = trace_branch(n)
-        if curve.fold is not None:
-            fp = curve.fold
-            if bracket_hint is not None and not (
-                bracket_hint[0] <= fp.k_c <= bracket_hint[1]
-            ):
-                raise NoFoldFound(
-                    f"fold k_c={fp.k_c:.6f} outside hint {bracket_hint} for n={n}"
-                )
-            return fp
-        best = max(curve.samples, key=lambda s: s.k)
-        seed = (best.k, best.omega)
+    lo, hi = 0.0, h
+    k, w = u
+    while hi - lo > _STEP_MIN:
+        s = 0.5 * (lo + hi)
+        corrected = _correct(n, u + s * t, t)
+        if corrected is None:
+            raise NoFoldFound(f"corrector failed while bracketing the fold for n={n}")
+        k, w = corrected[0]
+        if _tangent(n, w, k * k, k, prev=t)[0] > 0:
+            lo = s
+        else:
+            hi = s
 
-    k, w = float(seed[0]), float(seed[1])
+    k, w = float(k), float(w)
     for _ in range(100):
         st, _ = _eval_state(n, w, k * k)
         P, Pw, Pq, Pww, Pwq = st
-        Pk = Pq * 2 * k
-        Pwk = Pwq * 2 * k
-        J = np.array([[Pw, Pk], [Pww, Pwk]])
+        J = np.array([[Pw, Pq * 2 * k], [Pww, Pwq * 2 * k]])
         try:
             d = np.linalg.solve(J, [-P, -Pw])
         except np.linalg.LinAlgError as exc:
@@ -348,8 +291,59 @@ def find_fold(n: int, seed: Optional[tuple] = None, bracket_hint: Optional[tuple
     )
     if not (math.isfinite(k) and math.isfinite(w)) or residual > _RESIDUAL_TOL:
         raise NoFoldFound(f"fold refinement did not converge for n={n}")
-    if bracket_hint is not None and not (bracket_hint[0] <= k <= bracket_hint[1]):
-        raise NoFoldFound(
-            f"fold k_c={k:.6f} outside hint {bracket_hint} for n={n}"
-        )
     return FoldPoint(float(k), float(w), float(residual))
+
+
+def trace_branch(n: int) -> BranchCurve:
+    """Trace the physical root branch by pseudo-arclength continuation.
+
+    Predictor: Euler step along the unit tangent.  Corrector: Newton on
+    {P_n = 0, orthogonality to the tangent}.  The step adapts between
+    1e-4 and 0.05 on corrector iteration count.  The trace ends at the
+    first step over which dk/ds turns negative, with the fold refined
+    inside that step.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+
+    curve = BranchCurve(n, [BranchSample(0.0, 0.0)])
+    u = np.array([0.0, 0.0])  # (k, omega)
+    t = _tangent(n, u[1], u[0] ** 2, u[0])
+    h = _STEP
+    arclength = 0.0
+
+    while arclength < _MAX_ARCLENGTH:
+        for _halving in range(7):
+            corrected = _correct(n, u + h * t, t)
+            if corrected is not None:
+                break
+            h = max(h / 2, _STEP_MIN)
+        else:
+            raise CorrectorDiverged(
+                f"corrector failed near (k, w) = ({u[0]:.4f}, {u[1]:.4f}) for n={n}"
+            )
+        v, iters = corrected
+
+        t_new = _tangent(n, v[1], v[0] ** 2, v[0], prev=t)
+        if t_new[0] < 0:
+            curve.fold = _refine_fold(n, u, t, h)
+            break
+        arclength += float(np.hypot(*(v - u)))
+        u, t = v, t_new
+        curve.samples.append(BranchSample(float(u[0]), float(u[1])))
+
+        # adapt on corrector effort
+        if iters <= 3:
+            h = min(h * 2, _STEP_MAX)
+        elif iters > 8:
+            h = max(h / 2, _STEP_MIN)
+
+    return curve
+
+
+def find_fold(n: int) -> FoldPoint:
+    """Fold of the P_n branch, where P_n = dP_n/dw = 0, from its trace."""
+    fold = trace_branch(n).fold
+    if fold is None:
+        raise NoFoldFound(f"n={n} branch stayed monotone in k up to arclength {_MAX_ARCLENGTH}")
+    return fold

@@ -112,8 +112,9 @@ def test_folds_table(tmp_path):
 
 
 def test_folds_rejects_zero(tmp_path):
-    code, _ = run(tmp_path, "folds", "--n-list", "0")
-    assert code == 2
+    for n_list in ("0", "201"):
+        code, _ = run(tmp_path, "folds", "--n-list", n_list)
+        assert code == 2
 
 
 # --- dispersion --------------------------------------------------------------------
@@ -132,6 +133,22 @@ def test_dispersion_table(tmp_path):
     # k = 0 row is all zeros for the omega columns
     for name in ("omega_exact", "omega_resummed", "omega_ce2"):
         assert float(rows[0][header.index(name)]) == 0.0
+
+
+@pytest.mark.parametrize("k_min, k_max, k_step", [
+    ("0.002", "1.2", "0.01"),  # one arange step past k_max is outside [0, 1.2]
+    ("0.3", "0.9", "0.07"),  # one arange step past k_max is 0.93
+])
+def test_dispersion_grid_stops_at_k_max(tmp_path, k_min, k_max, k_step):
+    code, out = run(
+        tmp_path, "dispersion", "--k-min", k_min, "--k-max", k_max,
+        "--k-step", k_step, "--n-list", "1",
+    )
+    assert code == 0
+    header, rows = read_csv(out)
+    ks = [float(r[header.index("k")]) for r in rows]
+    assert ks[0] == float(k_min) and ks[-1] <= float(k_max)
+    assert float(k_max) - ks[-1] < float(k_step)
 
 
 def test_dispersion_rejects_bad_grid(tmp_path):

@@ -7,7 +7,6 @@ import pytest
 from attractor_kit.dispersion import solve_exact_gaussian
 from attractor_kit.spectral import (
     NoBranchPoint,
-    NoFoldFound,
     _normalized_residual,
     eval_P,
     find_fold,
@@ -138,9 +137,9 @@ def test_branch_no_point_past_fold(branch_1):
 
 
 def test_branch_reaches_fold_past_last_sample(branch_1):
-    # the last physical continuation sample lies at k = 0.4998 < k_c = 1/2;
+    # the last continuation sample lies at k = 0.4998 < k_c = 1/2;
     # the branch itself reaches the fold
-    last = max(s.k for s in branch_1.samples if s.physical)
+    last = branch_1.samples[-1].k
     for k in (0.4999, 0.499999):
         assert k > last
         expected = (-1 + math.sqrt(1 - 4 * k * k)) / 2
@@ -153,7 +152,7 @@ def test_branch_reaches_fold_past_last_sample(branch_1):
 
 def test_branch_n2_between_last_sample_and_fold():
     curve = trace_branch(2)
-    last = max(s.k for s in curve.samples if s.physical)
+    last = curve.samples[-1].k
     for k in (0.622, 0.623):
         assert last < k < curve.fold.k_c
         w = curve.omega_at(k)
@@ -172,7 +171,7 @@ def test_branch_n2_between_last_sample_and_fold():
 def test_branch_n50_between_last_sample_and_fold(branch_50):
     from attractor_kit.spectral import _eval_state
 
-    last = max(s.k for s in branch_50.samples if s.physical)
+    last = branch_50.samples[-1].k
     assert last < 1.03 < branch_50.fold.k_c
     w = branch_50.omega_at(1.03)
     assert branch_50.fold.omega_c < w < -0.5
@@ -180,19 +179,9 @@ def test_branch_n50_between_last_sample_and_fold(branch_50):
     assert _normalized_residual(st[0], st[1]) < 1e-12
 
 
-def test_branch_marks_unphysical_past_fold(branch_50):
-    assert branch_50.fold is not None
-    assert any(not s.physical for s in branch_50.samples)
-    for s in branch_50.samples:
-        if not s.physical:
-            assert s.k <= branch_50.fold.k_c + 1e-8
-
-
 def test_trace_input_validation():
     with pytest.raises(ValueError):
         trace_branch(0)
-    with pytest.raises(ValueError):
-        trace_branch(2, step=0.2)
 
 
 def test_branch_convergence_to_attractor():
@@ -238,7 +227,7 @@ def test_fold_n2_closed_form():
 
 
 def test_fold_residuals_small():
-    for n in (2, 10):
+    for n in (2, 10, 118, 200):
         fp = find_fold(n)
         assert fp.residual < 1e-10
 
@@ -249,13 +238,32 @@ def test_fold_n20_n50_locations():
 
 
 def test_fold_monotone_in_truncation_order():
-    kcs = [find_fold(n).k_c for n in (1, 2, 5, 10, 20, 50)]
+    kcs = [find_fold(n).k_c for n in (1, 2, 5, 10, 20, 50, 118, 200)]
     assert all(b >= a for a, b in zip(kcs, kcs[1:]))
 
 
-def test_fold_bracket_hint_violation():
-    with pytest.raises(NoFoldFound):
-        find_fold(1, bracket_hint=(0.6, 0.9))
+def _hermite_jacobi(m):
+    """m x m Jacobi matrix of the Hermite recurrence: off-diagonals sqrt(j)."""
+    off = np.sqrt(np.arange(1, m))
+    return np.diag(off, 1) + np.diag(off, -1)
+
+
+@pytest.mark.parametrize("n", [118, 200])
+def test_fold_is_where_two_real_eigenvalues_merge(n):
+    # Independent oracle: P_n(w, k^2) = det(w I + D + ik J_2n), D = diag(0, 1,
+    # ..., 1), so the branch values are the eigenvalues of -(D + ik J_2n).
+    # Just below k_c two real ones sit near omega_c; just above they have
+    # left the real axis.
+    fp = find_fold(n)
+    D = np.diag([0.0] + [1.0] * (2 * n - 1))
+    J = _hermite_jacobi(2 * n)
+
+    def real_near_fold(k):
+        ev = np.linalg.eigvals(-(D + 1j * k * J))
+        return [e for e in ev if abs(e.imag) < 1e-6 and abs(e.real - fp.omega_c) < 0.05]
+
+    assert len(real_near_fold(fp.k_c * (1 - 1e-4))) == 2
+    assert len(real_near_fold(fp.k_c * (1 + 1e-4))) == 0
 
 
 def test_fold_attached_to_trace(branch_50):
