@@ -145,8 +145,8 @@ def cmd_ce_coeffs(args) -> int:
 
 
 def cmd_dispersion(args) -> int:
-    # k_min + i k_step up to k_max: the values np.arange gives, without its
-    # overshoot past k_max
+    # k_min + i k_step for every i that stays within k_max; the 1e-9 absorbs
+    # the rounding of the quotient: 1.2 / 0.05 = 23.999999999999996
     points = math.floor((args.k_max - args.k_min) / args.k_step + 1e-9) + 1
     ks = [args.k_min + args.k_step * i for i in range(points)]
     branch_orders = args.n_list

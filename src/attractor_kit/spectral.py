@@ -32,7 +32,8 @@ class DegenerateTangent(Exception):
 
 
 class NoFoldFound(Exception):
-    """Branch stayed monotone in k within the arclength budget."""
+    """Branch stayed monotone in k within the arclength budget, or the fold
+    it turned at could not be refined."""
 
 
 class NoBranchPoint(Exception):
