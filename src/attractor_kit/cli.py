@@ -24,11 +24,15 @@ from .ce import (
     ce_coefficients,
     ratio_sequence,
 )
-from .dispersion import compare_methods
+from .dispersion import K_GRID_MAX, compare_methods
 from .spectral import NoFoldFound, find_fold
 
 EXIT_CONFIG = 2
 EXIT_COMPUTE = 3
+
+# largest truncation order `folds` and `dispersion` accept: a sweep of
+# find_fold over every n up to it found a fold each time, with k_c rising
+N_LIST_MAX = 400
 
 FOLD_N1_NOTE = (
     "n=1 fold is exactly k_c = 1/2 (discriminant of w^2 + w + k^2); "
@@ -240,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
                            metavar=("L", "M"))
         if grid:
             p.add_argument("--k-min", type=float, default=0.0, dest="k_min")
-            p.add_argument("--k-max", type=float, default=1.2, dest="k_max")
+            p.add_argument("--k-max", type=float, default=K_GRID_MAX, dest="k_max")
             p.add_argument("--k-step", type=float, default=0.01, dest="k_step")
         if nlist is not None:
             p.add_argument("--n-list", default=nlist, dest="n_list",
@@ -271,16 +275,16 @@ def validate(args) -> None:
     if getattr(args, "n_max", 1) < 1 or getattr(args, "n_max", 1) > 200:
         raise ValueError("--n-max must be in 1..200")
     if hasattr(args, "n_list") and (
-        not args.n_list or min(args.n_list) < 1 or max(args.n_list) > 200
+        not args.n_list or min(args.n_list) < 1 or max(args.n_list) > N_LIST_MAX
     ):
-        raise ValueError("--n-list entries must be in 1..200")
+        raise ValueError(f"--n-list entries must be in 1..{N_LIST_MAX}")
     if hasattr(args, "pade") and (args.pade[0] < 0 or args.pade[1] < 0):
         raise ValueError("--pade orders must be non-negative")
     if hasattr(args, "k_step"):
         if args.k_step <= 0 or args.k_min < 0 or args.k_max < args.k_min:
             raise ValueError("k grid must satisfy 0 <= k-min <= k-max, k-step > 0")
-        if args.k_max > 1.2:
-            raise ValueError("k-max capped at 1.2")
+        if args.k_max > K_GRID_MAX:
+            raise ValueError(f"k-max capped at {K_GRID_MAX}")
     if getattr(args, "weight", None) is not None:
         parse_weight(args.weight)  # fail early on bad weight specs
 

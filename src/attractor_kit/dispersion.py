@@ -25,6 +25,12 @@ from .spectral import (
 )
 
 
+# largest wavenumber of a comparison grid; it stays below k* = sqrt(pi/2)
+# ~ 1.2533, where the exact Gaussian root reaches omega = -1 and the
+# hydrodynamic branch ends
+K_GRID_MAX = 1.2
+
+
 class SeriesDivergent(Exception):
     """Moment series left its convergence region during the solve."""
 
@@ -185,8 +191,8 @@ def compare_methods(
     relative to the exact solver.  Per-method failures become NaN cells.
     """
     ks = [float(k) for k in k_grid]
-    if any(k < 0 or k > 1.2 + 1e-9 for k in ks):
-        raise ValueError("grid must lie within [0, 1.2]")
+    if any(k < 0 or k > K_GRID_MAX + 1e-9 for k in ks):
+        raise ValueError(f"grid must lie within [0, {K_GRID_MAX}]")
     branch_orders = tuple(branch_orders)
     coeffs = ce_coefficients(WeightModel.gaussian(), pade_L + pade_M + 1)
     resum = resum_dispersion(coeffs, pade_L, pade_M)

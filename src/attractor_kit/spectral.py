@@ -16,6 +16,7 @@ share the same scale and ratios like P/P_w are exact.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -55,32 +56,60 @@ class SpectralEval:
     derivative_omega: float
 
 
-def _eval_state(n: int, w: float, q: float):
-    """Scaled (P, P_w, P_q, P_ww, P_wq) at (w, k^2=q), plus log scale."""
-    # state for P_{j-1} and P_j, five derivative slots each
-    s0 = (1.0, 0.0, 0.0, 0.0, 0.0)
-    s1 = (w * (w + 1) + q, 2 * w + 1, 1.0, 2.0, 0.0)
+def _eval_state(n: int, w: float, q: float, second: bool = False):
+    """Scaled (P, P_w, P_q) at (w, k^2=q), plus log scale.
+
+    With ``second`` the state also carries (P_ww, P_wq), which only the fold
+    Newton reads.  The inputs become plain floats on entry, so numpy scalars
+    do not slow every step down.  The factors hoisted out of the loop keep
+    each product's left-to-right order: q*q*(2j-2)*(2j-3) stays
+    ((q*q)*(2j-2))*(2j-3), so the values are those of the recurrence as
+    written above, bit for bit.
+    """
     if n == 0:
-        return s0, 0.0
+        return ((1.0, 0.0, 0.0, 0.0, 0.0) if second else (1.0, 0.0, 0.0)), 0.0
+    w = float(w)
+    q = float(q)
+    # P.. is the state of P_j, Q.. that of P_{j-1}
+    Q, Qw, Qq, Qww, Qwq = 1.0, 0.0, 0.0, 0.0, 0.0
+    P, Pw, Pq, Pww, Pwq = w * (w + 1) + q, 2 * w + 1, 1.0, 2.0, 0.0
     log_scale = 0.0
-    for j in range(2, n + 1):
-        A = (w + 1) ** 2 + (4 * j - 3) * q
-        B = q * q * (2 * j - 2) * (2 * j - 3)
-        Bq = 2 * q * (2 * j - 2) * (2 * j - 3)
-        P, Pw, Pq, Pww, Pwq = s1
-        Q, Qw, Qq, Qww, Qwq = s0
-        s2 = (
-            A * P - B * Q,
-            2 * (w + 1) * P + A * Pw - B * Qw,
-            (4 * j - 3) * P + A * Pq - Bq * Q - B * Qq,
-            2 * P + 4 * (w + 1) * Pw + A * Pww - B * Qww,
-            (4 * j - 3) * Pw + 2 * (w + 1) * Pq + A * Pwq - Bq * Qw - B * Qwq,
-        )
-        scale = max(abs(s2[0]), abs(s1[0]), 1.0)
-        log_scale += math.log(scale)
-        s0 = tuple(v / scale for v in s1)
-        s1 = tuple(v / scale for v in s2)
-    return s1, log_scale
+    w1sq = (w + 1) ** 2
+    w1x2 = 2 * (w + 1)
+    w1x4 = 4 * (w + 1)
+    qq = q * q
+    qx2 = 2 * q
+    log = math.log
+    # 4j - 3, 2j - 2 and 2j - 3 as floats, which multiply faster than ints
+    c, a, b = 5.0, 2.0, 1.0
+    for _ in range(n - 1):
+        A = w1sq + c * q
+        B = qq * a * b
+        Bq = qx2 * a * b
+        P2 = A * P - B * Q
+        Pw2 = w1x2 * P + A * Pw - B * Qw
+        Pq2 = c * P + A * Pq - Bq * Q - B * Qq
+        # max(|P2|, |P|, 1.0), spelled out: faster than the builtin max
+        scale = abs(P2)
+        absP = abs(P)
+        if absP > scale:
+            scale = absP
+        if scale < 1.0:
+            scale = 1.0
+        log_scale += log(scale)
+        if second:
+            Pww2 = 2 * P + w1x4 * Pw + A * Pww - B * Qww
+            Pwq2 = c * Pw + w1x2 * Pq + A * Pwq - Bq * Qw - B * Qwq
+            Qww, Qwq = Pww / scale, Pwq / scale
+            Pww, Pwq = Pww2 / scale, Pwq2 / scale
+        Q, Qw, Qq = P / scale, Pw / scale, Pq / scale
+        P, Pw, Pq = P2 / scale, Pw2 / scale, Pq2 / scale
+        c += 4.0
+        a += 2.0
+        b += 2.0
+    if second:
+        return (P, Pw, Pq, Pww, Pwq), log_scale
+    return (P, Pw, Pq), log_scale
 
 
 def eval_P(n: int, omega: float, k2: float) -> SpectralEval:
@@ -174,15 +203,30 @@ class BranchCurve:
         q = k * k
         if past_samples:
             lo = self.fold.omega_c
+            # Newton asks for P and then P_w at the same iterate: one
+            # recurrence serves both
+            memo = [None, None]
+
+            def state(w):
+                if memo[0] != w:
+                    memo[:] = w, _eval_state(self.n, w, q)[0]
+                return memo[1]
+
             try:
                 return _safeguarded_newton(
-                    lambda w: _eval_state(self.n, w, q)[0][0],
-                    lambda w: _eval_state(self.n, w, q)[0][1],
+                    lambda w: state(w)[0],
+                    lambda w: state(w)[1],
                     lo, last.omega, 0.5 * (lo + last.omega), 1e-15,
                 )
             except NoRootInInterval:
                 return lo
-        w = min(self.samples, key=lambda s: abs(s.k - k)).omega
+        # nearest sample; on a tie the lower one
+        i = bisect.bisect_left(self.samples, k, key=lambda s: s.k)
+        if i == len(self.samples) or (
+            i > 0 and abs(self.samples[i - 1].k - k) <= abs(self.samples[i].k - k)
+        ):
+            i -= 1
+        w = self.samples[i].omega
         for _ in range(50):
             st, _ls = _eval_state(self.n, w, q)
             if st[1] == 0:
@@ -272,7 +316,7 @@ def _refine_fold(n: int, u, t, h: float) -> FoldPoint:
 
     k, w = float(k), float(w)
     for _ in range(100):
-        st, _ = _eval_state(n, w, k * k)
+        st, _ = _eval_state(n, w, k * k, second=True)
         P, Pw, Pq, Pww, Pwq = st
         J = np.array([[Pw, Pq * 2 * k], [Pww, Pwq * 2 * k]])
         try:
@@ -284,7 +328,7 @@ def _refine_fold(n: int, u, t, h: float) -> FoldPoint:
         if np.max(np.abs(d)) < 1e-14:
             break
 
-    st, _ = _eval_state(n, w, k * k)
+    st, _ = _eval_state(n, w, k * k, second=True)
     P, Pw, Pq, Pww, Pwq = st
     residual = max(
         _normalized_residual(P, Pw, Pq * 2 * k),

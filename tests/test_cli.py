@@ -112,9 +112,40 @@ def test_folds_table(tmp_path):
 
 
 def test_folds_rejects_zero(tmp_path):
-    for n_list in ("0", "201"):
+    for n_list in ("0", "401"):
         code, _ = run(tmp_path, "folds", "--n-list", n_list)
         assert code == 2
+
+
+# the folds output for these orders, byte for byte: any change in the last
+# bits of the spectral kernel shows here
+FOLDS_PINNED = (
+    "n,k_c,omega_c,residual,note\n"
+    "1,0.5,-0.5,0,n=1 fold is exactly k_c = 1/2 (discriminant of w^2 + w + k^2); the commonly quoted 0.47 appears to be a figure-read value\n"
+    "2,0.62347364453507226,-0.53030534384913064,1.2164597925592282e-17,\n"
+    "10,0.86521475530841618,-0.66000857102423027,1.7491061379623142e-16,\n"
+    "50,1.0307459661533014,-0.78681209840592847,1.0894940063204831e-14,\n"
+    "100,1.0811562827206183,-0.83061598951546811,1.579723221161667e-14,\n"
+    "200,1.1212851264563848,-0.86719521289261359,1.8922777348031628e-14,\n"
+)
+
+
+def test_folds_bytes_pinned(tmp_path):
+    code, out = run(tmp_path, "folds", "--n-list", "1,2,10,50,100,200")
+    assert code == 0
+    assert out.read_text() == FOLDS_PINNED
+
+
+def test_folds_at_largest_order_approach_gaussian_endpoint(tmp_path):
+    # the folds rise towards k* = sqrt(pi/2), where the exact Gaussian branch
+    # reaches omega = -1, and 1 + omega_c shrinks with n
+    code, out = run(tmp_path, "folds", "--n-list", "50,200,400")
+    assert code == 0
+    _, rows = read_csv(out)
+    k_c = [float(r[1]) for r in rows]
+    gap = [1 + float(r[2]) for r in rows]
+    assert k_c[1] < k_c[2] < math.sqrt(math.pi / 2)
+    assert gap[0] > gap[1] > gap[2] > 0
 
 
 # --- dispersion --------------------------------------------------------------------

@@ -4,9 +4,11 @@ from fractions import Fraction as Fr
 import numpy as np
 import pytest
 
+from attractor_kit import spectral
 from attractor_kit.dispersion import solve_exact_gaussian
 from attractor_kit.spectral import (
     NoBranchPoint,
+    _eval_state,
     _normalized_residual,
     eval_P,
     find_fold,
@@ -76,6 +78,73 @@ def test_eval_P_derivative_matches_difference_quotient():
     ) == pytest.approx(dnum, rel=1e-6)
 
 
+def _integer_polynomial(n):
+    """P_n as {(i, m): c}, the integer coefficient of w^i q^m, built from the
+    value recurrence on polynomials (no derivative slots)."""
+    p0, p1 = {(0, 0): 1}, {(2, 0): 1, (1, 0): 1, (0, 1): 1}
+    if n == 0:
+        return p0
+    for j in range(2, n + 1):
+        nxt = {}
+        # [(w+1)^2 + (4j-3) q] P_{j-1}
+        factor = (((2, 0), 1), ((1, 0), 2), ((0, 0), 1), ((0, 1), 4 * j - 3))
+        for (i, m), c in p1.items():
+            for (di, dm), f in factor:
+                nxt[i + di, m + dm] = nxt.get((i + di, m + dm), 0) + f * c
+        # - (2j-2)(2j-3) q^2 P_{j-2}
+        for (i, m), c in p0.items():
+            nxt[i, m + 2] = nxt.get((i, m + 2), 0) - (2 * j - 2) * (2 * j - 3) * c
+        p0, p1 = p1, nxt
+    return p1
+
+
+def _differentiate(poly, var):
+    """Symbolic partial derivative in w (var 0) or q (var 1)."""
+    out = {}
+    for (i, m), c in poly.items():
+        e = (i, m)[var]
+        if e:
+            key = (i - 1, m) if var == 0 else (i, m - 1)
+            out[key] = out.get(key, 0) + e * c
+    return out
+
+
+def _evaluate_at_eighths(poly, a, b):
+    """poly(a/8, b/8) exactly, through one integer numerator."""
+    I = max((i for i, _ in poly), default=0)
+    M = max((m for _, m in poly), default=0)
+    num = sum(c * a**i * 8 ** (I - i) * b**m * 8 ** (M - m) for (i, m), c in poly.items())
+    return Fr(num, 8 ** (I + M))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 50])
+def test_eval_state_matches_exact_polynomial_derivatives(n):
+    # independent oracle: the exact bivariate polynomial, differentiated
+    # symbolically; both the 3-slot and the 5-slot state are checked
+    P = _integer_polynomial(n)
+    Pw = _differentiate(P, 0)
+    polys = (P, Pw, _differentiate(P, 1), _differentiate(Pw, 0), _differentiate(Pw, 1))
+    for a in (-10, -6, -2, 4):  # w = a/8
+        for b in (1, 6, 10):  # q = b/8
+            exact = [float(_evaluate_at_eighths(p, a, b)) for p in polys]
+            st5, ls5 = _eval_state(n, a / 8, b / 8, second=True)
+            st3, ls3 = _eval_state(n, a / 8, b / 8)
+            assert len(st5) == 5 and len(st3) == 3
+            assert st3 == st5[:3] and ls3 == ls5
+            got = [v * math.exp(ls5) for v in st5]
+            assert got == pytest.approx(exact, rel=1e-12, abs=0)
+
+
+def test_eval_state_numpy_scalars_give_plain_floats():
+    for n, w, q in [(0, -0.3, 0.2), (1, -0.3, 0.2), (7, -0.45, 0.61), (120, -0.8, 1.1)]:
+        for second in (False, True):
+            ref = _eval_state(n, w, q, second=second)
+            got = _eval_state(n, np.float64(w), np.float64(q), second=second)
+            assert got == ref
+            state, log_scale = got
+            assert all(type(v) is float for v in state + (log_scale,))
+
+
 def test_eval_P_input_validation():
     with pytest.raises(ValueError):
         eval_P(-1, 0.0, 0.0)
@@ -114,8 +183,6 @@ def test_branch_n1_small_k_diffusion_slope(branch_1):
 
 
 def test_branch_samples_satisfy_residual(branch_50):
-    from attractor_kit.spectral import _eval_state
-
     for s in branch_50.samples:
         st, _ = _eval_state(50, s.omega, s.k**2)
         assert _normalized_residual(st[0], st[1], st[2] * 2 * s.k) < 1e-10
@@ -169,14 +236,49 @@ def test_branch_n2_between_last_sample_and_fold():
 
 
 def test_branch_n50_between_last_sample_and_fold(branch_50):
-    from attractor_kit.spectral import _eval_state
-
     last = branch_50.samples[-1].k
     assert last < 1.03 < branch_50.fold.k_c
     w = branch_50.omega_at(1.03)
     assert branch_50.fold.omega_c < w < -0.5
     st, _ = _eval_state(50, w, 1.03**2)
     assert _normalized_residual(st[0], st[1]) < 1e-12
+
+
+def _record_eval_state(monkeypatch):
+    calls = []
+    real = spectral._eval_state
+
+    def recorder(n, w, q, **kwargs):
+        calls.append((float(w), float(q)))
+        return real(n, w, q, **kwargs)
+
+    monkeypatch.setattr(spectral, "_eval_state", recorder)
+    return calls
+
+
+def test_omega_at_one_recurrence_per_newton_iterate(branch_50, monkeypatch):
+    # past the last sample, Newton reads P and P_w at each iterate from one
+    # evaluation of the recurrence
+    assert branch_50.samples[-1].k < 1.03
+    calls = _record_eval_state(monkeypatch)
+    branch_50.omega_at(1.03)
+    assert len(calls) >= 3
+    assert all(a != b for a, b in zip(calls, calls[1:]))
+
+
+def test_omega_at_seeds_from_nearest_sample(branch_50, monkeypatch):
+    # Newton polish starts at the sample nearest in k; on a tie, the lower
+    # one, as min() over the samples picks it
+    samples = branch_50.samples
+    ks = [s.k for s in samples[1:]]
+    ks += [0.5 * (a.k + b.k) for a, b in zip(samples, samples[1:])]
+    ks += [0.5 * samples[-1].k * (1 + i / 97) for i in range(97)]
+    calls = _record_eval_state(monkeypatch)
+    for k in ks:
+        calls.clear()
+        branch_50.omega_at(k)
+        nearest = min(samples, key=lambda s: abs(s.k - k))
+        assert calls[0] == (nearest.omega, k * k)
 
 
 def test_trace_input_validation():
