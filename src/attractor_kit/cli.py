@@ -10,6 +10,10 @@ import argparse
 import csv
 import io
 import json
+# argparse translates its messages through gettext, which imports locale
+# when the first parser is built; importing it here keeps that one-time
+# cost in start-up rather than in the first command
+import locale  # noqa: F401
 import math
 import os
 import sys

@@ -1,10 +1,12 @@
 import math
 from fractions import Fraction as Fr
 
+import mpmath
 import numpy as np
 import pytest
 
 from attractor_kit.borel import (
+    PadeApproximant,
     PoleOnContour,
     SingularPadeSystem,
     borel_transform,
@@ -125,6 +127,62 @@ def test_laplace_resum_detects_positive_axis_pole():
     p = pade([1.0, 1.0, 1.0], 0, 1)  # 1/(1-s), genuine pole at +1
     with pytest.raises(PoleOnContour):
         laplace_resum(p, 0.5)
+
+
+def single_pole(sigma0, residue):
+    """residue / (sigma - sigma0) as an approximant.
+
+    Complex coefficients keep 1 - sigma/sigma0 well conditioned next to the
+    pole, where a real quadratic denominator loses its digits to
+    cancellation.
+    """
+    s0 = complex(sigma0)
+    return PadeApproximant(
+        np.array([-residue / s0]), np.array([1.0, -1.0 / s0]),
+        np.array([s0]), np.array([complex(residue)]),
+    )
+
+
+def laplace_oracle(p, x, split):
+    """mpmath.quad of int_0^40 e^{-u} Re p(x u) du, from p's own coefficients."""
+    with mpmath.workdps(30):
+        num = [mpmath.mpc(complex(c)) for c in p.num[::-1]]
+        den = [mpmath.mpc(complex(c)) for c in p.den[::-1]]
+
+        def f(u):
+            s = x * u
+            return mpmath.exp(-u) * mpmath.re(mpmath.polyval(num, s) / mpmath.polyval(den, s))
+
+        return float(mpmath.quad(f, [0, split, 40]))
+
+
+def gauss_laguerre(p, x):
+    t, w = np.polynomial.laguerre.laggauss(80)
+    return float(np.sum(w * p(x * t).real))
+
+
+@pytest.mark.parametrize("offset", [1e-4, 1e-6, 1e-7])
+@pytest.mark.parametrize("residue", [1.0, 1j, 0.3 - 2j])
+def test_laplace_resum_pole_near_contour_vs_mpmath(offset, residue):
+    # u = a/x = 0.6 lies inside the graded rule's first base panel [0, 1]
+    x, a = 0.5, 0.3
+    p = single_pole(a + 1j * offset, residue)
+    oracle = laplace_oracle(p, x, a / x)
+    assert abs(gauss_laguerre(p, x) - oracle) > 1e-3  # the pole defeats the default rule
+    assert abs(laplace_resum(p, x) - oracle) <= 1e-8
+
+
+def test_laplace_resum_real_pade_pair_near_contour_vs_mpmath():
+    # 1/(sigma - s0) + 1/(sigma - conj(s0)), s0 = a + ib, with real coefficients
+    a, b, x = 1.0, 1e-4, 0.5
+    d = a * a + b * b
+    p = PadeApproximant(
+        np.array([-2 * a / d, 2 / d]), np.array([1.0, -2 * a / d, 1 / d]),
+        np.array([a + 1j * b, a - 1j * b]), np.array([1.0 + 0j, 1.0 + 0j]),
+    )
+    oracle = laplace_oracle(p, x, a / x)
+    assert abs(gauss_laguerre(p, x) - oracle) > 1e-3
+    assert abs(laplace_resum(p, x) - oracle) <= 1e-8
 
 
 def test_laplace_resum_requires_positive_x(gaussian_30):

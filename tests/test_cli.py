@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import attractor_kit
 from attractor_kit.cli import main
 
 
@@ -243,3 +248,23 @@ def test_json_config_echo_roundtrip(tmp_path):
     cfg = json.loads(out.read_text())["config"]
     assert cfg["n_max"] == 4
     assert cfg["weight"] == "gaussian"
+
+
+def test_cli_import_loads_no_scipy():
+    # a fresh interpreter: every CLI run pays this import before any work.
+    # The modules a first command would otherwise load lazily (numpy's
+    # Gauss-Laguerre rule, gettext's locale) come with the import instead
+    src = str(Path(attractor_kit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = (
+        "import sys, json, attractor_kit.cli; "
+        "print(json.dumps(sorted(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+        check=True, timeout=120,
+    )
+    modules = json.loads(out.stdout)
+    assert [m for m in modules if m.split(".")[0] == "scipy"] == []
+    assert "numpy.polynomial.laguerre" in modules
+    assert "locale" in modules

@@ -1,16 +1,21 @@
 import math
 from fractions import Fraction as Fr
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from attractor_kit.ce import WeightModel
 from attractor_kit.dispersion import (
+    _DERIV_CF_MIN,
+    _ERFCX_SPLIT,
     Method,
     NoRootInInterval,
     SeriesDivergent,
     compare_methods,
+    _erfcx,
+    _gaussian_resolvent_dA,
     gaussian_resolvent,
     solve_exact_bounded,
     solve_exact_gaussian,
@@ -64,6 +69,35 @@ def test_resolvent_matches_quadrature_on_log_grid():
 def test_resolvent_rejects_nonpositive():
     with pytest.raises(ValueError):
         gaussian_resolvent(0.0)
+
+
+def mp_resolvent(A):
+    """I(A) = sqrt(pi A/2) exp(A/2) erfc(sqrt(A/2)) at the working precision."""
+    u = mpmath.sqrt(mpmath.mpf(A) / 2)
+    return mpmath.sqrt(mpmath.pi) * u * mpmath.exp(u * u) * mpmath.erfc(u)
+
+
+def test_erfcx_matches_mpmath():
+    split = _ERFCX_SPLIT
+    us = [float(u) for u in np.logspace(-4, math.log10(80.0), 2000)]
+    us += [0.0, split, math.nextafter(split, 0.0), split * (1 - 1e-6), split * (1 + 1e-6)]
+    worst = 0.0
+    with mpmath.workdps(40):
+        for u in us:
+            ref = mpmath.exp(mpmath.mpf(u) ** 2) * mpmath.erfc(u)
+            worst = max(worst, float(abs(_erfcx(u) - ref) / ref))
+    assert _erfcx(0.0) == 1.0
+    assert worst <= 1e-15
+
+
+def test_resolvent_derivative_matches_mpmath_diff():
+    # u = sqrt(A/2) crosses the continued-fraction switch at A = 2 u_min^2
+    switch = 2 * _DERIV_CF_MIN**2
+    grid = list(np.logspace(-6, 4, 41)) + [switch * (1 - 1e-12), switch, switch * (1 + 1e-12)]
+    with mpmath.workdps(40):
+        for A in grid:
+            ref = mpmath.diff(mp_resolvent, mpmath.mpf(float(A)))
+            assert abs(_gaussian_resolvent_dA(float(A)) - ref) <= 1e-13 * abs(ref)
 
 
 # --- Gaussian solver -------------------------------------------------------------
