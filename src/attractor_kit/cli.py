@@ -38,6 +38,9 @@ EXIT_COMPUTE = 3
 # find_fold over every n up to it found a fold each time, with k_c rising
 N_LIST_MAX = 400
 
+# most k-grid points `dispersion` accepts: a step of 1e-4 over [0, K_GRID_MAX]
+K_POINTS_MAX = 12001
+
 FOLD_N1_NOTE = (
     "n=1 fold is exactly k_c = 1/2 (discriminant of w^2 + w + k^2); "
     "the commonly quoted 0.47 appears to be a figure-read value"
@@ -152,10 +155,15 @@ def cmd_ce_coeffs(args) -> int:
     return 0
 
 
+def _grid_steps(args) -> float:
+    """Steps of k_step that fit in [k_min, k_max]; the grid has floor() + 1
+    points, k_min + i k_step.  The 1e-9 absorbs the rounding of the
+    quotient: 1.2 / 0.05 = 23.999999999999996."""
+    return (args.k_max - args.k_min) / args.k_step + 1e-9
+
+
 def cmd_dispersion(args) -> int:
-    # k_min + i k_step for every i that stays within k_max; the 1e-9 absorbs
-    # the rounding of the quotient: 1.2 / 0.05 = 23.999999999999996
-    points = math.floor((args.k_max - args.k_min) / args.k_step + 1e-9) + 1
+    points = math.floor(_grid_steps(args)) + 1
     ks = [args.k_min + args.k_step * i for i in range(points)]
     branch_orders = args.n_list
     table = compare_methods(ks, branch_orders, args.pade[0], args.pade[1])
@@ -289,6 +297,10 @@ def validate(args) -> None:
             raise ValueError("k grid must satisfy 0 <= k-min <= k-max, k-step > 0")
         if args.k_max > K_GRID_MAX:
             raise ValueError(f"k-max capped at {K_GRID_MAX}")
+        # floor(steps) + 1 > K_POINTS_MAX, without building the grid; the
+        # negated test also refuses a NaN bound or step
+        if not _grid_steps(args) < K_POINTS_MAX:
+            raise ValueError(f"k grid capped at {K_POINTS_MAX} points; raise --k-step")
     if getattr(args, "weight", None) is not None:
         parse_weight(args.weight)  # fail early on bad weight specs
 

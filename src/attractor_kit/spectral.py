@@ -7,11 +7,11 @@ P_0 = 1, P_1 = w(w+1) + k^2, and for n >= 2
 The branch of P_n(w, k^2) = 0 through (k, w) = (0, 0) approximates the
 hydrodynamic dispersion relation and terminates at a fold k_c(n).
 
-Evaluation is normalized: each recurrence step divides the whole state by a
-positive factor and accumulates its log, so magnitudes stay O(1) for n up
-to a few hundred while root locations are preserved.  The recurrence is
-linear in (P_{n-1}, P_{n-2}), so partial derivatives propagated alongside
-share the same scale and ratios like P/P_w are exact.
+Evaluation is normalized: the whole state is multiplied by 2^-200 (exact in
+binary floating point) whenever P_j passes 2^200, and divided once by
+max(|P_n|, |P_{n-1}|, 1) at the end, so magnitudes stay O(1) while signs and
+roots are those of the unscaled recurrence.  The recurrence is linear in
+(P_{n-1}, P_{n-2}), so derivatives propagated alongside share the scale.
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Optional
-
-import numpy as np
 
 
 class CorrectorDiverged(Exception):
@@ -56,30 +54,33 @@ class SpectralEval:
     derivative_omega: float
 
 
+# |P_j| past 2^200 rescales the state by 2^-200: far from both ends of the
+# float range, so derivative slots a few powers of n larger stay finite
+_RESCALE_AT, _RESCALE_BY, _LOG_RESCALE = 2.0**200, 2.0**-200, 200 * math.log(2)
+
+
 def _eval_state(n: int, w: float, q: float, second: bool = False):
     """Scaled (P, P_w, P_q) at (w, k^2=q), plus log scale.
 
     With ``second`` the state also carries (P_ww, P_wq), which only the fold
     Newton reads.  The inputs become plain floats on entry, so numpy scalars
-    do not slow every step down.  The factors hoisted out of the loop keep
-    each product's left-to-right order: q*q*(2j-2)*(2j-3) stays
-    ((q*q)*(2j-2))*(2j-3), so the values are those of the recurrence as
-    written above, bit for bit.
+    do not slow every step down.  exp(log_scale) * value is P_n: log_scale
+    is (rescalings) * 200 ln 2 + ln max(|P_n|, |P_{n-1}|, 1), and that final
+    division is the only rounding the normalization adds.
     """
     if n == 0:
         return ((1.0, 0.0, 0.0, 0.0, 0.0) if second else (1.0, 0.0, 0.0)), 0.0
-    w = float(w)
-    q = float(q)
+    w, q = float(w), float(q)
     # P.. is the state of P_j, Q.. that of P_{j-1}
     Q, Qw, Qq, Qww, Qwq = 1.0, 0.0, 0.0, 0.0, 0.0
     P, Pw, Pq, Pww, Pwq = w * (w + 1) + q, 2 * w + 1, 1.0, 2.0, 0.0
-    log_scale = 0.0
+    rescalings = 0
     w1sq = (w + 1) ** 2
     w1x2 = 2 * (w + 1)
     w1x4 = 4 * (w + 1)
     qq = q * q
     qx2 = 2 * q
-    log = math.log
+    big, by = _RESCALE_AT, _RESCALE_BY
     # 4j - 3, 2j - 2 and 2j - 3 as floats, which multiply faster than ints
     c, a, b = 5.0, 2.0, 1.0
     for _ in range(n - 1):
@@ -89,27 +90,26 @@ def _eval_state(n: int, w: float, q: float, second: bool = False):
         P2 = A * P - B * Q
         Pw2 = w1x2 * P + A * Pw - B * Qw
         Pq2 = c * P + A * Pq - Bq * Q - B * Qq
-        # max(|P2|, |P|, 1.0), spelled out: faster than the builtin max
-        scale = abs(P2)
-        absP = abs(P)
-        if absP > scale:
-            scale = absP
-        if scale < 1.0:
-            scale = 1.0
-        log_scale += log(scale)
         if second:
             Pww2 = 2 * P + w1x4 * Pw + A * Pww - B * Qww
             Pwq2 = c * Pw + w1x2 * Pq + A * Pwq - Bq * Qw - B * Qwq
-            Qww, Qwq = Pww / scale, Pwq / scale
-            Pww, Pwq = Pww2 / scale, Pwq2 / scale
-        Q, Qw, Qq = P / scale, Pw / scale, Pq / scale
-        P, Pw, Pq = P2 / scale, Pw2 / scale, Pq2 / scale
+            Pww, Pwq, Qww, Qwq = Pww2, Pwq2, Pww, Pwq
+        Q, Qw, Qq = P, Pw, Pq
+        P, Pw, Pq = P2, Pw2, Pq2
+        # abs(P) > big, spelled out: faster than the builtin abs
+        if P > big or P < -big:
+            rescalings += 1
+            P, Pw, Pq, Q, Qw, Qq = P * by, Pw * by, Pq * by, Q * by, Qw * by, Qq * by
+            if second:
+                Pww, Pwq, Qww, Qwq = Pww * by, Pwq * by, Qww * by, Qwq * by
         c += 4.0
         a += 2.0
         b += 2.0
+    scale = max(abs(P), abs(Q), 1.0)
+    log_scale = rescalings * _LOG_RESCALE + math.log(scale)
     if second:
-        return (P, Pw, Pq, Pww, Pwq), log_scale
-    return (P, Pw, Pq), log_scale
+        return (P / scale, Pw / scale, Pq / scale, Pww / scale, Pwq / scale), log_scale
+    return (P / scale, Pw / scale, Pq / scale), log_scale
 
 
 def eval_P(n: int, omega: float, k2: float) -> SpectralEval:
@@ -255,42 +255,40 @@ def _normalized_residual(P: float, Pw: float, Pk: float = 0.0) -> float:
 
 
 def _tangent(n: int, w: float, q: float, k: float, prev=None):
-    """Unit tangent of the implicit curve P_n(w, k^2) = 0 in the (k, w) plane."""
+    """Unit tangent (dk/ds, dw/ds) of the implicit curve P_n(w, k^2) = 0."""
     st, _ = _eval_state(n, w, q)
-    Pk = st[2] * 2 * k
-    Pw = st[1]
-    t = np.array([Pw, -Pk])
-    norm = np.hypot(*t)
+    tk, tw = st[1], -(st[2] * 2 * k)
+    norm = math.hypot(tk, tw)
     if norm < 1e-300:
         raise DegenerateTangent(f"null tangent at (k, w) = ({k}, {w})")
-    t /= norm
-    if prev is None:
-        if t[0] < 0:
-            t = -t
-    elif float(np.dot(t, prev)) < 0:
-        t = -t
-    return t
+    tk, tw = tk / norm, tw / norm
+    if (tk if prev is None else tk * prev[0] + tw * prev[1]) < 0:
+        tk, tw = -tk, -tw
+    return tk, tw
 
 
 def _correct(n: int, pred, t):
     """Newton on {P_n = 0, t . (v - pred) = 0} from the predictor ``pred``.
 
-    Returns (point, iterations), or None when the iteration fails.
+    Returns ((k, w), iterations), or None when the iteration fails.
     """
-    v = pred.copy()
+    (k0, w0), (tk, tw) = pred, t
+    k, w = pred
     for iters in range(1, 26):
-        st, _ = _eval_state(n, v[1], v[0] ** 2)
+        st, _ = _eval_state(n, w, k * k)
         P, Pw = st[0], st[1]
-        Pk = st[2] * 2 * v[0]
-        G = np.array([P, float(t @ (v - pred))])
-        J = np.array([[Pk, Pw], [t[0], t[1]]])
-        try:
-            d = np.linalg.solve(J, -G)
-        except np.linalg.LinAlgError:
+        Pk = st[2] * 2 * k
+        g = tk * (k - k0) + tw * (w - w0)
+        # Cramer's rule for [[Pk, Pw], [tk, tw]] (dk, dw) = -(P, g)
+        det = Pk * tw - Pw * tk
+        if det == 0 or not math.isfinite(det):
             return None
-        v += d
-        if _normalized_residual(P, Pw, Pk) < _RESIDUAL_TOL and np.max(np.abs(d)) < 1e-10:
-            return v, iters
+        dk = (Pw * g - P * tw) / det
+        dw = (P * tk - Pk * g) / det
+        k += dk
+        w += dw
+        if _normalized_residual(P, Pw, Pk) < _RESIDUAL_TOL and max(abs(dk), abs(dw)) < 1e-10:
+            return (k, w), iters
     return None
 
 
@@ -305,7 +303,7 @@ def _refine_fold(n: int, u, t, h: float) -> FoldPoint:
     k, w = u
     while hi - lo > _STEP_MIN:
         s = 0.5 * (lo + hi)
-        corrected = _correct(n, u + s * t, t)
+        corrected = _correct(n, (u[0] + s * t[0], u[1] + s * t[1]), t)
         if corrected is None:
             raise NoFoldFound(f"corrector failed while bracketing the fold for n={n}")
         k, w = corrected[0]
@@ -314,18 +312,19 @@ def _refine_fold(n: int, u, t, h: float) -> FoldPoint:
         else:
             hi = s
 
-    k, w = float(k), float(w)
     for _ in range(100):
         st, _ = _eval_state(n, w, k * k, second=True)
         P, Pw, Pq, Pww, Pwq = st
-        J = np.array([[Pw, Pq * 2 * k], [Pww, Pwq * 2 * k]])
-        try:
-            d = np.linalg.solve(J, [-P, -Pw])
-        except np.linalg.LinAlgError as exc:
-            raise NoFoldFound(f"singular fold system for n={n}") from exc
-        w += d[0]
-        k += d[1]
-        if np.max(np.abs(d)) < 1e-14:
+        Pk, Pwk = Pq * 2 * k, Pwq * 2 * k
+        # Cramer's rule for [[Pw, Pk], [Pww, Pwk]] (dw, dk) = -(P, Pw)
+        det = Pw * Pwk - Pk * Pww
+        if det == 0 or not math.isfinite(det):
+            raise NoFoldFound(f"singular fold system for n={n}")
+        dw = (Pk * Pw - P * Pwk) / det
+        dk = (P * Pww - Pw * Pw) / det
+        w += dw
+        k += dk
+        if max(abs(dw), abs(dk)) < 1e-14:
             break
 
     st, _ = _eval_state(n, w, k * k, second=True)
@@ -336,7 +335,7 @@ def _refine_fold(n: int, u, t, h: float) -> FoldPoint:
     )
     if not (math.isfinite(k) and math.isfinite(w)) or residual > _RESIDUAL_TOL:
         raise NoFoldFound(f"fold refinement did not converge for n={n}")
-    return FoldPoint(float(k), float(w), float(residual))
+    return FoldPoint(k, w, residual)
 
 
 def trace_branch(n: int) -> BranchCurve:
@@ -352,14 +351,14 @@ def trace_branch(n: int) -> BranchCurve:
         raise ValueError("n must be >= 1")
 
     curve = BranchCurve(n, [BranchSample(0.0, 0.0)])
-    u = np.array([0.0, 0.0])  # (k, omega)
-    t = _tangent(n, u[1], u[0] ** 2, u[0])
+    u = (0.0, 0.0)  # (k, omega)
+    t = _tangent(n, 0.0, 0.0, 0.0)
     h = _STEP
     arclength = 0.0
 
     while arclength < _MAX_ARCLENGTH:
         for _halving in range(7):
-            corrected = _correct(n, u + h * t, t)
+            corrected = _correct(n, (u[0] + h * t[0], u[1] + h * t[1]), t)
             if corrected is not None:
                 break
             h = max(h / 2, _STEP_MIN)
@@ -369,13 +368,13 @@ def trace_branch(n: int) -> BranchCurve:
             )
         v, iters = corrected
 
-        t_new = _tangent(n, v[1], v[0] ** 2, v[0], prev=t)
+        t_new = _tangent(n, v[1], v[0] * v[0], v[0], prev=t)
         if t_new[0] < 0:
             curve.fold = _refine_fold(n, u, t, h)
             break
-        arclength += float(np.hypot(*(v - u)))
+        arclength += math.hypot(v[0] - u[0], v[1] - u[1])
         u, t = v, t_new
-        curve.samples.append(BranchSample(float(u[0]), float(u[1])))
+        curve.samples.append(BranchSample(*u))
 
         # adapt on corrector effort
         if iters <= 3:

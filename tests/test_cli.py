@@ -10,6 +10,7 @@ import jsonschema
 import pytest
 
 import attractor_kit
+from attractor_kit import cli
 from attractor_kit.cli import main
 
 
@@ -123,15 +124,16 @@ def test_folds_rejects_zero(tmp_path):
 
 
 # the folds output for these orders, byte for byte: any change in the last
-# bits of the spectral kernel shows here
+# bits of the spectral kernel shows here.  The values are checked against a
+# 60-digit oracle in test_spectral.py::test_folds_match_high_precision_oracle
 FOLDS_PINNED = (
     "n,k_c,omega_c,residual,note\n"
     "1,0.5,-0.5,0,n=1 fold is exactly k_c = 1/2 (discriminant of w^2 + w + k^2); the commonly quoted 0.47 appears to be a figure-read value\n"
     "2,0.62347364453507226,-0.53030534384913064,1.2164597925592282e-17,\n"
-    "10,0.86521475530841618,-0.66000857102423027,1.7491061379623142e-16,\n"
-    "50,1.0307459661533014,-0.78681209840592847,1.0894940063204831e-14,\n"
-    "100,1.0811562827206183,-0.83061598951546811,1.579723221161667e-14,\n"
-    "200,1.1212851264563848,-0.86719521289261359,1.8922777348031628e-14,\n"
+    "10,0.86521475530841641,-0.66000857102423049,3.1134510221816654e-16,\n"
+    "50,1.0307459661532989,-0.78681209840592714,6.2206885456659595e-15,\n"
+    "100,1.0811562827206216,-0.83061598951547078,7.0210777927594422e-15,\n"
+    "200,1.1212851264563186,-0.86719521289255741,4.0307844246759153e-14,\n"
 )
 
 
@@ -169,6 +171,23 @@ def test_dispersion_table(tmp_path):
     # k = 0 row is all zeros for the omega columns
     for name in ("omega_exact", "omega_resummed", "omega_ce2"):
         assert float(rows[0][header.index(name)]) == 0.0
+
+
+def test_dispersion_rejects_oversized_grid_before_building_it(tmp_path, monkeypatch, capsys):
+    # --k-step 1e-12 would ask for 1.2e12 points; validation refuses it from
+    # the step count alone, before the command builds anything
+    def fail(args):
+        raise AssertionError("cmd_dispersion ran")
+
+    monkeypatch.setattr(cli, "cmd_dispersion", fail)
+    for step in ("1e-12", "9.99e-5", "nan"):
+        code, _ = run(tmp_path, "dispersion", "--k-step", step, "--n-list", "1")
+        assert code == 2
+        assert f"{cli.K_POINTS_MAX} points" in capsys.readouterr().err
+    # a step of 1e-4 over [0, 1.2] is exactly the largest grid accepted
+    args = cli.build_parser().parse_args(["dispersion", "--k-step", "1e-4"])
+    cli.validate(args)
+    assert math.floor(cli._grid_steps(args)) + 1 == cli.K_POINTS_MAX
 
 
 @pytest.mark.parametrize("k_min, k_max, k_step", [

@@ -1,15 +1,20 @@
 import math
 from fractions import Fraction as Fr
 
+import mpmath
 import numpy as np
 import pytest
 
 from attractor_kit import spectral
-from attractor_kit.dispersion import solve_exact_gaussian
+from attractor_kit.cli import N_LIST_MAX
+from attractor_kit.dispersion import K_GRID_MAX, solve_exact_gaussian
 from attractor_kit.spectral import (
     NoBranchPoint,
+    NoFoldFound,
+    _correct,
     _eval_state,
     _normalized_residual,
+    _refine_fold,
     eval_P,
     find_fold,
     trace_branch,
@@ -31,6 +36,29 @@ def exact_P(n, w, q):
 
 def reconstruct(ev):
     return math.copysign(math.exp(ev.log_scale) * abs(ev.value), ev.value)
+
+
+def mp_state(n, w, q):
+    """(P, P_w, P_q, P_ww, P_wq) of P_n at (w, q) in mpmath, unscaled: the
+    recurrence with its product-rule derivatives, at the working precision."""
+    w, q = mpmath.mpf(w), mpmath.mpf(q)
+    prev = (mpmath.mpf(1), 0, 0, 0, 0)
+    cur = (w * (w + 1) + q, 2 * w + 1, mpmath.mpf(1), mpmath.mpf(2), 0)
+    if n == 0:
+        return prev
+    for j in range(2, n + 1):
+        P, Pw, Pq, Pww, Pwq = cur
+        Q, Qw, Qq, Qww, Qwq = prev
+        A, Aw, Aq = (w + 1) ** 2 + (4 * j - 3) * q, 2 * (w + 1), 4 * j - 3
+        B, Bq = q**2 * (2 * j - 2) * (2 * j - 3), 2 * q * (2 * j - 2) * (2 * j - 3)
+        prev, cur = cur, (
+            A * P - B * Q,
+            Aw * P + A * Pw - B * Qw,
+            Aq * P + A * Pq - Bq * Q - B * Qq,
+            2 * P + 2 * Aw * Pw + A * Pww - B * Qww,
+            Aq * Pw + Aw * Pq + A * Pwq - Bq * Qw - B * Qwq,
+        )
+    return cur
 
 
 # --- eval_P -----------------------------------------------------------------
@@ -63,8 +91,19 @@ def test_eval_matches_exact_rational_oracle_on_grid():
 
 
 def test_eval_P_no_overflow_at_large_order():
-    ev = eval_P(200, -0.5, 1.0)
-    assert math.isfinite(ev.value) and math.isfinite(ev.log_scale)
+    # at the largest order and wavenumber the CLI accepts, P_n is far past
+    # the float range (log|P_n| ~ 2400); the normalized value stays O(1) and
+    # agrees with the unscaled recurrence in mpmath
+    for w in (-0.99, -0.5, 0.0):
+        ev = eval_P(N_LIST_MAX, w, K_GRID_MAX**2)
+        assert math.isfinite(ev.value) and math.isfinite(ev.derivative_omega)
+        assert 0 < abs(ev.value) <= 1 and ev.log_scale > 2000
+        with mpmath.workdps(30):
+            P, Pw = mp_state(N_LIST_MAX, w, mpmath.mpf(K_GRID_MAX) ** 2)[:2]
+            assert mpmath.sign(P) == math.copysign(1, ev.value)
+            log_abs = float(mpmath.log(abs(P)))
+            assert ev.log_scale + math.log(abs(ev.value)) == pytest.approx(log_abs, rel=1e-13)
+            assert ev.derivative_omega / ev.value == pytest.approx(float(Pw / P), rel=1e-10)
 
 
 def test_eval_P_derivative_matches_difference_quotient():
@@ -117,10 +156,11 @@ def _evaluate_at_eighths(poly, a, b):
     return Fr(num, 8 ** (I + M))
 
 
-@pytest.mark.parametrize("n", [1, 2, 5, 50])
+@pytest.mark.parametrize("n", [1, 2, 5, 50, 100])
 def test_eval_state_matches_exact_polynomial_derivatives(n):
     # independent oracle: the exact bivariate polynomial, differentiated
-    # symbolically; both the 3-slot and the 5-slot state are checked
+    # symbolically; both the 3-slot and the 5-slot state are checked.  At
+    # n = 100, q = 10/8 the state is rescaled by 2^-200 two or three times.
     P = _integer_polynomial(n)
     Pw = _differentiate(P, 0)
     polys = (P, Pw, _differentiate(P, 1), _differentiate(Pw, 0), _differentiate(Pw, 1))
@@ -129,6 +169,10 @@ def test_eval_state_matches_exact_polynomial_derivatives(n):
             exact = [float(_evaluate_at_eighths(p, a, b)) for p in polys]
             st5, ls5 = _eval_state(n, a / 8, b / 8, second=True)
             st3, ls3 = _eval_state(n, a / 8, b / 8)
+            if n == 100 and b == 10:
+                # ln max(|P_n|, |P_{n-1}|, 1) stays below 201 ln 2 after the
+                # last rescaling, so at least two rescalings fired
+                assert ls5 > 3 * 200 * math.log(2)
             assert len(st5) == 5 and len(st3) == 3
             assert st3 == st5[:3] and ls3 == ls5
             got = [v * math.exp(ls5) for v in st5]
@@ -366,6 +410,40 @@ def test_fold_is_where_two_real_eigenvalues_merge(n):
 
     assert len(real_near_fold(fp.k_c * (1 - 1e-4))) == 2
     assert len(real_near_fold(fp.k_c * (1 + 1e-4))) == 0
+
+
+@pytest.mark.parametrize("n", [10, 50, 100, 200, 400])
+def test_folds_match_high_precision_oracle(n):
+    # Newton on {P_n = 0, dP_n/dw = 0} in (w, q = k^2) at 60 digits, on the
+    # unscaled recurrence, seeded from the float fold
+    fp = find_fold(n)
+    with mpmath.workdps(60):
+        w, q = mpmath.mpf(fp.omega_c), mpmath.mpf(fp.k_c) ** 2
+        for _ in range(20):
+            P, Pw, Pq, Pww, Pwq = mp_state(n, w, q)
+            det = Pw * Pwq - Pq * Pww
+            dw, dq = (Pq * Pw - P * Pwq) / det, (P * Pww - Pw * Pw) / det
+            w, q = w + dw, q + dq
+            if max(abs(dw), abs(dq)) < mpmath.mpf(10) ** -45:
+                break
+        else:
+            pytest.fail(f"oracle Newton did not converge for n={n}")
+        k_c, omega_c = float(mpmath.sqrt(q)), float(w)
+    assert abs(fp.k_c - k_c) <= 1e-12
+    assert abs(fp.omega_c - omega_c) <= 1e-12
+
+
+def test_singular_newton_systems():
+    # n = 1 at the origin: P_k = 2k P_q = 0, so with t = (0, 1) the corrector
+    # system [[P_k, P_w], [t_k, t_w]] has det = -t_k = 0, and the fold system
+    # [[P_w, P_k], [P_ww, P_wk]] has det = P_w * 0 - 0 * P_ww = 0
+    assert _correct(1, (0.0, 0.0), (0.0, 1.0)) is None
+    # a step of _STEP_MIN goes straight to the fold Newton; a longer one
+    # bisects first, through the corrector
+    with pytest.raises(NoFoldFound, match="singular fold system"):
+        _refine_fold(1, (0.0, 0.0), (0.0, 1.0), spectral._STEP_MIN)
+    with pytest.raises(NoFoldFound, match="corrector failed"):
+        _refine_fold(1, (0.0, 0.0), (0.0, 1.0), 0.01)
 
 
 def test_fold_attached_to_trace(branch_50):
