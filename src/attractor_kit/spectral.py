@@ -8,7 +8,8 @@ The branch of P_n(w, k^2) = 0 through (k, w) = (0, 0) approximates the
 hydrodynamic dispersion relation and terminates at a fold k_c(n).
 
 Evaluation is normalized: the whole state is multiplied by 2^-200 (exact in
-binary floating point) whenever P_j passes 2^200, and divided once by
+binary floating point) whenever P_j passes 2^200, by 2^200 whenever both
+P_j and P_{j-1} fall below 2^-200, and divided once by
 max(|P_n|, |P_{n-1}|, 1) at the end, so magnitudes stay O(1) while signs and
 roots are those of the unscaled recurrence.  The recurrence is linear in
 (P_{n-1}, P_{n-2}), so derivatives propagated alongside share the scale.
@@ -54,8 +55,9 @@ class SpectralEval:
     derivative_omega: float
 
 
-# |P_j| past 2^200 rescales the state by 2^-200: far from both ends of the
-# float range, so derivative slots a few powers of n larger stay finite
+# |P_j| past 2^200 rescales the state by 2^-200, and |P_j|, |P_{j-1}| both
+# below 2^-200 by 2^200: far from both ends of the float range, so
+# derivative slots a few powers of n larger stay finite
 _RESCALE_AT, _RESCALE_BY, _LOG_RESCALE = 2.0**200, 2.0**-200, 200 * math.log(2)
 
 
@@ -65,8 +67,9 @@ def _eval_state(n: int, w: float, q: float, second: bool = False):
     With ``second`` the state also carries (P_ww, P_wq), which only the fold
     Newton reads.  The inputs become plain floats on entry, so numpy scalars
     do not slow every step down.  exp(log_scale) * value is P_n: log_scale
-    is (rescalings) * 200 ln 2 + ln max(|P_n|, |P_{n-1}|, 1), and that final
-    division is the only rounding the normalization adds.
+    is (rescalings down - rescalings up) * 200 ln 2
+    + ln max(|P_n|, |P_{n-1}|, 1), and that final division is the only
+    rounding the normalization adds.
     """
     if n == 0:
         return ((1.0, 0.0, 0.0, 0.0, 0.0) if second else (1.0, 0.0, 0.0)), 0.0
@@ -102,6 +105,13 @@ def _eval_state(n: int, w: float, q: float, second: bool = False):
             P, Pw, Pq, Q, Qw, Qq = P * by, Pw * by, Pq * by, Q * by, Qw * by, Qq * by
             if second:
                 Pww, Pwq, Qww, Qwq = Pww * by, Pwq * by, Qww * by, Qwq * by
+        elif -by < P < by and -by < Q < by and (P or Q):
+            # the mirror image where the state decays (w near -1, small q);
+            # an exactly zero pair (q = 0 on a root of P_1) is left alone
+            rescalings -= 1
+            P, Pw, Pq, Q, Qw, Qq = P * big, Pw * big, Pq * big, Q * big, Qw * big, Qq * big
+            if second:
+                Pww, Pwq, Qww, Qwq = Pww * big, Pwq * big, Qww * big, Qwq * big
         c += 4.0
         a += 2.0
         b += 2.0
@@ -254,13 +264,13 @@ def _normalized_residual(P: float, Pw: float, Pk: float = 0.0) -> float:
     return abs(P) / max(1.0, math.hypot(Pw, Pk))
 
 
-def _tangent(n: int, w: float, q: float, k: float, prev=None):
-    """Unit tangent (dk/ds, dw/ds) of the implicit curve P_n(w, k^2) = 0."""
-    st, _ = _eval_state(n, w, q)
+def _tangent(st, k: float, prev=None):
+    """Unit tangent (dk/ds, dw/ds) of the implicit curve P_n(w, k^2) = 0,
+    from the state (P, P_w, P_q) at wavenumber k."""
     tk, tw = st[1], -(st[2] * 2 * k)
     norm = math.hypot(tk, tw)
     if norm < 1e-300:
-        raise DegenerateTangent(f"null tangent at (k, w) = ({k}, {w})")
+        raise DegenerateTangent(f"null tangent at k = {k}")
     tk, tw = tk / norm, tw / norm
     if (tk if prev is None else tk * prev[0] + tw * prev[1]) < 0:
         tk, tw = -tk, -tw
@@ -270,7 +280,10 @@ def _tangent(n: int, w: float, q: float, k: float, prev=None):
 def _correct(n: int, pred, t):
     """Newton on {P_n = 0, t . (v - pred) = 0} from the predictor ``pred``.
 
-    Returns ((k, w), iterations), or None when the iteration fails.
+    Returns ((k, w), updates, state), or None when the iteration fails.
+    The last evaluation only confirms convergence, so ``updates`` counts the
+    Newton updates before it; ``state`` is that last evaluation, within
+    1e-10 of (k, w), from which the caller takes the tangent.
     """
     (k0, w0), (tk, tw) = pred, t
     k, w = pred
@@ -288,29 +301,41 @@ def _correct(n: int, pred, t):
         k += dk
         w += dw
         if _normalized_residual(P, Pw, Pk) < _RESIDUAL_TOL and max(abs(dk), abs(dw)) < 1e-10:
-            return (k, w), iters
+            return (k, w), iters - 1, st
     return None
 
 
-def _refine_fold(n: int, u, t, h: float) -> FoldPoint:
+def _refine_fold(n: int, u, t, h: float, tk_end: float) -> FoldPoint:
     """Fold inside the continuation step of length h from u along t.
 
-    dk/ds > 0 at u and < 0 at the step's end: bisect the step's arclength
-    on the sign of dk/ds down to the smallest continuation step, then
-    Newton on {P_n = 0, dP_n/dw = 0} from the last bisection point.
+    dk/ds is t[0] > 0 at u and tk_end < 0 at the step's end: bracket its
+    root in the step's arclength by regula falsi (Illinois) down to the
+    smallest continuation step, then Newton on {P_n = 0, dP_n/dw = 0} from
+    the last bracketing point.
     """
-    lo, hi = 0.0, h
+    lo, hi, flo, fhi = 0.0, h, t[0], tk_end
+    side = 0  # bracket end the last point replaced: -1 lo, +1 hi
     k, w = u
     while hi - lo > _STEP_MIN:
-        s = 0.5 * (lo + hi)
+        s = (lo * fhi - hi * flo) / (fhi - flo)
         corrected = _correct(n, (u[0] + s * t[0], u[1] + s * t[1]), t)
         if corrected is None:
             raise NoFoldFound(f"corrector failed while bracketing the fold for n={n}")
-        k, w = corrected[0]
-        if _tangent(n, w, k * k, k, prev=t)[0] > 0:
-            lo = s
+        (k, w), _updates, st = corrected
+        f = _tangent(st, k, prev=t)[0]
+        if f == 0:
+            # s is the fold; regula falsi would land on it again and again
+            break
+        if f > 0:
+            lo, flo = s, f
+            if side == -1:
+                fhi *= 0.5
+            side = -1
         else:
-            hi = s
+            hi, fhi = s, f
+            if side == 1:
+                flo *= 0.5
+            side = 1
 
     for _ in range(100):
         st, _ = _eval_state(n, w, k * k, second=True)
@@ -342,17 +367,19 @@ def trace_branch(n: int) -> BranchCurve:
     """Trace the physical root branch by pseudo-arclength continuation.
 
     Predictor: Euler step along the unit tangent.  Corrector: Newton on
-    {P_n = 0, orthogonality to the tangent}.  The step adapts between
-    1e-4 and 0.05 on corrector iteration count.  The trace ends at the
-    first step over which dk/ds turns negative, with the fold refined
-    inside that step.
+    {P_n = 0, orthogonality to the tangent}; the next tangent comes from
+    the corrector's last evaluation.  The step doubles after at most three
+    Newton updates and halves after more than eight, between 1e-4 and
+    0.05.  The trace ends at the first step over which dk/ds turns
+    negative, with the fold bracketed by regula falsi inside that step and
+    refined by Newton.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
 
     curve = BranchCurve(n, [BranchSample(0.0, 0.0)])
     u = (0.0, 0.0)  # (k, omega)
-    t = _tangent(n, 0.0, 0.0, 0.0)
+    t = _tangent(_eval_state(n, 0.0, 0.0)[0], 0.0)
     h = _STEP
     arclength = 0.0
 
@@ -366,20 +393,20 @@ def trace_branch(n: int) -> BranchCurve:
             raise CorrectorDiverged(
                 f"corrector failed near (k, w) = ({u[0]:.4f}, {u[1]:.4f}) for n={n}"
             )
-        v, iters = corrected
+        v, updates, st = corrected
 
-        t_new = _tangent(n, v[1], v[0] * v[0], v[0], prev=t)
+        t_new = _tangent(st, v[0], prev=t)
         if t_new[0] < 0:
-            curve.fold = _refine_fold(n, u, t, h)
+            curve.fold = _refine_fold(n, u, t, h, t_new[0])
             break
         arclength += math.hypot(v[0] - u[0], v[1] - u[1])
         u, t = v, t_new
         curve.samples.append(BranchSample(*u))
 
         # adapt on corrector effort
-        if iters <= 3:
+        if updates <= 3:
             h = min(h * 2, _STEP_MAX)
-        elif iters > 8:
+        elif updates > 8:
             h = max(h / 2, _STEP_MIN)
 
     return curve

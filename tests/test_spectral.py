@@ -106,6 +106,21 @@ def test_eval_P_no_overflow_at_large_order():
             assert ev.derivative_omega / ev.value == pytest.approx(float(Pw / P), rel=1e-10)
 
 
+def test_eval_P_no_underflow_where_the_state_decays():
+    # at w = -1 each step multiplies P_j by about (4j - 3) q < 1, so without
+    # rescaling upwards P_400 underflows to an exact zero: a false root
+    for w in (-1.0, -0.999):
+        ev = eval_P(400, w, 1e-4)
+        assert ev.value != 0 and math.isfinite(ev.derivative_omega)
+        assert 0 < abs(ev.value) <= 1 and ev.log_scale < -1000
+        with mpmath.workdps(30):
+            P, Pw = mp_state(400, w, 1e-4)[:2]
+            assert mpmath.sign(P) == math.copysign(1, ev.value)
+            log_abs = float(mpmath.log(abs(P)))
+            assert ev.log_scale + math.log(abs(ev.value)) == pytest.approx(log_abs, rel=1e-13)
+            assert ev.derivative_omega / ev.value == pytest.approx(float(Pw / P), rel=1e-10)
+
+
 def test_eval_P_derivative_matches_difference_quotient():
     n, w, q, h = 12, -0.4, 0.3, 1e-6
     a = eval_P(n, w + h, q)
@@ -264,7 +279,8 @@ def test_branch_reaches_fold_past_last_sample(branch_1):
 def test_branch_n2_between_last_sample_and_fold():
     curve = trace_branch(2)
     last = curve.samples[-1].k
-    for k in (0.622, 0.623):
+    # the last sample lies at k = 0.62283, the fold at 0.62347
+    for k in (0.6229, 0.6233):
         assert last < k < curve.fold.k_c
         w = curve.omega_at(k)
         q = k * k
@@ -438,12 +454,31 @@ def test_singular_newton_systems():
     # system [[P_k, P_w], [t_k, t_w]] has det = -t_k = 0, and the fold system
     # [[P_w, P_k], [P_ww, P_wk]] has det = P_w * 0 - 0 * P_ww = 0
     assert _correct(1, (0.0, 0.0), (0.0, 1.0)) is None
-    # a step of _STEP_MIN goes straight to the fold Newton; a longer one
-    # bisects first, through the corrector
+    # a step of _STEP_MIN goes straight to the fold Newton; a longer one is
+    # bracketed first, through the corrector.  With dk/ds = t_k = 0 at the
+    # step's start, regula falsi puts its first point there, at the origin
     with pytest.raises(NoFoldFound, match="singular fold system"):
-        _refine_fold(1, (0.0, 0.0), (0.0, 1.0), spectral._STEP_MIN)
+        _refine_fold(1, (0.0, 0.0), (0.0, 1.0), spectral._STEP_MIN, -1.0)
     with pytest.raises(NoFoldFound, match="corrector failed"):
-        _refine_fold(1, (0.0, 0.0), (0.0, 1.0), 0.01)
+        _refine_fold(1, (0.0, 0.0), (0.0, 1.0), 0.01, -1.0)
+
+
+def test_find_fold_recurrence_budget(branch_50, monkeypatch):
+    # the recurrence work of one fold, in steps (n per _eval_state call):
+    # the step grows on Newton updates, each tangent reuses the corrector's
+    # last state and regula falsi brackets the fold, so find_fold(200) runs
+    # 278 recurrences (55,600 steps); bisecting the fold step, a fresh
+    # recurrence per tangent and growth on iterations took 546 (109,200)
+    calls = _record_eval_state(monkeypatch)
+    find_fold(200)
+    assert 200 * len(calls) <= 70_000
+    # the chord of a continuation step is at least its predictor step h,
+    # since the corrector moves orthogonally to the tangent
+    chords = [
+        math.hypot(b.k - a.k, b.omega - a.omega)
+        for a, b in zip(branch_50.samples, branch_50.samples[1:])
+    ]
+    assert max(chords) >= spectral._STEP_MAX - 1e-12
 
 
 def test_fold_attached_to_trace(branch_50):
