@@ -156,8 +156,38 @@ def _mul_reduced(p: list, dp: int, s: list, ds: int) -> tuple:
     return c, den
 
 
-def ce_coefficients(w: WeightModel, n_max: int) -> CECoefficients:
-    """All coefficients a_{2n}, n = 1..n_max, by Lagrange inversion.
+def _chord_diagram_coefficients(n_max: int) -> list:
+    """Gaussian a_{2n} = (-1)^n a(n), with a(n) the connected chord diagrams
+    (OEIS A000699): a(1) = 1, a(n) = (n-1) sum_{i=1}^{n-1} a(i) a(n-i)."""
+    a = [0, 1]
+    for n in range(2, n_max + 1):
+        a.append((n - 1) * sum(map(mul, a[1:n], a[n - 1 : 0 : -1])))
+    return [Fraction(-a[n] if n % 2 else a[n]) for n in range(1, n_max + 1)]
+
+
+def _tangent_coefficients(n_max: int) -> list:
+    """Uniform-weight a_{2n} = -T_n / ((4^n - 1)(2n-1)!), from 1 + w = k cot k.
+
+    T_n are the tangent numbers, built in place by the integer loop of Brent
+    and Harvey ("Fast computation of Bernoulli, Tangent and Secant numbers",
+    2013).
+    """
+    t = [0, 1] + [0] * (n_max - 1)
+    for k in range(2, n_max + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, n_max + 1):
+        for j in range(k, n_max + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    values, fact = [], 1  # fact = (2n-1)!
+    for n in range(1, n_max + 1):
+        if n > 1:
+            fact *= (2 * n - 2) * (2 * n - 1)
+        values.append(Fraction(-t[n], (4**n - 1) * fact))
+    return values
+
+
+def _lagrange_kernel(mus: list, n_max: int) -> list:
+    """a_{2n}, n = 1..n_max, by Lagrange inversion from mu_2, ..., mu_{2 n_max}.
 
     a_{2n} = (1/n) [x^{n-1}] F'(x) (1+F(x))^{-2n}, the same value as
     ``lagrange_coefficient`` for each n.  Every series is a list of Python
@@ -166,9 +196,6 @@ def ce_coefficients(w: WeightModel, n_max: int) -> CECoefficients:
     one gcd per order, and each coefficient is read from it with a single
     dot product against F'.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    mus = [w.moment(m) for m in range(1, n_max + 1)]
     d = math.lcm(*(mu.denominator for mu in mus))
     # F = sum_{m>=1} (-1)^m mu_{2m} x^m over d; f[0] = 0
     f = [0] + [
@@ -185,6 +212,25 @@ def ce_coefficients(w: WeightModel, n_max: int) -> CECoefficients:
             power, dpow = _mul_reduced(power, dpow, recip_sq, drecip)
         dot = sum(map(mul, fp[:n], power[n - 1 :: -1]))
         values.append(Fraction(dot, n * d * dpow))
+    return values
+
+
+def ce_coefficients(w: WeightModel, n_max: int) -> CECoefficients:
+    """All coefficients a_{2n}, n = 1..n_max, exactly.
+
+    The built-in weights use O(n^2) integer recurrences for their closed
+    forms: connected chord diagrams for the Gaussian, tangent numbers for
+    the uniform weight.  A custom weight goes through the Lagrange-inversion
+    kernel.  Every path gives the same Fractions as ``lagrange_coefficient``.
+    """
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
+    if w.kind is WeightKind.GAUSSIAN:
+        values = _chord_diagram_coefficients(n_max)
+    elif w.kind is WeightKind.BOUNDED_UNIFORM:
+        values = _tangent_coefficients(n_max)
+    else:
+        values = _lagrange_kernel([w.moment(m) for m in range(1, n_max + 1)], n_max)
     return CECoefficients(tuple(values), w)
 
 

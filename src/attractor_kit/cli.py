@@ -38,6 +38,10 @@ EXIT_COMPUTE = 3
 # find_fold over every n up to it found a fold each time, with k_c rising
 N_LIST_MAX = 400
 
+# largest --n-max `ce-coeffs` and `borel` accept: a custom weight still runs
+# the O(n^3) Lagrange kernel
+N_MAX_MAX = 200
+
 # most k-grid points `dispersion` accepts: a step of 1e-4 over [0, K_GRID_MAX]
 K_POINTS_MAX = 12001
 
@@ -135,8 +139,7 @@ def emit(args, command: str, columns: list, rows: list, notes: list) -> None:
 
 
 def cmd_ce_coeffs(args) -> int:
-    w = parse_weight(args.weight)
-    coeffs = ce_coefficients(w, args.n_max)
+    coeffs = ce_coefficients(args.weight_model, args.n_max)
     ratios = ratio_sequence(coeffs) if len(coeffs) >= 2 else []
     columns = ["n", "a_2n", "abs_log10", "r_n", "r_n_over_2np1"]
     rows = []
@@ -192,10 +195,9 @@ def cmd_folds(args) -> int:
 
 
 def cmd_borel(args) -> int:
-    w = parse_weight(args.weight)
     L, M = args.pade
     n_coeffs = max(args.n_max, L + M + 1)
-    coeffs = ce_coefficients(w, n_coeffs)
+    coeffs = ce_coefficients(args.weight_model, n_coeffs)
     b = borel_transform(coeffs)
     taylor = b.taylor()
     approx = pade(taylor[: L + M + 1], L, M)
@@ -284,8 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def validate(args) -> None:
-    if getattr(args, "n_max", 1) < 1 or getattr(args, "n_max", 1) > 200:
-        raise ValueError("--n-max must be in 1..200")
+    if not 1 <= getattr(args, "n_max", 1) <= N_MAX_MAX:
+        raise ValueError(f"--n-max must be in 1..{N_MAX_MAX}")
     if hasattr(args, "n_list") and (
         not args.n_list or min(args.n_list) < 1 or max(args.n_list) > N_LIST_MAX
     ):
@@ -302,7 +304,8 @@ def validate(args) -> None:
         if not _grid_steps(args) < K_POINTS_MAX:
             raise ValueError(f"k grid capped at {K_POINTS_MAX} points; raise --k-step")
     if getattr(args, "weight", None) is not None:
-        parse_weight(args.weight)  # fail early on bad weight specs
+        # parsed once, failing early on a bad spec; the commands read the model
+        args.weight_model = parse_weight(args.weight)
 
 
 def main(argv=None) -> int:

@@ -8,6 +8,7 @@ from attractor_kit.ce import (
     InsufficientData,
     InvalidWeight,
     WeightModel,
+    _lagrange_kernel,
     build_source_series,
     ce_coefficients,
     double_factorial,
@@ -65,6 +66,18 @@ def test_incremental_path_equals_per_order_lagrange():
         assert c.values == tuple(
             lagrange_coefficient(F, n) for n in range(1, 10)
         )
+
+
+# --- closed-form paths against the Lagrange kernel ------------------------------
+
+@pytest.mark.parametrize("w", [WeightModel.gaussian(), WeightModel.bounded_uniform()],
+                         ids=lambda w: w.kind.value)
+@pytest.mark.parametrize("n_max", [1, 2, 80])
+def test_closed_form_equals_lagrange_kernel(w, n_max):
+    # the kernel is fed the weight's own moments; the Gaussian ones exceed 1,
+    # which bounded_custom would reject, so the kernel is called directly
+    mus = [w.moment(m) for m in range(1, n_max + 1)]
+    assert ce_coefficients(w, n_max).values == tuple(_lagrange_kernel(mus, n_max))
 
 
 # --- closed forms, independent of the Lagrange kernel ---------------------------

@@ -68,6 +68,14 @@ def test_ce_coeffs_rejects_zero_order(tmp_path):
     assert code == 2
 
 
+def test_ce_coeffs_n_max_bound(tmp_path, capsys):
+    code, _ = run(tmp_path, "ce-coeffs", "--n-max", str(cli.N_MAX_MAX + 1))
+    assert code == 2
+    assert f"--n-max must be in 1..{cli.N_MAX_MAX}\n" in capsys.readouterr().err
+    args = cli.build_parser().parse_args(["borel", "--n-max", str(cli.N_MAX_MAX)])
+    cli.validate(args)
+
+
 def test_ce_coeffs_rejects_unknown_weight(tmp_path):
     code, _ = run(tmp_path, "ce-coeffs", "--weight", "cauchy")
     assert code == 2
@@ -84,6 +92,24 @@ def test_bounded_custom_file(tmp_path):
     assert code == 0
     _, rows = read_csv(out)
     assert [r[1] for r in rows] == ["-1/3", "-1/45"]
+
+
+@pytest.mark.parametrize("command", ["ce-coeffs", "borel"])
+def test_weight_file_is_read_once(tmp_path, monkeypatch, command):
+    mom = tmp_path / "moments.txt"
+    mom.write_text("".join(f"1/{2 * m + 1}\n" for m in range(1, 31)))
+    calls, parse = [], cli.parse_weight
+
+    def parse_weight(spec):
+        calls.append(spec)
+        return parse(spec)
+
+    monkeypatch.setattr(cli, "parse_weight", parse_weight)
+    code, out = run(tmp_path, command, "--weight", f"bounded-custom={mom}",
+                    "--format", "json")
+    assert code == 0
+    assert calls == [f"bounded-custom={mom}"]
+    assert json.loads(out.read_text())["config"]["weight"] == f"bounded-custom={mom}"
 
 
 def test_bounded_custom_file_invalid_moments(tmp_path):
