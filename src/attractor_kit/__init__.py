@@ -2,7 +2,7 @@
 
 Submodules
 ----------
-exactseries : exact rational truncated power series and Lagrange inversion
+exactseries : the paper's Lagrange-inversion formula over Fractions (test oracle)
 ce          : weight models, coefficients a_2n, large-order ratio analysis
 borel       : Borel transform, Pade approximants, Laplace resummation
 spectral    : spectral polynomials, branch continuation, fold points
@@ -12,17 +12,7 @@ cli         : command-line front-end (attractor-kit)
 
 __version__ = "0.1.0"
 
-from .exactseries import (
-    Rational,
-    TruncatedSeries,
-    coefficient_of,
-    lagrange_coefficient,
-    series_compose,
-    series_derivative,
-    series_int_pow,
-    series_mul,
-    series_reciprocal,
-)
+from .exactseries import lagrange_coefficient
 from .ce import (
     CECoefficients,
     WeightKind,

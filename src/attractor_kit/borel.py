@@ -7,6 +7,7 @@ self-consistent term by term (int e^{-t} t^n dt = n!).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -86,8 +87,13 @@ class PadeApproximant:
         return len(self.den) - 1
 
     @property
+    def physical(self) -> np.ndarray:
+        """Mask of the genuine poles, those not flagged as Froissart doublets."""
+        return np.abs(self.residues) > _SPURIOUS_RESIDUE
+
+    @property
     def physical_poles(self) -> np.ndarray:
-        return self.poles[np.abs(self.residues) > _SPURIOUS_RESIDUE]
+        return self.poles[self.physical]
 
     def __call__(self, s):
         num = np.polyval(self.num[::-1], s)
@@ -151,17 +157,17 @@ def pade(series: Sequence[float], L: int, M: int) -> PadeApproximant:
     return PadeApproximant(num, den, poles, residues)
 
 
-# Gauss-Laguerre rule cache keyed by node count
-_GL_CACHE: dict = {}
+# Gauss-Laguerre nodes of the Laplace integral
+_LAGUERRE_NODES = 80
 
 
-def _laguerre_rule(nodes: int):
-    if nodes not in _GL_CACHE:
-        _GL_CACHE[nodes] = laggauss(nodes)
-    return _GL_CACHE[nodes]
+@functools.cache
+def _laguerre_rule():
+    # built on first use: laggauss(80) costs a few ms that import need not pay
+    return laggauss(_LAGUERRE_NODES)
 
 
-def laplace_resum(p: PadeApproximant, x: float, nodes: int = 80) -> float:
+def laplace_resum(p: PadeApproximant, x: float) -> float:
     """int_0^inf e^{-t} p(x t) dt by Gauss-Laguerre quadrature.
 
     With p approximating the Borel transform B(sigma) = sum (c_n/n!) sigma^n
@@ -171,7 +177,7 @@ def laplace_resum(p: PadeApproximant, x: float, nodes: int = 80) -> float:
     """
     if x <= 0:
         raise ValueError("x must be positive")
-    t, w = _laguerre_rule(nodes)
+    t, w = _laguerre_rule()
     support = x * t[-1]
     near_contour = False
     for pole in p.physical_poles:
@@ -234,15 +240,14 @@ class ResummedDispersion:
     """k -> omega evaluator built from Borel transform + Pade + Laplace."""
 
     approximant: PadeApproximant
-    nodes: int = 80
 
     def __call__(self, k: float) -> float:
         if k == 0:
             return 0.0
-        return laplace_resum(self.approximant, k * k, self.nodes)
+        return laplace_resum(self.approximant, k * k)
 
 
-def resum_dispersion(c: CECoefficients, L: int, M: int, nodes: int = 80) -> ResummedDispersion:
+def resum_dispersion(c: CECoefficients, L: int, M: int) -> ResummedDispersion:
     """Borel-Pade resummation of the gradient series omega(k) = sum a_{2n} k^{2n}.
 
     The [L/M] approximant is built from Taylor orders 0..L+M of the Borel
@@ -255,7 +260,7 @@ def resum_dispersion(c: CECoefficients, L: int, M: int, nodes: int = 80) -> Resu
         raise ValueError(
             f"[{L}/{M}] needs {L + M} coefficients a_2..a_{2 * (L + M)}; got {len(c)}"
         )
-    return ResummedDispersion(pade(taylor[: L + M + 1], L, M), nodes)
+    return ResummedDispersion(pade(taylor[: L + M + 1], L, M))
 
 
 def ce_truncation_eval(c: CECoefficients, order: int, k: float) -> float:

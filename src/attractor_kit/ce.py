@@ -17,8 +17,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .exactseries import TruncatedSeries
-
 
 class InsufficientData(Exception):
     """Not enough coefficients for the requested analysis."""
@@ -98,14 +96,14 @@ class WeightModel:
         return cls(WeightKind.BOUNDED_CUSTOM, mom)
 
 
-def build_source_series(w: WeightModel, order: int) -> TruncatedSeries:
-    """Sum_{m=1..order} (-1)^m mu_{2m} x^m, the source of the implicit relation."""
+def build_source_series(w: WeightModel, order: int) -> tuple:
+    """Coefficients (0, -mu_2, mu_4, ...) of the source of the implicit
+    relation, F(x) = Sum_{m=1..order} (-1)^m mu_{2m} x^m."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    coeffs = [Fraction(0)]
-    for m in range(1, order + 1):
-        coeffs.append((-1) ** m * w.moment(m))
-    return TruncatedSeries(tuple(coeffs))
+    return (Fraction(0),) + tuple(
+        (-1) ** m * w.moment(m) for m in range(1, order + 1)
+    )
 
 
 @dataclass(frozen=True)
@@ -186,8 +184,9 @@ def _tangent_coefficients(n_max: int) -> list:
     return values
 
 
-def _lagrange_kernel(mus: list, n_max: int) -> list:
-    """a_{2n}, n = 1..n_max, by Lagrange inversion from mu_2, ..., mu_{2 n_max}.
+def _lagrange_kernel(source: tuple) -> list:
+    """a_{2n}, n = 1..N, by Lagrange inversion from the source series
+    (0, F_1, ..., F_N) of ``build_source_series``.
 
     a_{2n} = (1/n) [x^{n-1}] F'(x) (1+F(x))^{-2n}, the same value as
     ``lagrange_coefficient`` for each n.  Every series is a list of Python
@@ -196,12 +195,9 @@ def _lagrange_kernel(mus: list, n_max: int) -> list:
     one gcd per order, and each coefficient is read from it with a single
     dot product against F'.
     """
-    d = math.lcm(*(mu.denominator for mu in mus))
-    # F = sum_{m>=1} (-1)^m mu_{2m} x^m over d; f[0] = 0
-    f = [0] + [
-        (-1) ** m * mu.numerator * (d // mu.denominator)
-        for m, mu in enumerate(mus, start=1)
-    ]
+    n_max = len(source) - 1
+    d = math.lcm(*(c.denominator for c in source[1:]))
+    f = [0] + [c.numerator * (d // c.denominator) for c in source[1:]]  # F over d
     fp = [m * f[m] for m in range(1, n_max + 1)]  # F' over d
     # 1+F to order n_max - 1, as far as [x^{n-1}] reads
     recip_sq, drecip = _recip_square([d] + f[1:n_max], d)
@@ -230,7 +226,7 @@ def ce_coefficients(w: WeightModel, n_max: int) -> CECoefficients:
     elif w.kind is WeightKind.BOUNDED_UNIFORM:
         values = _tangent_coefficients(n_max)
     else:
-        values = _lagrange_kernel([w.moment(m) for m in range(1, n_max + 1)], n_max)
+        values = _lagrange_kernel(build_source_series(w, n_max))
     return CECoefficients(tuple(values), w)
 
 

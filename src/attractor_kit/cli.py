@@ -21,7 +21,7 @@ import tempfile
 from fractions import Fraction
 
 from . import __version__
-from .borel import _SPURIOUS_RESIDUE, borel_transform, pade
+from .borel import borel_transform, pade
 from .ce import (
     InvalidWeight,
     WeightModel,
@@ -38,8 +38,9 @@ EXIT_COMPUTE = 3
 # find_fold over every n up to it found a fold each time, with k_c rising
 N_LIST_MAX = 400
 
-# largest --n-max `ce-coeffs` and `borel` accept: a custom weight still runs
-# the O(n^3) Lagrange kernel
+# largest --n-max `ce-coeffs` and `borel` accept, and largest coefficient
+# count L + M + 1 that --pade may ask for: a custom weight still runs the
+# O(n^3) Lagrange kernel
 N_MAX_MAX = 200
 
 # most k-grid points `dispersion` accepts: a step of 1e-4 over [0, K_GRID_MAX]
@@ -79,11 +80,11 @@ def parse_weight(spec: str) -> WeightModel:
     if spec.startswith("bounded-custom="):
         path = spec.split("=", 1)[1]
         with open(path, "r", encoding="utf-8") as fh:
-            moments = [
-                Fraction(line.strip())
-                for line in fh
-                if line.strip() and not line.startswith("#")
-            ]
+            lines = [s for s in map(str.strip, fh) if s and not s.startswith("#")]
+        try:
+            moments = [Fraction(s) for s in lines]
+        except ZeroDivisionError as exc:
+            raise ValueError(f"a moment in {path} has a zero denominator") from exc
         return WeightModel.bounded_custom(moments)
     raise argparse.ArgumentTypeError(
         f"unknown weight {spec!r}; use gaussian, bounded-uniform, "
@@ -206,11 +207,7 @@ def cmd_borel(args) -> int:
     rows = []
     for n, bn in enumerate(b.coeffs, 1):
         rows.append(["coeff", str(n), _fmt_exact(bn), "", "", "", ""])
-    physical = []
-    for p, r in zip(approx.poles, approx.residues):
-        spurious = abs(r) <= _SPURIOUS_RESIDUE
-        if not spurious:
-            physical.append(p)
+    for p, r, genuine in zip(approx.poles, approx.residues, approx.physical):
         rows.append(
             [
                 "pole",
@@ -219,11 +216,12 @@ def cmd_borel(args) -> int:
                 _fmt_float(p.real),
                 _fmt_float(p.imag),
                 _fmt_float(abs(r)),
-                "spurious" if spurious else "",
+                "" if genuine else "spurious",
             ]
         )
     notes = []
-    if physical:
+    physical = approx.physical_poles
+    if physical.size:
         nearest = min(physical, key=abs)
         dist = abs(nearest - (-0.5))
         rows.append(
@@ -292,8 +290,11 @@ def validate(args) -> None:
         not args.n_list or min(args.n_list) < 1 or max(args.n_list) > N_LIST_MAX
     ):
         raise ValueError(f"--n-list entries must be in 1..{N_LIST_MAX}")
-    if hasattr(args, "pade") and (args.pade[0] < 0 or args.pade[1] < 0):
-        raise ValueError("--pade orders must be non-negative")
+    if hasattr(args, "pade"):
+        if args.pade[0] < 0 or args.pade[1] < 0:
+            raise ValueError("--pade orders must be non-negative")
+        if sum(args.pade) + 1 > N_MAX_MAX:
+            raise ValueError(f"--pade L M needs L + M + 1 <= {N_MAX_MAX} coefficients")
     if hasattr(args, "k_step"):
         if args.k_step <= 0 or args.k_min < 0 or args.k_max < args.k_min:
             raise ValueError("k grid must satisfy 0 <= k-min <= k-max, k-step > 0")

@@ -118,7 +118,11 @@ def _gaussian_resolvent_dA(A: float) -> float:
     return dI_du / (4 * u)
 
 
-def solve_exact_gaussian(k: float, tol: float = 1e-14) -> DispersionSample:
+# Newton tolerance of the exact solvers, near double precision
+_NEWTON_TOL = 1e-14
+
+
+def solve_exact_gaussian(k: float) -> DispersionSample:
     """Root of (w+1) - I((1+w)^2/k^2) on the hydrodynamic interval (-1, 0].
 
     Starts from the 4th-order gradient estimate -k^2 + k^4 for small k.
@@ -126,8 +130,6 @@ def solve_exact_gaussian(k: float, tol: float = 1e-14) -> DispersionSample:
     """
     if k <= 0:
         raise ValueError("k must be positive")
-    if tol < 1e-16:
-        raise ValueError("tol too small for double precision")
 
     def f(w):
         return (w + 1) - gaussian_resolvent((1 + w) ** 2 / (k * k))
@@ -137,7 +139,7 @@ def solve_exact_gaussian(k: float, tol: float = 1e-14) -> DispersionSample:
         return 1 - _gaussian_resolvent_dA(A) * 2 * (1 + w) / (k * k)
 
     x0 = -k * k + k**4 if k <= 0.5 else -0.2
-    w = _safeguarded_newton(f, fprime, -1 + 1e-9, 0.0, x0, tol)
+    w = _safeguarded_newton(f, fprime, -1 + 1e-9, 0.0, x0, _NEWTON_TOL)
     return DispersionSample(k, w, abs(f(w)), Method.EXACT_GAUSSIAN)
 
 
@@ -169,9 +171,7 @@ def _bounded_series_sum(coeffs: Sequence[float], x: float) -> float:
     return total
 
 
-def solve_exact_bounded(
-    k: float, w: WeightModel, tol: float = 1e-14
-) -> DispersionSample:
+def solve_exact_bounded(k: float, w: WeightModel) -> DispersionSample:
     """Hydrodynamic root for a bounded-support weight.
 
     The uniform weight admits the closed condition arctan(k/(1+w)) = k
@@ -194,11 +194,11 @@ def solve_exact_bounded(
             a = 1 + om
             return -k / (a * a + k * k)
 
-        root = _safeguarded_newton(f, fprime, -1 + 1e-12, 0.0, -k * k / 3, tol)
+        root = _safeguarded_newton(f, fprime, -1 + 1e-12, 0.0, -k * k / 3, _NEWTON_TOL)
         return DispersionSample(k, root, abs(f(root)), Method.EXACT_BOUNDED)
 
     source = build_source_series(w, _BOUNDED_SERIES_TERMS)
-    coeffs = [float(c) for c in source.coeffs[1:]]
+    coeffs = [float(c) for c in source[1:]]
 
     def f(om):
         x = k * k / (1 + om) ** 2
@@ -211,7 +211,7 @@ def solve_exact_bounded(
     # (monotone moments <= 1), so the bracket stops at 1 + om = k
     lo = max(-1 + 1e-6, k - 1 + 1e-7)
     try:
-        root = _safeguarded_newton(f, fprime, lo, 0.0, -k * k / 3, tol)
+        root = _safeguarded_newton(f, fprime, lo, 0.0, -k * k / 3, _NEWTON_TOL)
     except NoRootInInterval as exc:
         raise SeriesDivergent(
             f"root at k = {k:.6g} lies outside the moment series' "

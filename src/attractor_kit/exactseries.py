@@ -1,201 +1,48 @@
-"""Exact truncated power series over arbitrary-precision rationals.
+"""The paper's Lagrange-inversion formula for one coefficient, over Fractions.
 
-Coefficients are `fractions.Fraction`, so every ring operation is exact.
-All binary operations truncate to the shorter operand's order; nothing is
-ever silently extended with zeros.
+This is the oracle the exact paths of ``ce`` are tested against: it works on
+plain coefficient lists with long division and binary powering, and shares
+no code with the integer kernels there.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
-
-Rational = Fraction
-RationalLike = Union[Fraction, int]
+from typing import Sequence
 
 
-class SeriesError(Exception):
-    """Base class for series errors."""
+def _mul(a: list, b: list) -> list:
+    """Cauchy product of two equal-length series, truncated to that length."""
+    return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(len(a))]
 
 
-class OrderExceeded(SeriesError):
-    """A coefficient beyond the retained order was requested."""
-
-
-class ZeroConstantTerm(SeriesError):
-    """Reciprocal (or negative power) of a series with zero constant term."""
-
-
-class NonzeroConstant(SeriesError):
-    """An operation requiring a zero constant term got a series with one."""
-
-
-@dataclass(frozen=True)
-class TruncatedSeries:
-    """Finite list of exact rational coefficients c_0..c_N in one variable.
-
-    ``coeffs[n]`` is the coefficient of x^n; ``order`` is N.
-    """
-
-    coeffs: tuple
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "coeffs", tuple(Fraction(c) for c in self.coeffs)
-        )
-        if not self.coeffs:
-            raise ValueError("series needs at least the constant term")
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    @classmethod
-    def from_coeffs(cls, coeffs: Sequence[RationalLike]) -> "TruncatedSeries":
-        return cls(tuple(coeffs))
-
-    @classmethod
-    def constant(cls, value: RationalLike, order: int) -> "TruncatedSeries":
-        return cls((Fraction(value),) + (Fraction(0),) * order)
-
-    def truncate(self, order: int) -> "TruncatedSeries":
-        if order > self.order:
-            raise OrderExceeded(
-                f"cannot extend order {self.order} series to {order}"
-            )
-        return TruncatedSeries(self.coeffs[: order + 1])
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        n = min(self.order, other.order)
-        return TruncatedSeries(
-            tuple(self.coeffs[i] + other.coeffs[i] for i in range(n + 1))
-        )
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        n = min(self.order, other.order)
-        return TruncatedSeries(
-            tuple(self.coeffs[i] - other.coeffs[i] for i in range(n + 1))
-        )
-
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(tuple(-c for c in self.coeffs))
-
-    def __mul__(self, other) -> "TruncatedSeries":
-        if isinstance(other, (Fraction, int)):
-            return TruncatedSeries(tuple(c * other for c in self.coeffs))
-        return series_mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __str__(self) -> str:
-        terms = [f"({c})*x^{n}" for n, c in enumerate(self.coeffs) if c]
-        return " + ".join(terms) if terms else "0"
-
-
-def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Cauchy product truncated at min(order(a), order(b))."""
-    n = min(a.order, b.order)
-    out = [Fraction(0)] * (n + 1)
-    for i, ai in enumerate(a.coeffs[: n + 1]):
-        if not ai:
-            continue
-        for j in range(n + 1 - i):
-            bj = b.coeffs[j]
-            if bj:
-                out[i + j] += ai * bj
-    return TruncatedSeries(tuple(out))
-
-
-def series_reciprocal(a: TruncatedSeries) -> TruncatedSeries:
-    """1/a by Newton iteration, doubling the correct order each step."""
-    if a.coeffs[0] == 0:
-        raise ZeroConstantTerm("reciprocal of a series with zero constant term")
-    n = a.order
-    # r <- r*(2 - a*r) doubles the number of correct coefficients
-    r = [1 / a.coeffs[0]] + [Fraction(0)] * n
-    correct = 1
-    while correct <= n:
-        correct = min(2 * correct, n + 1)
-        trunc = TruncatedSeries(tuple(a.coeffs[:correct]))
-        rt = TruncatedSeries(tuple(r[:correct]))
-        prod = series_mul(trunc, rt)
-        two_minus = TruncatedSeries(
-            (2 - prod.coeffs[0],) + tuple(-c for c in prod.coeffs[1:])
-        )
-        rt = series_mul(rt, two_minus)
-        r[:correct] = rt.coeffs
-    return TruncatedSeries(tuple(r))
-
-
-def series_int_pow(a: TruncatedSeries, p: int) -> TruncatedSeries:
-    """a**p for signed integer p.
-
-    Negative powers route through the exact reciprocal, then a positive
-    power by binary exponentiation.
-    """
-    if p < 0:
-        return series_int_pow(series_reciprocal(a), -p)
-    result = TruncatedSeries.constant(1, a.order)
-    base = a
-    while p:
-        if p & 1:
-            result = series_mul(result, base)
-        base = series_mul(base, base)
-        p >>= 1
-    return result
-
-
-def series_derivative(a: TruncatedSeries) -> TruncatedSeries:
-    """Termwise derivative; the result order drops by one."""
-    if a.order == 0:
-        return TruncatedSeries((Fraction(0),))
-    return TruncatedSeries(
-        tuple(n * c for n, c in enumerate(a.coeffs) if n >= 1)
-    )
-
-
-def series_compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedSeries:
-    """outer(inner(x)) by Horner evaluation; inner must have no constant term."""
-    if inner.coeffs[0] != 0:
-        raise NonzeroConstant("composition requires inner(0) = 0")
-    n = min(outer.order, inner.order)
-    acc = TruncatedSeries.constant(outer.coeffs[n], n)
-    for m in range(n - 1, -1, -1):
-        acc = series_mul(acc, inner)
-        acc = acc + TruncatedSeries.constant(outer.coeffs[m], n)
-    return acc
-
-
-def coefficient_of(a: TruncatedSeries, m: int) -> Fraction:
-    """The extraction operator [x^m]."""
-    if m < 0:
-        raise ValueError("coefficient index must be non-negative")
-    if m > a.order:
-        raise OrderExceeded(
-            f"[x^{m}] requested from an order-{a.order} series; "
-            "build the series longer"
-        )
-    return a.coeffs[m]
-
-
-def lagrange_coefficient(F: TruncatedSeries, n: int) -> Fraction:
+def lagrange_coefficient(F: Sequence, n: int) -> Fraction:
     """n-th inversion coefficient of the implicit relation w = F(x/(1+w)^2).
 
+    ``F = (0, F_1, ..., F_N)`` are the source series' coefficients, N >= n.
     Returns (1/n) [x^(n-1)] { F'(x) (1+F(x))^(-2n) }, exactly.  With
     x = k^2 this is the coefficient of k^(2n) in the inverted series w(k).
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if F.coeffs[0] != 0:
-        raise NonzeroConstant("source series must have zero constant term")
-    if F.order < n:
-        raise OrderExceeded(
-            f"source series order {F.order} too short for coefficient n={n}"
+    F = [Fraction(c) for c in F]
+    if not F or F[0] != 0:
+        raise ValueError("source series must have zero constant term")
+    if len(F) <= n:
+        raise ValueError(
+            f"source series order {len(F) - 1} too short for coefficient n={n}"
         )
-    # order n-1 suffices for the extraction
-    Ft = F.truncate(n - 1)
-    Fp = series_derivative(F).truncate(n - 1)
-    one_plus = Ft + TruncatedSeries.constant(1, Ft.order)
-    g = series_mul(Fp, series_int_pow(one_plus, -2 * n))
-    return coefficient_of(g, n - 1) / n
+    # 1/(1+F) by long division, to order n-1 as far as [x^(n-1)] reads
+    recip = [Fraction(1)]
+    for m in range(1, n):
+        recip.append(-sum(F[j] * recip[m - j] for j in range(1, m + 1)))
+    # (1+F)^(-2n) by repeated squaring
+    power, p = [Fraction(1)] + [Fraction(0)] * (n - 1), 2 * n
+    while p:
+        if p & 1:
+            power = _mul(power, recip)
+        p >>= 1
+        if p:
+            recip = _mul(recip, recip)
+    # [x^(n-1)] of F'(x) = sum_j j F_j x^(j-1) times the power
+    return sum(j * F[j] * power[n - j] for j in range(1, n + 1)) / n

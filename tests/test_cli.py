@@ -130,6 +130,27 @@ def test_bounded_custom_too_few_moments_is_compute_error(tmp_path):
     assert code == 3
 
 
+def test_bounded_custom_zero_denominator_is_config_error(tmp_path, capsys):
+    mom = tmp_path / "moments.txt"
+    mom.write_text("1/3\n1/0\n")
+    code, _ = run(
+        tmp_path, "ce-coeffs", "--weight", f"bounded-custom={mom}", "--n-max", "2"
+    )
+    assert code == 2
+    assert "invalid configuration" in capsys.readouterr().err
+
+
+def test_bounded_custom_indented_comment(tmp_path):
+    mom = tmp_path / "moments.txt"
+    mom.write_text("  # mu_2 = 1/3\n1/3\n\t# mu_4\n1/5\n")
+    code, out = run(
+        tmp_path, "ce-coeffs", "--weight", f"bounded-custom={mom}", "--n-max", "2"
+    )
+    assert code == 0
+    _, rows = read_csv(out)
+    assert [r[1] for r in rows] == ["-1/3", "-1/45"]
+
+
 # --- folds ---------------------------------------------------------------------
 
 def test_folds_table(tmp_path):
@@ -257,6 +278,24 @@ def test_borel_constant_approximant(tmp_path):
     assert code == 0
     _, rows = read_csv(out)
     assert not any(r[0] == "pole" for r in rows)
+
+
+@pytest.mark.parametrize("command", ["borel", "dispersion"])
+def test_pade_order_bound_checked_before_coefficients(tmp_path, monkeypatch, capsys, command):
+    # [L/M] needs L + M + 1 coefficients; past N_MAX_MAX validation refuses
+    # the orders before any coefficient is computed
+    def fail(*args):
+        raise AssertionError("coefficients computed")
+
+    monkeypatch.setattr(cli, "ce_coefficients", fail)
+    monkeypatch.setattr(cli, "compare_methods", fail)
+    half = cli.N_MAX_MAX // 2
+    code, _ = run(tmp_path, command, "--pade", str(half), str(half))
+    assert code == 2
+    assert f"L + M + 1 <= {cli.N_MAX_MAX}" in capsys.readouterr().err
+    for orders in ((half, half - 1), (14, 14)):
+        args = cli.build_parser().parse_args([command, "--pade", *map(str, orders)])
+        cli.validate(args)
 
 
 # --- output handling ----------------------------------------------------------------

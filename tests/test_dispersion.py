@@ -145,8 +145,6 @@ def test_exact_gaussian_no_root_at_large_k():
 def test_exact_gaussian_input_validation():
     with pytest.raises(ValueError):
         solve_exact_gaussian(-0.1)
-    with pytest.raises(ValueError):
-        solve_exact_gaussian(0.5, tol=1e-20)
 
 
 def test_series_integral_equivalence_small_k():
@@ -158,8 +156,8 @@ def test_series_integral_equivalence_small_k():
     for k in (0.05, 0.1, 0.2):
         w = solve_exact_gaussian(k).omega
         x = k * k / (1 + w) ** 2
-        partial = sum(float(F.coeffs[m]) * x**m for m in range(1, 11))
-        omitted = abs(float(F.coeffs[11])) * x**11
+        partial = sum(float(F[m]) * x**m for m in range(1, 11))
+        omitted = abs(float(F[11])) * x**11
         assert abs(w - partial) <= omitted + 1e-15  # solver tolerance floor
 
 
