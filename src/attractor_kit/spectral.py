@@ -195,7 +195,9 @@ class BranchCurve:
     def omega_at(self, k: float) -> float:
         """Branch value at wavenumber k, for 0 <= k < k_c.
 
-        Up to the last sample: nearest-sample seed + Newton polish.
+        Up to the last sample: Newton polish seeded on the chord between the
+        two samples that bracket k, stopped by `_newton_done` and
+        accepted only with a normalised residual within _RESIDUAL_TOL.
         Between that sample and the fold: the root of P_n(., k^2) bracketed
         by omega_c and the last sample's omega; below k_c the two roots
         merging at the fold straddle omega_c, so the branch root is the only
@@ -230,21 +232,25 @@ class BranchCurve:
                 )
             except NoRootInInterval:
                 return lo
-        # nearest sample; on a tie the lower one
+        # seed on the chord between the samples that bracket k
         i = bisect.bisect_left(self.samples, k, key=lambda s: s.k)
-        if i == len(self.samples) or (
-            i > 0 and abs(self.samples[i - 1].k - k) <= abs(self.samples[i].k - k)
-        ):
-            i -= 1
-        w = self.samples[i].omega
+        if i == len(self.samples):
+            w = last.omega
+        else:
+            a, b = self.samples[i - 1], self.samples[i]
+            w = a.omega + (k - a.k) * (b.omega - a.omega) / (b.k - a.k)
+        prev = math.inf
         for _ in range(50):
             st, _ls = _eval_state(self.n, w, q)
             if st[1] == 0:
                 break
             step = st[0] / st[1]
             w -= step
-            if abs(step) < 1e-14:
-                return w
+            if _newton_done(abs(step), prev):
+                if _normalized_residual(st[0], st[1]) <= _RESIDUAL_TOL:
+                    return w
+                break
+            prev = abs(step)
         raise NoBranchPoint(f"Newton polish failed at k={k} for n={self.n}")
 
 
@@ -255,6 +261,15 @@ _STEP = 0.01
 _STEP_MIN = 1e-4
 _STEP_MAX = 0.05
 _MAX_ARCLENGTH = 4.0
+
+
+def _newton_done(step: float, prev: float) -> bool:
+    """Stopping test of the fold Newton and the branch polish, on the size
+    of the last update and the one before it: below 1e-14, or below 1e-9
+    and no longer halving.  A converging Newton at least halves its update;
+    one that stops halving is moving by rounding noise, which from n of
+    about 100 on lies above 1e-14."""
+    return step < 1e-14 or (step < 1e-9 and step > 0.5 * prev)
 
 
 def _normalized_residual(P: float, Pw: float, Pk: float = 0.0) -> float:
@@ -305,28 +320,40 @@ def _correct(n: int, pred, t):
     return None
 
 
-def _refine_fold(n: int, u, t, h: float, tk_end: float) -> FoldPoint:
+def _refine_fold(n: int, u, t, h: float, tk_end: float, curvature=(0.0, 0.0)) -> FoldPoint:
     """Fold inside the continuation step of length h from u along t.
 
     dk/ds is t[0] > 0 at u and tk_end < 0 at the step's end: bracket its
     root in the step's arclength by regula falsi (Illinois) down to the
     smallest continuation step, then Newton on {P_n = 0, dP_n/dw = 0} from
-    the last bracketing point.
+    the last bracketing point.  Each bracketing point is predicted from the
+    last corrected point with dk/ds > 0, along that point's own tangent plus
+    the second-order term of its dt/ds: ``curvature`` at u, then the
+    difference quotient between the last two such points.  The Newton stops
+    once its update falls below 1e-14 or, below 1e-9, stops halving:
+    rounding noise then sets its size.
     """
     lo, hi, flo, fhi = 0.0, h, t[0], tk_end
     side = 0  # bracket end the last point replaced: -1 lo, +1 hi
+    base, tb, (ck, cw) = u, t, curvature  # lo end: place, tangent, dt/ds
     k, w = u
     while hi - lo > _STEP_MIN:
         s = (lo * fhi - hi * flo) / (fhi - flo)
-        corrected = _correct(n, (u[0] + s * t[0], u[1] + s * t[1]), t)
+        d = s - lo
+        pred = (base[0] + d * tb[0] + 0.5 * d * d * ck, base[1] + d * tb[1] + 0.5 * d * d * cw)
+        corrected = _correct(n, pred, tb)
         if corrected is None:
             raise NoFoldFound(f"corrector failed while bracketing the fold for n={n}")
         (k, w), _updates, st = corrected
-        f = _tangent(st, k, prev=t)[0]
+        t_new = _tangent(st, k, prev=tb)
+        f = t_new[0]
         if f == 0:
             # s is the fold; regula falsi would land on it again and again
             break
         if f > 0:
+            chord = math.hypot(k - base[0], w - base[1])
+            ck, cw = (t_new[0] - tb[0]) / chord, (t_new[1] - tb[1]) / chord
+            base, tb = (k, w), t_new
             lo, flo = s, f
             if side == -1:
                 fhi *= 0.5
@@ -337,6 +364,7 @@ def _refine_fold(n: int, u, t, h: float, tk_end: float) -> FoldPoint:
                 flo *= 0.5
             side = 1
 
+    prev = math.inf
     for _ in range(100):
         st, _ = _eval_state(n, w, k * k, second=True)
         P, Pw, Pq, Pww, Pwq = st
@@ -349,8 +377,10 @@ def _refine_fold(n: int, u, t, h: float, tk_end: float) -> FoldPoint:
         dk = (P * Pww - Pw * Pw) / det
         w += dw
         k += dk
-        if max(abs(dw), abs(dk)) < 1e-14:
+        step = max(abs(dw), abs(dk))
+        if _newton_done(step, prev):
             break
+        prev = step
 
     st, _ = _eval_state(n, w, k * k, second=True)
     P, Pw, Pq, Pww, Pwq = st
@@ -366,8 +396,9 @@ def _refine_fold(n: int, u, t, h: float, tk_end: float) -> FoldPoint:
 def trace_branch(n: int) -> BranchCurve:
     """Trace the physical root branch by pseudo-arclength continuation.
 
-    Predictor: Euler step along the unit tangent.  Corrector: Newton on
-    {P_n = 0, orthogonality to the tangent}; the next tangent comes from
+    Predictor: u + h t + h^2/2 dt/ds, the second-order term taken from the
+    last step's two tangents (zero on the first step).  Corrector: Newton
+    on {P_n = 0, orthogonality to the tangent}; the next tangent comes from
     the corrector's last evaluation.  The step doubles after at most three
     Newton updates and halves after more than eight, between 1e-4 and
     0.05.  The trace ends at the first step over which dk/ds turns
@@ -380,12 +411,15 @@ def trace_branch(n: int) -> BranchCurve:
     curve = BranchCurve(n, [BranchSample(0.0, 0.0)])
     u = (0.0, 0.0)  # (k, omega)
     t = _tangent(_eval_state(n, 0.0, 0.0)[0], 0.0)
+    ck, cw = 0.0, 0.0  # dt/ds over the last step
     h = _STEP
     arclength = 0.0
 
     while arclength < _MAX_ARCLENGTH:
         for _halving in range(7):
-            corrected = _correct(n, (u[0] + h * t[0], u[1] + h * t[1]), t)
+            hh = 0.5 * h * h
+            pred = (u[0] + h * t[0] + hh * ck, u[1] + h * t[1] + hh * cw)
+            corrected = _correct(n, pred, t)
             if corrected is not None:
                 break
             h = max(h / 2, _STEP_MIN)
@@ -397,9 +431,14 @@ def trace_branch(n: int) -> BranchCurve:
 
         t_new = _tangent(st, v[0], prev=t)
         if t_new[0] < 0:
-            curve.fold = _refine_fold(n, u, t, h, t_new[0])
+            # dt/ds across a step that turns at the fold overshoots, so the
+            # bracket starts from the last step's
+            curve.fold = _refine_fold(n, u, t, h, t_new[0], (ck, cw))
             break
-        arclength += math.hypot(v[0] - u[0], v[1] - u[1])
+        # the chord is at least h > 0: the corrector moves orthogonally to t
+        chord = math.hypot(v[0] - u[0], v[1] - u[1])
+        ck, cw = (t_new[0] - t[0]) / chord, (t_new[1] - t[1]) / chord
+        arclength += chord
         u, t = v, t_new
         curve.samples.append(BranchSample(*u))
 

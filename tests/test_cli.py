@@ -177,10 +177,10 @@ FOLDS_PINNED = (
     "n,k_c,omega_c,residual,note\n"
     "1,0.5,-0.5,0,n=1 fold is exactly k_c = 1/2 (discriminant of w^2 + w + k^2); the commonly quoted 0.47 appears to be a figure-read value\n"
     "2,0.62347364453507226,-0.53030534384913064,1.2164597925592282e-17,\n"
-    "10,0.86521475530841574,-0.66000857102423027,5.2776791717471032e-16,\n"
-    "50,1.0307459661532898,-0.78681209840592314,9.5606871665722748e-15,\n"
-    "100,1.08115628272063,-0.83061598951547599,3.0659787430149891e-14,\n"
-    "200,1.1212851264563504,-0.86719521289259194,8.2466751629324338e-14,\n"
+    "10,0.86521475530841596,-0.66000857102423038,6.758466853028463e-16,\n"
+    "50,1.0307459661532885,-0.78681209840592203,2.5207803413802465e-15,\n"
+    "100,1.0811562827205927,-0.8306159895154559,2.4213035098581607e-14,\n"
+    "200,1.1212851264563517,-0.86719521289259061,7.6968662079268284e-15,\n"
 )
 
 

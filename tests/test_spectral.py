@@ -278,10 +278,10 @@ def test_branch_reaches_fold_past_last_sample(branch_1):
 
 def test_branch_n2_between_last_sample_and_fold():
     curve = trace_branch(2)
-    last = curve.samples[-1].k
-    # the last sample lies at k = 0.62283, the fold at 0.62347
-    for k in (0.6229, 0.6233):
-        assert last < k < curve.fold.k_c
+    last, k_c = curve.samples[-1].k, curve.fold.k_c
+    # inside the gap (about 5e-4 wide) wherever the trace ends its samples
+    for k in (last + 0.1 * (k_c - last), last + 0.7 * (k_c - last)):
+        assert last < k < k_c
         w = curve.omega_at(k)
         q = k * k
         quartic = [1, 3, 3 + 6 * q, 1 + 7 * q, q * (1 + 3 * q)]
@@ -326,9 +326,9 @@ def test_omega_at_one_recurrence_per_newton_iterate(branch_50, monkeypatch):
     assert all(a != b for a, b in zip(calls, calls[1:]))
 
 
-def test_omega_at_seeds_from_nearest_sample(branch_50, monkeypatch):
-    # Newton polish starts at the sample nearest in k; on a tie, the lower
-    # one, as min() over the samples picks it
+def test_omega_at_seeds_on_the_chord(branch_50, monkeypatch):
+    # Newton polish starts on the chord between the two samples that
+    # bracket k; at a sample's own k, at that sample
     samples = branch_50.samples
     ks = [s.k for s in samples[1:]]
     ks += [0.5 * (a.k + b.k) for a, b in zip(samples, samples[1:])]
@@ -337,8 +337,31 @@ def test_omega_at_seeds_from_nearest_sample(branch_50, monkeypatch):
     for k in ks:
         calls.clear()
         branch_50.omega_at(k)
-        nearest = min(samples, key=lambda s: abs(s.k - k))
-        assert calls[0] == (nearest.omega, k * k)
+        b = next(s for s in samples if s.k >= k)
+        a = samples[samples.index(b) - 1]
+        chord = a.omega + (b.omega - a.omega) * (k - a.k) / (b.k - a.k)
+        assert calls[0][1] == k * k
+        assert calls[0][0] == pytest.approx(chord, rel=0, abs=1e-15)
+
+
+def test_omega_at_n400_below_fold_matches_eigenvalues():
+    # at n = 400 rounding keeps the polish's update above 1e-14, so a stop
+    # at 1e-14 alone ran out of iterations here and reported no branch
+    # point below k_c = 1.1528.  Independent oracle: the branch value is an
+    # eigenvalue of -(D + ik J_2n), D = diag(0, 1, ..., 1); the similarity
+    # diag(i^j) makes that matrix real, with ik J_2n -> k (L - L^T), L the
+    # lower off-diagonal sqrt(j), which eigvals handles four times faster.
+    n, k = 400, 1.104
+    curve = trace_branch(n)
+    assert k < curve.fold.k_c
+    w = curve.omega_at(k)
+    off = k * np.sqrt(np.arange(1, 2 * n))
+    D = np.diag([0.0] + [1.0] * (2 * n - 1))
+    ev = np.linalg.eigvals(-(D + np.diag(off, -1) - np.diag(off, 1)))
+    # the branch root is the largest real eigenvalue, above its partner
+    real = sorted(e.real for e in ev if abs(e.imag) < 1e-9)
+    assert w == pytest.approx(real[-1], abs=1e-11)
+    assert real[-2] < curve.fold.omega_c < w
 
 
 def test_trace_input_validation():
@@ -465,13 +488,13 @@ def test_singular_newton_systems():
 
 def test_find_fold_recurrence_budget(branch_50, monkeypatch):
     # the recurrence work of one fold, in steps (n per _eval_state call):
-    # the step grows on Newton updates, each tangent reuses the corrector's
-    # last state and regula falsi brackets the fold, so find_fold(200) runs
-    # 278 recurrences (55,600 steps); bisecting the fold step, a fresh
-    # recurrence per tangent and growth on iterations took 546 (109,200)
+    # a second-order predictor, bracket points predicted from the bracket's
+    # lo end and a fold Newton that stops at the rounding floor take
+    # find_fold(200) to 148 recurrences (29,600 steps); an Euler predictor
+    # from the step's start and a 1e-14 stop alone took 278 (55,600)
     calls = _record_eval_state(monkeypatch)
     find_fold(200)
-    assert 200 * len(calls) <= 70_000
+    assert 200 * len(calls) <= 34_000
     # the chord of a continuation step is at least its predictor step h,
     # since the corrector moves orthogonally to the tangent
     chords = [
@@ -479,6 +502,24 @@ def test_find_fold_recurrence_budget(branch_50, monkeypatch):
         for a, b in zip(branch_50.samples, branch_50.samples[1:])
     ]
     assert max(chords) >= spectral._STEP_MAX - 1e-12
+
+
+@pytest.mark.parametrize("n", [180, 250, 400])
+def test_fold_newton_stops_at_rounding_floor(n, monkeypatch):
+    # from n of about 100 rounding keeps the fold Newton's update near
+    # 1e-13, so a stop at 1e-14 alone took 39, 65 and 41 second-order
+    # evaluations here; the Newton converges quadratically in 3 or 4
+    flags = []
+    real = spectral._eval_state
+
+    def recorder(n, w, q, second=False):
+        flags.append(second)
+        return real(n, w, q, second=second)
+
+    monkeypatch.setattr(spectral, "_eval_state", recorder)
+    fp = find_fold(n)
+    assert fp.residual <= 1e-10
+    assert sum(flags) <= 8
 
 
 def test_fold_attached_to_trace(branch_50):
