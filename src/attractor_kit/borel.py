@@ -167,33 +167,51 @@ def _laguerre_rule():
     return laggauss(_LAGUERRE_NODES)
 
 
-def laplace_resum(p: PadeApproximant, x: float) -> float:
-    """int_0^inf e^{-t} p(x t) dt by Gauss-Laguerre quadrature.
+def _contour_distance(pole: complex, support: float) -> float:
+    """Distance of a pole from the Laplace contour [0, support]."""
+    if 0 < pole.real < support:
+        return abs(pole.imag)
+    return min(abs(pole), abs(pole - support))
+
+
+def laplace_resum(p: PadeApproximant, x):
+    """int_0^inf e^{-t} p(x t) dt by Gauss-Laguerre quadrature, at one x > 0
+    or at each of a sequence of them.
 
     With p approximating the Borel transform B(sigma) = sum (c_n/n!) sigma^n
-    this reconstructs sum c_n x^n.  Genuine poles on the positive real axis
-    (within the quadrature support) abort with PoleOnContour; poles near it
-    switch to a Gauss-Legendre rule graded toward them.
+    this reconstructs sum c_n x^n.  A genuine pole on the positive real axis
+    (within the quadrature support of x) obstructs the contour: a single x
+    raises PoleOnContour, and a sequence gives NaN there.  Poles near the
+    contour switch that x to a Gauss-Legendre rule graded toward them.  The
+    other points of a sequence share one Gauss-Laguerre evaluation.
     """
-    if x <= 0:
+    scalar = np.ndim(x) == 0
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    if np.any(xs <= 0):
         raise ValueError("x must be positive")
     t, w = _laguerre_rule()
-    support = x * t[-1]
-    near_contour = False
-    for pole in p.physical_poles:
-        if 0 < pole.real < support:
-            d = abs(pole.imag)
-        else:
-            d = min(abs(pole), abs(pole - support))
+    t_max = float(t[-1])
+    poles = [complex(z) for z in p.physical_poles]
+    out = np.empty(len(xs))
+    regular = []
+    for i, v in enumerate(xs.tolist()):
+        d, pole = min(
+            ((_contour_distance(z, v * t_max), z) for z in poles),
+            key=lambda e: e[0], default=(math.inf, None),
+        )
         if d < _CONTOUR_TOL:
-            raise PoleOnContour(
-                f"Pade pole at sigma = {pole:.6g} obstructs the Laplace contour"
-            )
-        if d < 1e-3 * max(x, 1.0):
-            near_contour = True
-    if near_contour:
-        return _graded_laplace(p, x)
-    return float(np.sum(w * p(x * t)))
+            if scalar:
+                raise PoleOnContour(
+                    f"Pade pole at sigma = {pole:.6g} obstructs the Laplace contour"
+                )
+            out[i] = math.nan
+        elif d < 1e-3 * max(v, 1.0):
+            out[i] = _graded_laplace(p, v)
+        else:
+            regular.append(i)
+    if regular:
+        out[regular] = np.sum(w * p(xs[regular, None] * t).real, axis=1)
+    return float(out[0]) if scalar else out
 
 
 # the graded rule integrates u in [0, 40]: the e^{-40} tail is below double
@@ -241,10 +259,17 @@ class ResummedDispersion:
 
     approximant: PadeApproximant
 
-    def __call__(self, k: float) -> float:
-        if k == 0:
-            return 0.0
-        return laplace_resum(self.approximant, k * k)
+    def __call__(self, k):
+        """omega at one k >= 0, or an array of omega at each of a sequence
+        of them.  Where a pole obstructs the Laplace contour a single k
+        raises PoleOnContour and a sequence gives NaN."""
+        ks = np.asarray(k, dtype=float)
+        if ks.ndim == 0:
+            return laplace_resum(self.approximant, k * k) if k else 0.0
+        out = np.zeros(ks.shape)
+        moving = ks != 0
+        out[moving] = laplace_resum(self.approximant, ks[moving] * ks[moving])
+        return out
 
 
 def resum_dispersion(c: CECoefficients, L: int, M: int) -> ResummedDispersion:

@@ -122,6 +122,11 @@ def _gaussian_resolvent_dA(A: float) -> float:
 _NEWTON_TOL = 1e-14
 
 
+def _newton_tol_reached(step: float, _prev: float) -> bool:
+    """Stopping test of the exact solvers' Newton: the last update alone."""
+    return step < _NEWTON_TOL
+
+
 def solve_exact_gaussian(k: float) -> DispersionSample:
     """Root of (w+1) - I((1+w)^2/k^2) on the hydrodynamic interval (-1, 0].
 
@@ -139,7 +144,7 @@ def solve_exact_gaussian(k: float) -> DispersionSample:
         return 1 - _gaussian_resolvent_dA(A) * 2 * (1 + w) / (k * k)
 
     x0 = -k * k + k**4 if k <= 0.5 else -0.2
-    w = _safeguarded_newton(f, fprime, -1 + 1e-9, 0.0, x0, _NEWTON_TOL)
+    w = _safeguarded_newton(f, fprime, -1 + 1e-9, 0.0, x0, _newton_tol_reached)
     return DispersionSample(k, w, abs(f(w)), Method.EXACT_GAUSSIAN)
 
 
@@ -194,7 +199,7 @@ def solve_exact_bounded(k: float, w: WeightModel) -> DispersionSample:
             a = 1 + om
             return -k / (a * a + k * k)
 
-        root = _safeguarded_newton(f, fprime, -1 + 1e-12, 0.0, -k * k / 3, _NEWTON_TOL)
+        root = _safeguarded_newton(f, fprime, -1 + 1e-12, 0.0, -k * k / 3, _newton_tol_reached)
         return DispersionSample(k, root, abs(f(root)), Method.EXACT_BOUNDED)
 
     source = build_source_series(w, _BOUNDED_SERIES_TERMS)
@@ -211,7 +216,7 @@ def solve_exact_bounded(k: float, w: WeightModel) -> DispersionSample:
     # (monotone moments <= 1), so the bracket stops at 1 + om = k
     lo = max(-1 + 1e-6, k - 1 + 1e-7)
     try:
-        root = _safeguarded_newton(f, fprime, lo, 0.0, -k * k / 3, _NEWTON_TOL)
+        root = _safeguarded_newton(f, fprime, lo, 0.0, -k * k / 3, _newton_tol_reached)
     except NoRootInInterval as exc:
         raise SeriesDivergent(
             f"root at k = {k:.6g} lies outside the moment series' "
@@ -261,7 +266,7 @@ def compare_methods(
 
     exact = run(lambda k: 0.0 if k == 0 else solve_exact_gaussian(k).omega)
     cols["omega_exact"] = exact
-    cols["omega_resummed"] = run(resum)
+    cols["omega_resummed"] = [float(v) for v in resum(ks)]
     for n in branch_orders:
         curve = branches[n]
         vals, phys = [], []

@@ -143,16 +143,35 @@ class FoldPoint:
 
 @dataclass(frozen=True)
 class BranchSample:
+    """A point of the branch with its slope d(omega)/dk there."""
+
     k: float
     omega: float
+    slope: float
+
+
+def _hermite(a: BranchSample, b: BranchSample, k: float) -> float:
+    """Cubic Hermite of omega(k) through samples a and b and their slopes;
+    exactly b.omega at k = b.k, and an extrapolation past b."""
+    dk = b.k - a.k
+    t = (k - a.k) / dk
+    s = 1 - t
+    return (
+        (a.omega * (1 + 2 * t) + a.slope * dk * t) * s * s
+        + (b.omega * (3 - 2 * t) - b.slope * dk * s) * t * t
+    )
 
 
 class NoRootInInterval(Exception):
     """The safeguarded bracket contains no sign change."""
 
 
-def _safeguarded_newton(f, fprime, lo, hi, x0, tol, max_iter=100):
-    """Newton iteration that falls back to bisection on a sign-change bracket."""
+def _safeguarded_newton(f, fprime, lo, hi, x0, done, max_iter=100):
+    """Newton iteration that falls back to bisection on a sign-change bracket.
+
+    ``done(step, prev)`` stops it on the size of the last update and the
+    one before it.
+    """
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
         return lo
@@ -163,6 +182,7 @@ def _safeguarded_newton(f, fprime, lo, hi, x0, tol, max_iter=100):
             f"no sign change on [{lo:.6g}, {hi:.6g}] (f = {flo:.3g}, {fhi:.3g})"
         )
     x = min(max(x0, lo), hi)
+    prev = math.inf
     for _ in range(max_iter):
         fx = f(x)
         if fx == 0.0:
@@ -175,9 +195,10 @@ def _safeguarded_newton(f, fprime, lo, hi, x0, tol, max_iter=100):
         x_new = x - fx / d if d != 0 else math.nan
         if not (lo < x_new < hi):
             x_new = 0.5 * (lo + hi)
-        if abs(x_new - x) < tol:
+        step = abs(x_new - x)
+        if done(step, prev):
             return x_new
-        x = x_new
+        x, prev = x_new, step
     return x
 
 
@@ -185,7 +206,8 @@ def _safeguarded_newton(f, fprime, lo, hi, x0, tol, max_iter=100):
 class BranchCurve:
     """Arc of the P_n = 0 root branch from the origin up to its fold.
 
-    The samples rise strictly in k; the fold lies past the last one.
+    The samples rise strictly in k, each with the branch's slope there;
+    the fold lies past the last one.
     """
 
     n: int
@@ -195,16 +217,17 @@ class BranchCurve:
     def omega_at(self, k: float) -> float:
         """Branch value at wavenumber k, for 0 <= k < k_c.
 
-        Up to the last sample: Newton polish seeded on the chord between the
-        two samples that bracket k, stopped by `_newton_done` and
+        Up to the last sample: Newton polish seeded on the cubic Hermite
+        through the two samples that bracket k, stopped by `_newton_done` and
         accepted only with a normalised residual within _RESIDUAL_TOL.
         Between that sample and the fold: the root of P_n(., k^2) bracketed
-        by omega_c and the last sample's omega; below k_c the two roots
-        merging at the fold straddle omega_c, so the branch root is the only
-        one in the bracket, and where rounding hides the sign change (k
-        within rounding of k_c) the root is omega_c.  At k_c itself the
-        branch root has merged with its partner into a double root, and the
-        branch has ended.
+        by omega_c and the last sample's omega, seeded on the square-root
+        law of the branch near its fold; below k_c the two roots merging at
+        the fold straddle omega_c, so the branch root is the only one in the
+        bracket, and where rounding hides the sign change (k within rounding
+        of k_c) the root is omega_c.  At k_c itself the branch root has
+        merged with its partner into a double root, and the branch has
+        ended.
         """
         last = self.samples[-1]
         past_samples = k > last.k + 1e-12
@@ -214,7 +237,7 @@ class BranchCurve:
             return 0.0
         q = k * k
         if past_samples:
-            lo = self.fold.omega_c
+            k_c, lo = self.fold.k_c, self.fold.omega_c
             # Newton asks for P and then P_w at the same iterate: one
             # recurrence serves both
             memo = [None, None]
@@ -224,21 +247,20 @@ class BranchCurve:
                     memo[:] = w, _eval_state(self.n, w, q)[0]
                 return memo[1]
 
+            seed = lo + (last.omega - lo) * math.sqrt((k_c - k) / (k_c - last.k))
             try:
                 return _safeguarded_newton(
                     lambda w: state(w)[0],
                     lambda w: state(w)[1],
-                    lo, last.omega, 0.5 * (lo + last.omega), 1e-15,
+                    lo, last.omega, seed, _newton_done,
                 )
             except NoRootInInterval:
                 return lo
-        # seed on the chord between the samples that bracket k
         i = bisect.bisect_left(self.samples, k, key=lambda s: s.k)
         if i == len(self.samples):
             w = last.omega
         else:
-            a, b = self.samples[i - 1], self.samples[i]
-            w = a.omega + (k - a.k) * (b.omega - a.omega) / (b.k - a.k)
+            w = _hermite(self.samples[i - 1], self.samples[i], k)
         prev = math.inf
         for _ in range(50):
             st, _ls = _eval_state(self.n, w, q)
@@ -396,8 +418,9 @@ def _refine_fold(n: int, u, t, h: float, tk_end: float, curvature=(0.0, 0.0)) ->
 def trace_branch(n: int) -> BranchCurve:
     """Trace the physical root branch by pseudo-arclength continuation.
 
-    Predictor: u + h t + h^2/2 dt/ds, the second-order term taken from the
-    last step's two tangents (zero on the first step).  Corrector: Newton
+    Predictor: the cubic Hermite through the last two samples and their
+    unit tangents, parametrised by arclength with the chord between them
+    standing for it (Euler on the first step).  Corrector: Newton
     on {P_n = 0, orthogonality to the tangent}; the next tangent comes from
     the corrector's last evaluation.  The step doubles after at most three
     Newton updates and halves after more than eight, between 1e-4 and
@@ -408,17 +431,22 @@ def trace_branch(n: int) -> BranchCurve:
     if n < 1:
         raise ValueError("n must be >= 1")
 
-    curve = BranchCurve(n, [BranchSample(0.0, 0.0)])
     u = (0.0, 0.0)  # (k, omega)
     t = _tangent(_eval_state(n, 0.0, 0.0)[0], 0.0)
+    samples = [BranchSample(0.0, 0.0, t[1] / t[0])]
+    curve = BranchCurve(n, samples)
     ck, cw = 0.0, 0.0  # dt/ds over the last step
+    # u + s t + s^2 a2 + s^3 a3: the cubic through the last two samples
+    a2 = a3 = (0.0, 0.0)
     h = _STEP
     arclength = 0.0
 
     while arclength < _MAX_ARCLENGTH:
         for _halving in range(7):
-            hh = 0.5 * h * h
-            pred = (u[0] + h * t[0] + hh * ck, u[1] + h * t[1] + hh * cw)
+            pred = (
+                u[0] + h * (t[0] + h * (a2[0] + h * a3[0])),
+                u[1] + h * (t[1] + h * (a2[1] + h * a3[1])),
+            )
             corrected = _correct(n, pred, t)
             if corrected is not None:
                 break
@@ -430,17 +458,23 @@ def trace_branch(n: int) -> BranchCurve:
         v, updates, st = corrected
 
         t_new = _tangent(st, v[0], prev=t)
-        if t_new[0] < 0:
-            # dt/ds across a step that turns at the fold overshoots, so the
-            # bracket starts from the last step's
+        if t_new[0] <= 0:
+            # the step passed the fold, or ended on it, where the slope is
+            # infinite.  dt/ds across a step that turns at the fold
+            # overshoots, so the bracket starts from the last step's
             curve.fold = _refine_fold(n, u, t, h, t_new[0], (ck, cw))
             break
         # the chord is at least h > 0: the corrector moves orthogonally to t
         chord = math.hypot(v[0] - u[0], v[1] - u[1])
         ck, cw = (t_new[0] - t[0]) / chord, (t_new[1] - t[1]) / chord
+        # Hermite conditions: (u, t) at s = -chord, (v, t_new) at s = 0
+        ek = (t_new[0] - (v[0] - u[0]) / chord) / chord
+        ew = (t_new[1] - (v[1] - u[1]) / chord) / chord
+        a2 = (3 * ek - ck, 3 * ew - cw)
+        a3 = ((2 * ek - ck) / chord, (2 * ew - cw) / chord)
         arclength += chord
         u, t = v, t_new
-        curve.samples.append(BranchSample(*u))
+        samples.append(BranchSample(*u, t[1] / t[0]))
 
         # adapt on corrector effort
         if updates <= 3:

@@ -189,6 +189,52 @@ def test_laplace_resum_requires_positive_x(gaussian_30):
     r = resum_dispersion(gaussian_30, 14, 14)
     with pytest.raises(ValueError):
         laplace_resum(r.approximant, 0.0)
+    with pytest.raises(ValueError):
+        laplace_resum(r.approximant, [0.5, 0.0])
+
+
+def test_laplace_resum_grid_equals_one_point_calls(gaussian_30):
+    # the README grid's x = k^2: one Gauss-Laguerre sum over the whole grid
+    # gives the one-point values bit for bit, and those are the sum over the
+    # 80 nodes of one x
+    r = resum_dispersion(gaussian_30, 14, 14)
+    p = r.approximant
+    ks = [i / 100 for i in range(121)]
+    xs = [k * k for k in ks[1:]]
+    grid = laplace_resum(p, xs)
+    assert isinstance(grid, np.ndarray)
+    assert grid.tolist() == [laplace_resum(p, x) for x in xs]
+    t, w = np.polynomial.laguerre.laggauss(80)
+    assert grid.tolist() == [float(np.sum(w * p(x * t))) for x in xs]
+    assert r(ks).tolist() == [0.0] + grid.tolist() == [r(k) for k in ks]
+
+
+def test_laplace_resum_grid_mixes_regular_near_and_obstructed_x():
+    # 1/(sigma - s1) + 1/(sigma - s2): s1 is the near-contour pole of
+    # test_laplace_resum_pole_near_contour_vs_mpmath, s2 a genuine pole on
+    # the positive axis as in test_laplace_resum_detects_positive_axis_pole,
+    # moved from 1 to 200.  The largest Gauss-Laguerre node is about 297,
+    # so x < 0.3/297 keeps both poles beyond the support, x = 0.5 reaches s1
+    # only, and x = 1 reaches s2.
+    s1, s2 = 0.3 + 1e-4j, 200.0
+    p = PadeApproximant(
+        np.array([-(s1 + s2), 2.0]) / (s1 * s2),
+        np.array([1.0, -(s1 + s2) / (s1 * s2), 1 / (s1 * s2)]),
+        np.array([s1, s2]), np.array([1.0 + 0j, 1.0 + 0j]),
+    )
+    near, obstructed = 0.5, 1.0
+    xs = [1e-4, obstructed, near, 5e-4]
+    grid = laplace_resum(p, xs)
+    assert math.isnan(grid[1])
+    with pytest.raises(PoleOnContour):
+        laplace_resum(p, obstructed)
+    for i in (0, 2, 3):
+        assert grid[i] == laplace_resum(p, xs[i])
+    # the near-contour point took the graded rule: Gauss-Laguerre misses
+    # the pole, and the value matches quadrature
+    oracle = laplace_oracle(p, near, s1.real / near)
+    assert abs(gauss_laguerre(p, near) - oracle) > 1e-3
+    assert abs(grid[2] - oracle) <= 1e-8
 
 
 # --- resummed dispersion -----------------------------------------------------

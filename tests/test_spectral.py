@@ -318,30 +318,70 @@ def _record_eval_state(monkeypatch):
 
 def test_omega_at_one_recurrence_per_newton_iterate(branch_50, monkeypatch):
     # past the last sample, Newton reads P and P_w at each iterate from one
-    # evaluation of the recurrence
+    # evaluation of the recurrence.  Seeded at the bracket's midpoint with a
+    # 1e-15 stop it took 12 evaluations here; seeded on the square-root law
+    # of the fold and stopped at the rounding floor it takes 7, two of them
+    # the bracket's ends
     assert branch_50.samples[-1].k < 1.03
     calls = _record_eval_state(monkeypatch)
     branch_50.omega_at(1.03)
-    assert len(calls) >= 3
+    assert 3 <= len(calls) <= 8
     assert all(a != b for a, b in zip(calls, calls[1:]))
 
 
-def test_omega_at_seeds_on_the_chord(branch_50, monkeypatch):
-    # Newton polish starts on the chord between the two samples that
-    # bracket k; at a sample's own k, at that sample
+def test_omega_at_seeds_on_the_hermite_cubic(branch_50, monkeypatch):
+    # Newton polish starts on the cubic through the two samples that
+    # bracket k with their slopes; at a sample's own k, at that sample
     samples = branch_50.samples
-    ks = [s.k for s in samples[1:]]
-    ks += [0.5 * (a.k + b.k) for a, b in zip(samples, samples[1:])]
-    ks += [0.5 * samples[-1].k * (1 + i / 97) for i in range(97)]
+    mids = [0.5 * (a.k + b.k) for a, b in zip(samples, samples[1:])]
+    mids += [0.5 * samples[-1].k * (1 + i / 97) for i in range(97)]
     calls = _record_eval_state(monkeypatch)
-    for k in ks:
+    for s in samples[1:]:
+        calls.clear()
+        branch_50.omega_at(s.k)
+        assert calls[0] == (s.omega, s.k * s.k)
+    for k in mids:
         calls.clear()
         branch_50.omega_at(k)
         b = next(s for s in samples if s.k >= k)
         a = samples[samples.index(b) - 1]
-        chord = a.omega + (b.omega - a.omega) * (k - a.k) / (b.k - a.k)
+        # the Hermite basis on [a.k, b.k], in the local coordinate x
+        dk, x = b.k - a.k, (k - a.k) / (b.k - a.k)
+        cubic = (
+            (2 * x**3 - 3 * x**2 + 1) * a.omega
+            + (x**3 - 2 * x**2 + x) * dk * a.slope
+            + (-2 * x**3 + 3 * x**2) * b.omega
+            + (x**3 - x**2) * dk * b.slope
+        )
         assert calls[0][1] == k * k
-        assert calls[0][0] == pytest.approx(chord, rel=0, abs=1e-15)
+        assert calls[0][0] == pytest.approx(cubic, rel=0, abs=1e-15)
+
+
+def test_branch_sample_slopes_match_closed_forms(branch_1):
+    # n = 1: w = (-1 + sqrt(1 - 4k^2)) / 2, so dw/dk = -2k / sqrt(1 - 4k^2)
+    assert branch_1.samples[0].slope == 0
+    for s in branch_1.samples[1:]:
+        expected = -2 * s.k / math.sqrt(1 - 4 * s.k**2)
+        assert s.slope == pytest.approx(expected, rel=1e-8)
+    # n = 2: the implicit derivative of the explicit quartic of
+    # test_fold_n2_closed_form, dw/dk = -2k P_q / P_w
+    for s in trace_branch(2).samples[1:]:
+        w, q = s.omega, s.k**2
+        P_w = 4 * w**3 + 9 * w**2 + 2 * (3 + 6 * q) * w + 1 + 7 * q
+        P_q = 6 * w**2 + 7 * w + 1 + 6 * q
+        assert s.slope == pytest.approx(-2 * s.k * P_q / P_w, rel=1e-8)
+
+
+def test_omega_at_recurrence_budget_on_readme_grid(branch_50, monkeypatch):
+    # the README grid's k = 0.01..1.03 below k_c(50) = 1.0307: a polish
+    # seeded on the chord between samples took 409 recurrences, one seeded
+    # on the Hermite cubic takes 260
+    ks = [i / 100 for i in range(1, 121) if i / 100 < branch_50.fold.k_c]
+    assert len(ks) == 103
+    calls = _record_eval_state(monkeypatch)
+    for k in ks:
+        branch_50.omega_at(k)
+    assert len(calls) <= 280
 
 
 def test_omega_at_n400_below_fold_matches_eigenvalues():
@@ -488,13 +528,14 @@ def test_singular_newton_systems():
 
 def test_find_fold_recurrence_budget(branch_50, monkeypatch):
     # the recurrence work of one fold, in steps (n per _eval_state call):
-    # a second-order predictor, bracket points predicted from the bracket's
-    # lo end and a fold Newton that stops at the rounding floor take
-    # find_fold(200) to 148 recurrences (29,600 steps); an Euler predictor
-    # from the step's start and a 1e-14 stop alone took 278 (55,600)
+    # a cubic predictor through the last two samples, bracket points
+    # predicted from the bracket's lo end and a fold Newton that stops at
+    # the rounding floor take find_fold(200) to 131 recurrences (26,200
+    # steps); a second-order predictor took 148 (29,600), and an Euler
+    # predictor from the step's start and a 1e-14 stop alone 278 (55,600)
     calls = _record_eval_state(monkeypatch)
     find_fold(200)
-    assert 200 * len(calls) <= 34_000
+    assert 200 * len(calls) <= 27_000
     # the chord of a continuation step is at least its predictor step h,
     # since the corrector moves orthogonally to the tangent
     chords = [
