@@ -20,10 +20,10 @@ coeffs = ce_coefficients(WeightModel.gaussian(), 30)
 b = borel_transform(coeffs)
 
 print("Borel coefficients b_n = a_2n / n! (exact):")
-for n, bn in enumerate(b.coeffs[:6], 1):
+for n, bn in enumerate(b[:6], 1):
     print(f"  b_{n} = {bn}")
 
-approx = pade(b.taylor()[:29], 14, 14)
+approx = pade([0.0] + [float(v) for v in b[:28]], 14, 14)
 genuine = approx.physical_poles
 print(f"\n[14/14] Pade approximant of the Borel transform: "
       f"{len(approx.poles)} poles, {len(genuine)} with non-negligible residue")

@@ -5,8 +5,9 @@ Submodules
 exactseries : the paper's Lagrange-inversion formula over Fractions (test oracle)
 ce          : weight models, coefficients a_2n, large-order ratio analysis
 borel       : Borel transform, Pade approximants, Laplace resummation
-spectral    : spectral polynomials, branch continuation, fold points
-dispersion  : exact dispersion solvers (Gaussian and bounded-support)
+spectral    : branch continuation of the spectral polynomials, fold points
+dispersion  : exact dispersion solvers (Gaussian and bounded-support) and
+              the comparison of every method on a k grid
 cli         : command-line front-end (attractor-kit)
 """
 
@@ -23,7 +24,6 @@ from .ce import (
     ratio_sequence,
 )
 from .borel import (
-    BorelSeries,
     PadeApproximant,
     ResummedDispersion,
     borel_transform,
@@ -35,14 +35,11 @@ from .borel import (
 from .spectral import (
     BranchCurve,
     FoldPoint,
-    SpectralEval,
-    eval_P,
     find_fold,
     trace_branch,
 )
 from .dispersion import (
     DispersionSample,
-    Method,
     compare_methods,
     gaussian_resolvent,
     solve_exact_bounded,

@@ -35,32 +35,17 @@ class PoleOnContour(Exception):
     """A genuine Pade pole sits on the positive real axis: summability lost."""
 
 
-@dataclass(frozen=True)
-class BorelSeries:
-    """Coefficients b_n = c_n / n! of a Borel-transformed series, n >= 1."""
-
-    coeffs: tuple  # exact Fractions, b_1..b_N
-
-    def __len__(self) -> int:
-        return len(self.coeffs)
-
-    def taylor(self) -> list:
-        """Float Taylor coefficients [b_0=0, b_1, ..., b_N] around the origin."""
-        return [0.0] + [float(b) for b in self.coeffs]
-
-
-def borel_transform(c: Union[CECoefficients, Sequence[Fraction]]) -> BorelSeries:
-    """Divide the n-th coefficient by n! (n = 1..N), exactly.
+def borel_transform(c: Union[CECoefficients, Sequence[Fraction]]) -> tuple:
+    """The exact Fractions b_n = c_n / n!, n = 1..N.
 
     Accepts either a CECoefficients bundle or any bare coefficient
-    sequence (c_1, c_2, ...).
+    sequence (c_1, c_2, ...).  The transform's Taylor series around the
+    origin is 0, b_1, ..., b_N.
     """
     values = c.values if isinstance(c, CECoefficients) else tuple(c)
     if not values:
         raise ValueError("need at least one coefficient")
-    return BorelSeries(
-        tuple(Fraction(a) / math.factorial(n) for n, a in enumerate(values, 1))
-    )
+    return tuple(Fraction(a) / math.factorial(n) for n, a in enumerate(values, 1))
 
 
 @dataclass(frozen=True)
@@ -261,14 +246,16 @@ class ResummedDispersion:
 
     def __call__(self, k):
         """omega at one k >= 0, or an array of omega at each of a sequence
-        of them.  Where a pole obstructs the Laplace contour a single k
-        raises PoleOnContour and a sequence gives NaN."""
+        of them; 0 where k^2 is 0, also by underflow.  Where a pole
+        obstructs the Laplace contour a single k raises PoleOnContour and a
+        sequence gives NaN."""
         ks = np.asarray(k, dtype=float)
-        if ks.ndim == 0:
-            return laplace_resum(self.approximant, k * k) if k else 0.0
-        out = np.zeros(ks.shape)
-        moving = ks != 0
-        out[moving] = laplace_resum(self.approximant, ks[moving] * ks[moving])
+        q = ks * ks
+        if q.ndim == 0:
+            return laplace_resum(self.approximant, float(q)) if q else 0.0
+        out = np.zeros(q.shape)
+        moving = q != 0
+        out[moving] = laplace_resum(self.approximant, q[moving])
         return out
 
 
@@ -280,12 +267,11 @@ def resum_dispersion(c: CECoefficients, L: int, M: int) -> ResummedDispersion:
     checks, not used in construction.
     """
     b = borel_transform(c)
-    taylor = b.taylor()
-    if len(taylor) < L + M + 1:
+    if len(b) < L + M:
         raise ValueError(
             f"[{L}/{M}] needs {L + M} coefficients a_2..a_{2 * (L + M)}; got {len(c)}"
         )
-    return ResummedDispersion(pade(taylor[: L + M + 1], L, M))
+    return ResummedDispersion(pade([0.0] + [float(v) for v in b[: L + M]], L, M))
 
 
 def ce_truncation_eval(c: CECoefficients, order: int, k: float) -> float:

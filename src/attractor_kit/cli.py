@@ -46,6 +46,9 @@ N_MAX_MAX = 200
 # most k-grid points `dispersion` accepts: a step of 1e-4 over [0, K_GRID_MAX]
 K_POINTS_MAX = 12001
 
+# truncation orders of `dispersion` and `folds` when not given
+N_LIST_DEFAULT = [1, 2, 20, 50]
+
 FOLD_N1_NOTE = (
     "n=1 fold is exactly k_c = 1/2 (discriminant of w^2 + w + k^2); "
     "the commonly quoted 0.47 appears to be a figure-read value"
@@ -169,13 +172,8 @@ def _grid_steps(args) -> float:
 def cmd_dispersion(args) -> int:
     points = math.floor(_grid_steps(args)) + 1
     ks = [args.k_min + args.k_step * i for i in range(points)]
-    branch_orders = args.n_list
-    table = compare_methods(ks, branch_orders, args.pade[0], args.pade[1])
-    columns = list(table.columns)
-    rows = []
-    for i in range(len(ks)):
-        rows.append([table.columns[name][i] for name in columns])
-    emit(args, "dispersion", columns, rows, [])
+    table = compare_methods(ks, args.n_list, *args.pade)
+    emit(args, "dispersion", list(table), list(zip(*table.values())), [])
     return 0
 
 
@@ -200,12 +198,11 @@ def cmd_borel(args) -> int:
     n_coeffs = max(args.n_max, L + M + 1)
     coeffs = ce_coefficients(args.weight_model, n_coeffs)
     b = borel_transform(coeffs)
-    taylor = b.taylor()
-    approx = pade(taylor[: L + M + 1], L, M)
+    approx = pade([0.0] + [float(v) for v in b[: L + M]], L, M)
 
     columns = ["row_type", "index", "b_n_exact", "re", "im", "abs_residue", "note"]
     rows = []
-    for n, bn in enumerate(b.coeffs, 1):
+    for n, bn in enumerate(b, 1):
         rows.append(["coeff", str(n), _fmt_exact(bn), "", "", "", ""])
     for p, r, genuine in zip(approx.poles, approx.residues, approx.physical):
         rows.append(
@@ -245,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, weight=True, nmax=True, pade_opt=False, grid=False, nlist=None):
+    def common(p, weight=True, nmax=True, pade_opt=False, grid=False, nlist=False):
         if weight:
             p.add_argument("--weight", default="gaussian",
                            help="gaussian | bounded-uniform | bounded-custom=FILE")
@@ -258,8 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--k-min", type=float, default=0.0, dest="k_min")
             p.add_argument("--k-max", type=float, default=K_GRID_MAX, dest="k_max")
             p.add_argument("--k-step", type=float, default=0.01, dest="k_step")
-        if nlist is not None:
-            p.add_argument("--n-list", default=nlist, dest="n_list",
+        if nlist:
+            p.add_argument("--n-list", default=N_LIST_DEFAULT, dest="n_list",
                            type=lambda s: [int(v) for v in s.split(",")])
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", default="-", help="output path ('-' = stdout)")
@@ -269,12 +266,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ce_coeffs)
 
     p = sub.add_parser("dispersion", help="omega(k) by every method")
-    common(p, weight=False, nmax=False, pade_opt=True, grid=True,
-           nlist=[1, 2, 20, 50])
+    common(p, weight=False, nmax=False, pade_opt=True, grid=True, nlist=True)
     p.set_defaults(func=cmd_dispersion)
 
     p = sub.add_parser("folds", help="fold points k_c(n) of the branches")
-    common(p, weight=False, nmax=False, nlist=[1, 2, 20, 50])
+    common(p, weight=False, nmax=False, nlist=True)
     p.set_defaults(func=cmd_folds)
 
     p = sub.add_parser("borel", help="Borel coefficients and Pade poles")
@@ -284,6 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def validate(args) -> None:
+    if args.out != "-" and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
+        raise ValueError(f"--out {args.out}: no such directory")
     if not 1 <= getattr(args, "n_max", 1) <= N_MAX_MAX:
         raise ValueError(f"--n-max must be in 1..{N_MAX_MAX}")
     if hasattr(args, "n_list") and (

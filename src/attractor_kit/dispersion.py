@@ -8,7 +8,6 @@ ground truth the resummation and the spectral branches are checked against.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -33,17 +32,11 @@ class SeriesDivergent(Exception):
     """Moment series left its convergence region during the solve."""
 
 
-class Method(enum.Enum):
-    EXACT_GAUSSIAN = "exact-gaussian"
-    EXACT_BOUNDED = "exact-bounded"
-
-
 @dataclass(frozen=True)
 class DispersionSample:
     k: float
     omega: float
     residual: float
-    method: Method
 
 
 # below this u, erfcx(u) = exp(u^2) erfc(u) with u^2 split exactly; above
@@ -118,23 +111,17 @@ def _gaussian_resolvent_dA(A: float) -> float:
     return dI_du / (4 * u)
 
 
-# Newton tolerance of the exact solvers, near double precision
-_NEWTON_TOL = 1e-14
-
-
-def _newton_tol_reached(step: float, _prev: float) -> bool:
-    """Stopping test of the exact solvers' Newton: the last update alone."""
-    return step < _NEWTON_TOL
-
-
 def solve_exact_gaussian(k: float) -> DispersionSample:
     """Root of (w+1) - I((1+w)^2/k^2) on the hydrodynamic interval (-1, 0].
 
     Starts from the 4th-order gradient estimate -k^2 + k^4 for small k.
-    The kinetic eigenvalue w = -1 is excluded by construction.
+    The kinetic eigenvalue w = -1 is excluded by construction.  Where k^2
+    underflows to 0, so does the root -k^2 + O(k^4): it is 0.
     """
     if k <= 0:
         raise ValueError("k must be positive")
+    if k * k == 0:
+        return DispersionSample(k, 0.0, 0.0)
 
     def f(w):
         return (w + 1) - gaussian_resolvent((1 + w) ** 2 / (k * k))
@@ -144,8 +131,8 @@ def solve_exact_gaussian(k: float) -> DispersionSample:
         return 1 - _gaussian_resolvent_dA(A) * 2 * (1 + w) / (k * k)
 
     x0 = -k * k + k**4 if k <= 0.5 else -0.2
-    w = _safeguarded_newton(f, fprime, -1 + 1e-9, 0.0, x0, _newton_tol_reached)
-    return DispersionSample(k, w, abs(f(w)), Method.EXACT_GAUSSIAN)
+    w = _safeguarded_newton(f, fprime, -1 + 1e-9, 0.0, x0)
+    return DispersionSample(k, w, abs(f(w)))
 
 
 # terms of a custom weight's moment series that the exact solver sums
@@ -186,7 +173,7 @@ def solve_exact_bounded(k: float, w: WeightModel) -> DispersionSample:
     if not w.bounded:
         raise ValueError("use solve_exact_gaussian for the Gaussian weight")
     if k == 0:
-        return DispersionSample(0.0, 0.0, 0.0, Method.EXACT_BOUNDED)
+        return DispersionSample(0.0, 0.0, 0.0)
     if k < 0:
         raise ValueError("k must be non-negative")
 
@@ -199,8 +186,8 @@ def solve_exact_bounded(k: float, w: WeightModel) -> DispersionSample:
             a = 1 + om
             return -k / (a * a + k * k)
 
-        root = _safeguarded_newton(f, fprime, -1 + 1e-12, 0.0, -k * k / 3, _newton_tol_reached)
-        return DispersionSample(k, root, abs(f(root)), Method.EXACT_BOUNDED)
+        root = _safeguarded_newton(f, fprime, -1 + 1e-12, 0.0, -k * k / 3)
+        return DispersionSample(k, root, abs(f(root)))
 
     source = build_source_series(w, _BOUNDED_SERIES_TERMS)
     coeffs = [float(c) for c in source[1:]]
@@ -216,55 +203,37 @@ def solve_exact_bounded(k: float, w: WeightModel) -> DispersionSample:
     # (monotone moments <= 1), so the bracket stops at 1 + om = k
     lo = max(-1 + 1e-6, k - 1 + 1e-7)
     try:
-        root = _safeguarded_newton(f, fprime, lo, 0.0, -k * k / 3, _newton_tol_reached)
+        root = _safeguarded_newton(f, fprime, lo, 0.0, -k * k / 3)
     except NoRootInInterval as exc:
         raise SeriesDivergent(
             f"root at k = {k:.6g} lies outside the moment series' "
             "convergence region"
         ) from exc
-    return DispersionSample(k, root, abs(f(root)), Method.EXACT_BOUNDED)
-
-
-@dataclass
-class ComparisonTable:
-    """Per-method omega values (and deviations from exact) on a k grid."""
-
-    k_grid: list
-    columns: dict  # name -> list of float (NaN marks missing cells)
+    return DispersionSample(k, root, abs(f(root)))
 
 
 def compare_methods(
-    k_grid: Sequence[float],
-    branch_orders: Iterable[int] = (1, 2, 20, 50),
-    pade_L: int = 14,
-    pade_M: int = 14,
-) -> ComparisonTable:
+    k_grid: Sequence[float], branch_orders: Iterable[int], pade_L: int, pade_M: int
+) -> dict:
     """Evaluate every method of reconstructing omega(k) on a common grid.
 
-    Columns: omega_exact, omega_resummed, omega_branch_n{X} with a
-    physical_n{X} companion flag, omega_ce2, omega_ce4, and dev_* columns
-    relative to the exact solver.  Per-method failures become NaN cells.
+    Returns the columns by name: k, omega_exact, omega_resummed,
+    omega_branch_n{X} with a physical_n{X} companion flag, omega_ce2,
+    omega_ce4, and dev_* columns relative to the exact solver.  A cell is
+    NaN where a branch has ended at its fold or a Pade pole obstructs the
+    Laplace contour; any other failure raises.
     """
     ks = [float(k) for k in k_grid]
     if any(k < 0 or k > K_GRID_MAX + 1e-9 for k in ks):
         raise ValueError(f"grid must lie within [0, {K_GRID_MAX}]")
     branch_orders = tuple(branch_orders)
-    coeffs = ce_coefficients(WeightModel.gaussian(), pade_L + pade_M + 1)
+    # omega_ce4 reads a_2 and a_4 even where the approximant needs fewer
+    coeffs = ce_coefficients(WeightModel.gaussian(), max(pade_L + pade_M + 1, 2))
     resum = resum_dispersion(coeffs, pade_L, pade_M)
     branches = {n: trace_branch(n) for n in branch_orders}
 
     cols: dict = {"k": ks}
-
-    def run(fn):
-        out = []
-        for k in ks:
-            try:
-                out.append(float(fn(k)))
-            except Exception:
-                out.append(math.nan)
-        return out
-
-    exact = run(lambda k: 0.0 if k == 0 else solve_exact_gaussian(k).omega)
+    exact = [solve_exact_gaussian(k).omega if k else 0.0 for k in ks]
     cols["omega_exact"] = exact
     cols["omega_resummed"] = [float(v) for v in resum(ks)]
     for n in branch_orders:
@@ -279,12 +248,12 @@ def compare_methods(
                 phys.append(False)
         cols[f"omega_branch_n{n}"] = vals
         cols[f"physical_n{n}"] = phys
-    cols["omega_ce2"] = run(lambda k: ce_truncation_eval(coeffs, 2, k))
-    cols["omega_ce4"] = run(lambda k: ce_truncation_eval(coeffs, 4, k))
+    cols["omega_ce2"] = [ce_truncation_eval(coeffs, 2, k) for k in ks]
+    cols["omega_ce4"] = [ce_truncation_eval(coeffs, 4, k) for k in ks]
 
     for name in list(cols):
         if name.startswith("omega_") and name != "omega_exact":
             cols["dev_" + name[len("omega_"):]] = [
                 v - e for v, e in zip(cols[name], exact)
             ]
-    return ComparisonTable(ks, cols)
+    return cols

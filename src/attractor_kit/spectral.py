@@ -40,44 +40,28 @@ class NoBranchPoint(Exception):
     """No branch root at the requested wavenumber (past the fold)."""
 
 
-@dataclass(frozen=True)
-class SpectralEval:
-    """Normalized value of P_n and its w-derivative at one point.
-
-    sign(value) * exp(log_scale) * |value| reconstructs P_n; the
-    normalization factors are strictly positive so sign changes and roots
-    are those of the true polynomial.
-    """
-
-    n: int
-    value: float
-    log_scale: float
-    derivative_omega: float
-
-
 # |P_j| past 2^200 rescales the state by 2^-200, and |P_j|, |P_{j-1}| both
 # below 2^-200 by 2^200: far from both ends of the float range, so
 # derivative slots a few powers of n larger stay finite
-_RESCALE_AT, _RESCALE_BY, _LOG_RESCALE = 2.0**200, 2.0**-200, 200 * math.log(2)
+_RESCALE_AT, _RESCALE_BY = 2.0**200, 2.0**-200
 
 
 def _eval_state(n: int, w: float, q: float, second: bool = False):
-    """Scaled (P, P_w, P_q) at (w, k^2=q), plus log scale.
+    """Scaled (P, P_w, P_q) at (w, k^2=q).
 
     With ``second`` the state also carries (P_ww, P_wq), which only the fold
     Newton reads.  The inputs become plain floats on entry, so numpy scalars
-    do not slow every step down.  exp(log_scale) * value is P_n: log_scale
-    is (rescalings down - rescalings up) * 200 ln 2
-    + ln max(|P_n|, |P_{n-1}|, 1), and that final division is the only
-    rounding the normalization adds.
+    do not slow every step down.  Every slot is the true one times the same
+    positive factor: powers of 2^200, which are exact, and the final
+    division by max(|P_n|, |P_{n-1}|, 1), the only rounding the
+    normalization adds.
     """
     if n == 0:
-        return ((1.0, 0.0, 0.0, 0.0, 0.0) if second else (1.0, 0.0, 0.0)), 0.0
+        return (1.0, 0.0, 0.0, 0.0, 0.0) if second else (1.0, 0.0, 0.0)
     w, q = float(w), float(q)
     # P.. is the state of P_j, Q.. that of P_{j-1}
     Q, Qw, Qq, Qww, Qwq = 1.0, 0.0, 0.0, 0.0, 0.0
     P, Pw, Pq, Pww, Pwq = w * (w + 1) + q, 2 * w + 1, 1.0, 2.0, 0.0
-    rescalings = 0
     w1sq = (w + 1) ** 2
     w1x2 = 2 * (w + 1)
     w1x4 = 4 * (w + 1)
@@ -101,14 +85,12 @@ def _eval_state(n: int, w: float, q: float, second: bool = False):
         P, Pw, Pq = P2, Pw2, Pq2
         # abs(P) > big, spelled out: faster than the builtin abs
         if P > big or P < -big:
-            rescalings += 1
             P, Pw, Pq, Q, Qw, Qq = P * by, Pw * by, Pq * by, Q * by, Qw * by, Qq * by
             if second:
                 Pww, Pwq, Qww, Qwq = Pww * by, Pwq * by, Qww * by, Qwq * by
         elif -by < P < by and -by < Q < by and (P or Q):
             # the mirror image where the state decays (w near -1, small q);
             # an exactly zero pair (q = 0 on a root of P_1) is left alone
-            rescalings -= 1
             P, Pw, Pq, Q, Qw, Qq = P * big, Pw * big, Pq * big, Q * big, Qw * big, Qq * big
             if second:
                 Pww, Pwq, Qww, Qwq = Pww * big, Pwq * big, Qww * big, Qwq * big
@@ -116,20 +98,9 @@ def _eval_state(n: int, w: float, q: float, second: bool = False):
         a += 2.0
         b += 2.0
     scale = max(abs(P), abs(Q), 1.0)
-    log_scale = rescalings * _LOG_RESCALE + math.log(scale)
     if second:
-        return (P / scale, Pw / scale, Pq / scale, Pww / scale, Pwq / scale), log_scale
-    return (P / scale, Pw / scale, Pq / scale), log_scale
-
-
-def eval_P(n: int, omega: float, k2: float) -> SpectralEval:
-    """Normalized evaluation of P_n(omega, k^2) with its omega-derivative."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if k2 < 0:
-        raise ValueError("k2 must be non-negative")
-    state, log_scale = _eval_state(n, omega, k2)
-    return SpectralEval(n, state[0], log_scale, state[1])
+        return (P / scale, Pw / scale, Pq / scale, Pww / scale, Pwq / scale)
+    return (P / scale, Pw / scale, Pq / scale)
 
 
 @dataclass(frozen=True)
@@ -166,12 +137,18 @@ class NoRootInInterval(Exception):
     """The safeguarded bracket contains no sign change."""
 
 
-def _safeguarded_newton(f, fprime, lo, hi, x0, done, max_iter=100):
-    """Newton iteration that falls back to bisection on a sign-change bracket.
+def _newton_done(step: float, prev: float) -> bool:
+    """Stopping test of the fold Newton, the branch polish and
+    `_safeguarded_newton`, on the size of the last update and the one before
+    it: below 1e-14, or below 1e-9 and no longer halving.  A converging
+    Newton at least halves its update; one that stops halving is moving by
+    rounding noise, which from n of about 100 on lies above 1e-14."""
+    return step < 1e-14 or (step < 1e-9 and step > 0.5 * prev)
 
-    ``done(step, prev)`` stops it on the size of the last update and the
-    one before it.
-    """
+
+def _safeguarded_newton(f, fprime, lo, hi, x0):
+    """Newton iteration that falls back to bisection on a sign-change
+    bracket, stopped by `_newton_done`."""
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
         return lo
@@ -183,7 +160,7 @@ def _safeguarded_newton(f, fprime, lo, hi, x0, done, max_iter=100):
         )
     x = min(max(x0, lo), hi)
     prev = math.inf
-    for _ in range(max_iter):
+    for _ in range(100):
         fx = f(x)
         if fx == 0.0:
             return x
@@ -196,7 +173,7 @@ def _safeguarded_newton(f, fprime, lo, hi, x0, done, max_iter=100):
         if not (lo < x_new < hi):
             x_new = 0.5 * (lo + hi)
         step = abs(x_new - x)
-        if done(step, prev):
+        if _newton_done(step, prev):
             return x_new
         x, prev = x_new, step
     return x
@@ -244,15 +221,13 @@ class BranchCurve:
 
             def state(w):
                 if memo[0] != w:
-                    memo[:] = w, _eval_state(self.n, w, q)[0]
+                    memo[:] = w, _eval_state(self.n, w, q)
                 return memo[1]
 
             seed = lo + (last.omega - lo) * math.sqrt((k_c - k) / (k_c - last.k))
             try:
                 return _safeguarded_newton(
-                    lambda w: state(w)[0],
-                    lambda w: state(w)[1],
-                    lo, last.omega, seed, _newton_done,
+                    lambda w: state(w)[0], lambda w: state(w)[1], lo, last.omega, seed
                 )
             except NoRootInInterval:
                 return lo
@@ -263,7 +238,7 @@ class BranchCurve:
             w = _hermite(self.samples[i - 1], self.samples[i], k)
         prev = math.inf
         for _ in range(50):
-            st, _ls = _eval_state(self.n, w, q)
+            st = _eval_state(self.n, w, q)
             if st[1] == 0:
                 break
             step = st[0] / st[1]
@@ -283,15 +258,6 @@ _STEP = 0.01
 _STEP_MIN = 1e-4
 _STEP_MAX = 0.05
 _MAX_ARCLENGTH = 4.0
-
-
-def _newton_done(step: float, prev: float) -> bool:
-    """Stopping test of the fold Newton and the branch polish, on the size
-    of the last update and the one before it: below 1e-14, or below 1e-9
-    and no longer halving.  A converging Newton at least halves its update;
-    one that stops halving is moving by rounding noise, which from n of
-    about 100 on lies above 1e-14."""
-    return step < 1e-14 or (step < 1e-9 and step > 0.5 * prev)
 
 
 def _normalized_residual(P: float, Pw: float, Pk: float = 0.0) -> float:
@@ -325,7 +291,7 @@ def _correct(n: int, pred, t):
     (k0, w0), (tk, tw) = pred, t
     k, w = pred
     for iters in range(1, 26):
-        st, _ = _eval_state(n, w, k * k)
+        st = _eval_state(n, w, k * k)
         P, Pw = st[0], st[1]
         Pk = st[2] * 2 * k
         g = tk * (k - k0) + tw * (w - w0)
@@ -388,7 +354,7 @@ def _refine_fold(n: int, u, t, h: float, tk_end: float, curvature=(0.0, 0.0)) ->
 
     prev = math.inf
     for _ in range(100):
-        st, _ = _eval_state(n, w, k * k, second=True)
+        st = _eval_state(n, w, k * k, second=True)
         P, Pw, Pq, Pww, Pwq = st
         Pk, Pwk = Pq * 2 * k, Pwq * 2 * k
         # Cramer's rule for [[Pw, Pk], [Pww, Pwk]] (dw, dk) = -(P, Pw)
@@ -404,7 +370,7 @@ def _refine_fold(n: int, u, t, h: float, tk_end: float, curvature=(0.0, 0.0)) ->
             break
         prev = step
 
-    st, _ = _eval_state(n, w, k * k, second=True)
+    st = _eval_state(n, w, k * k, second=True)
     P, Pw, Pq, Pww, Pwq = st
     residual = max(
         _normalized_residual(P, Pw, Pq * 2 * k),
@@ -432,7 +398,7 @@ def trace_branch(n: int) -> BranchCurve:
         raise ValueError("n must be >= 1")
 
     u = (0.0, 0.0)  # (k, omega)
-    t = _tangent(_eval_state(n, 0.0, 0.0)[0], 0.0)
+    t = _tangent(_eval_state(n, 0.0, 0.0), 0.0)
     samples = [BranchSample(0.0, 0.0, t[1] / t[0])]
     curve = BranchCurve(n, samples)
     ck, cw = 0.0, 0.0  # dt/ds over the last step

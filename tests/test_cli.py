@@ -253,6 +253,20 @@ def test_dispersion_grid_stops_at_k_max(tmp_path, k_min, k_max, k_step):
     assert float(k_max) - ks[-1] < float(k_step)
 
 
+def test_dispersion_k_squared_underflow(tmp_path):
+    # k = 1e-200 squares to 0 in floats: the row is the k = 0 row
+    code, out = run(
+        tmp_path, "dispersion", "--k-min", "1e-200", "--k-max", "0.01",
+        "--k-step", "0.01", "--n-list", "1",
+    )
+    assert code == 0
+    header, rows = read_csv(out)
+    assert len(rows) == 2
+    for name in ("omega_exact", "omega_resummed"):
+        assert rows[0][header.index(name)] == "0"
+        assert float(rows[1][header.index(name)]) < 0
+
+
 def test_dispersion_rejects_bad_grid(tmp_path):
     code, _ = run(tmp_path, "dispersion", "--k-min", "0.5", "--k-max", "0.1")
     assert code == 2
@@ -299,6 +313,17 @@ def test_pade_order_bound_checked_before_coefficients(tmp_path, monkeypatch, cap
 
 
 # --- output handling ----------------------------------------------------------------
+
+def test_out_in_missing_directory_is_config_error(tmp_path, monkeypatch, capsys):
+    # refused by validation, before any fold is computed
+    calls = []
+    monkeypatch.setattr(cli, "find_fold", calls.append)
+    out = tmp_path / "missing" / "x.csv"
+    assert main(["folds", "--n-list", "400", "--out", str(out)]) == 2
+    assert calls == []
+    assert "no such directory" in capsys.readouterr().err
+    assert not out.parent.exists()
+
 
 def test_repeated_runs_are_byte_identical(tmp_path):
     argv = ["dispersion", "--k-min", "0", "--k-max", "0.3", "--k-step", "0.1",

@@ -10,7 +10,7 @@ from attractor_kit.ce import WeightModel
 from attractor_kit.dispersion import (
     _DERIV_CF_MIN,
     _ERFCX_SPLIT,
-    Method,
+    K_GRID_MAX,
     NoRootInInterval,
     SeriesDivergent,
     compare_methods,
@@ -104,8 +104,10 @@ def test_resolvent_derivative_matches_mpmath_diff():
 
 def test_exact_gaussian_small_k():
     s = solve_exact_gaussian(0.1)
-    assert s.method is Method.EXACT_GAUSSIAN
     assert -0.01 < s.omega < -0.0099
+    # where k^2 underflows to 0, so does the root -k^2 + O(k^4)
+    tiny = solve_exact_gaussian(1e-200)
+    assert (tiny.omega, tiny.residual) == (0.0, 0.0)
     # bisection oracle on the same condition
     from scipy.optimize import brentq
 
@@ -168,7 +170,6 @@ def test_bounded_uniform_matches_closed_form():
     for k in (0.1, 0.5, 0.9):
         s = solve_exact_bounded(k, WeightModel.bounded_uniform())
         assert s.omega == pytest.approx(k / math.tan(k) - 1, abs=1e-12)
-        assert s.method is Method.EXACT_BOUNDED
 
 
 def test_bounded_uniform_small_k():
@@ -232,40 +233,65 @@ def test_bounded_rejects_gaussian():
 
 @pytest.fixture(scope="module")
 def table():
-    ks = [0.0, 0.2, 0.4, 0.8, 1.1]
-    return compare_methods(ks, branch_orders=(1, 50))
+    # 1e-200 squares to 0 in floats: its row is the k = 0 row
+    ks = [0.0, 1e-200, 0.2, 0.4, 0.8, 1.1]
+    return compare_methods(ks, (1, 50), 14, 14)
 
 
 def test_compare_zero_row(table):
-    for name, col in table.columns.items():
-        if name.startswith("omega_"):
-            assert col[0] == 0.0
+    for name, col in table.items():
+        if name.startswith(("omega_", "dev_")):
+            assert col[:2] == [0.0, 0.0]
 
 
 def test_compare_truncations_diverge(table):
-    i = table.k_grid.index(0.8)
-    exact = table.columns["omega_exact"][i]
-    assert abs(table.columns["omega_ce4"][i] - exact) > abs(
-        table.columns["omega_resummed"][i] - exact
-    )
-    assert abs(table.columns["omega_ce2"][i] - exact) > abs(
-        table.columns["omega_resummed"][i] - exact
-    )
+    i = table["k"].index(0.8)
+    exact = table["omega_exact"][i]
+    assert abs(table["omega_ce4"][i] - exact) > abs(table["omega_resummed"][i] - exact)
+    assert abs(table["omega_ce2"][i] - exact) > abs(table["omega_resummed"][i] - exact)
 
 
 def test_compare_branch_ends_at_fold(table):
-    col = table.columns["omega_branch_n50"]
-    i = table.k_grid.index(1.1)
+    col = table["omega_branch_n50"]
+    i = table["k"].index(1.1)
     assert math.isnan(col[i])
-    assert not table.columns["physical_n50"][i]
-    assert not math.isnan(col[table.k_grid.index(0.8)])
+    assert not table["physical_n50"][i]
+    assert not math.isnan(col[table["k"].index(0.8)])
 
 
 def test_compare_deviation_columns(table):
-    dev = table.columns["dev_resummed"]
+    dev = table["dev_resummed"]
     assert max(abs(d) for d in dev if not math.isnan(d)) < 1e-5
 
 
 def test_compare_rejects_out_of_range_grid():
     with pytest.raises(ValueError):
-        compare_methods([1.5])
+        compare_methods([1.5], (1,), 14, 14)
+
+
+def test_compare_fills_ce4_at_the_smallest_pade_orders():
+    # [0/0] needs a_2 alone; omega_ce4 still reads a_4
+    table = compare_methods([0.5], (1,), 0, 0)
+    assert table["omega_ce4"] == [-0.25 + 0.0625]
+    assert table["omega_resummed"] == [0.0]
+
+
+def test_exact_column_finite_on_the_finest_accepted_grid():
+    # every k of the largest grid the CLI accepts (step 1e-4, 12001 points)
+    # has a hydrodynamic root in (-1, 0), so no exact cell is left empty
+    ks = [1e-4 * i for i in range(1, 12001)]
+    assert ks[-1] <= K_GRID_MAX + 1e-9
+    for k in ks:
+        w = solve_exact_gaussian(k).omega
+        assert -1 < w < 0
+
+
+def test_exact_bracket_changes_sign_at_the_grid_edge():
+    # the solver brackets the root by [-1 + 1e-9, 0]; at the largest k a
+    # grid may hold the condition still changes sign across it
+    k = K_GRID_MAX + 1e-9
+
+    def f(w):
+        return (w + 1) - gaussian_resolvent((1 + w) ** 2 / (k * k))
+
+    assert f(-1 + 1e-9) < 0 < f(0.0)

@@ -15,14 +15,13 @@ from attractor_kit.spectral import (
     _eval_state,
     _normalized_residual,
     _refine_fold,
-    eval_P,
     find_fold,
     trace_branch,
 )
 
 
 def exact_P(n, w, q):
-    """Exact-rational evaluation of the recurrence; oracle for eval_P."""
+    """Exact-rational evaluation of the recurrence."""
     w, q = Fr(w), Fr(q)
     p0, p1 = Fr(1), w * (w + 1) + q
     if n == 0:
@@ -34,8 +33,16 @@ def exact_P(n, w, q):
     return p1
 
 
-def reconstruct(ev):
-    return math.copysign(math.exp(ev.log_scale) * abs(ev.value), ev.value)
+def assert_common_factor(state, exact, rel):
+    """One factor c > 0 maps every slot of the scaled state onto the exact
+    Fraction in the same slot, to ``rel``; c is read off the state's
+    largest slot, and returned."""
+    i = max(range(len(state)), key=lambda j: abs(state[j]))
+    c = Fr(exact[i]) / Fr(state[i])
+    assert c > 0
+    for got, want in zip(state, exact):
+        assert abs(Fr(got) * c - want) <= Fr(rel) * abs(want)
+    return c
 
 
 def mp_state(n, w, q):
@@ -61,75 +68,76 @@ def mp_state(n, w, q):
     return cur
 
 
-# --- eval_P -----------------------------------------------------------------
+# --- _eval_state ---------------------------------------------------------------
 
 def test_eval_P0_is_one():
     for w, q in [(0.3, 0.1), (-0.9, 1.4), (2.0, 0.0)]:
-        assert eval_P(0, w, q).value == 1.0
+        assert _eval_state(0, w, q)[0] == 1.0
 
 
 def test_eval_P1_vanishes_at_origin():
-    assert eval_P(1, 0.0, 0.0).value == 0.0
+    assert _eval_state(1, 0.0, 0.0)[0] == 0.0
 
 
 def test_eval_P2_hand_value():
-    # [(1)^2 + 5*0.01]*0.01 - (0.0001)(2)(1)(1) = 0.0103
-    ev = eval_P(2, 0.0, 0.01)
-    assert reconstruct(ev) == pytest.approx(0.0103, rel=1e-12)
+    # [(1)^2 + 5*0.01]*0.01 - (0.0001)(2)(1)(1) = 0.0103; |P_2| and |P_1|
+    # stay below 1, so the state is not scaled
+    assert _eval_state(2, 0.0, 0.01)[0] == pytest.approx(0.0103, rel=1e-12)
 
 
 def test_eval_matches_exact_rational_oracle_on_grid():
-    # sign and magnitude agree with the exact recurrence for n <= 10
+    # sign, and one positive factor onto the exact (P, P_w, P_q) for n <= 10
     for n in (3, 7, 10):
+        P = _integer_polynomial(n)
+        polys = (P, _differentiate(P, 0), _differentiate(P, 1))
         for i in range(8):
             for j in range(8):
                 w = -0.95 + 0.125 * i
                 q = 0.02 + 0.15 * j
-                exact = float(exact_P(n, Fr(w), Fr(q)))
-                got = reconstruct(eval_P(n, w, q))
-                assert got == pytest.approx(exact, rel=1e-10)
+                exact = [_evaluate(p, Fr(w), Fr(q)) for p in polys]
+                state = _eval_state(n, w, q)
+                assert math.copysign(1, state[0]) == math.copysign(1, exact[0])
+                assert_common_factor(state, exact, 1e-10)
 
 
 def test_eval_P_no_overflow_at_large_order():
     # at the largest order and wavenumber the CLI accepts, P_n is far past
     # the float range (log|P_n| ~ 2400); the normalized value stays O(1) and
-    # agrees with the unscaled recurrence in mpmath
+    # agrees in sign and P_w/P with the unscaled recurrence in mpmath
     for w in (-0.99, -0.5, 0.0):
-        ev = eval_P(N_LIST_MAX, w, K_GRID_MAX**2)
-        assert math.isfinite(ev.value) and math.isfinite(ev.derivative_omega)
-        assert 0 < abs(ev.value) <= 1 and ev.log_scale > 2000
+        value, derivative = _eval_state(N_LIST_MAX, w, K_GRID_MAX**2)[:2]
+        assert math.isfinite(value) and math.isfinite(derivative)
+        assert 0 < abs(value) <= 1
         with mpmath.workdps(30):
             P, Pw = mp_state(N_LIST_MAX, w, mpmath.mpf(K_GRID_MAX) ** 2)[:2]
-            assert mpmath.sign(P) == math.copysign(1, ev.value)
-            log_abs = float(mpmath.log(abs(P)))
-            assert ev.log_scale + math.log(abs(ev.value)) == pytest.approx(log_abs, rel=1e-13)
-            assert ev.derivative_omega / ev.value == pytest.approx(float(Pw / P), rel=1e-10)
+            assert abs(P) > mpmath.mpf(10) ** 1000
+            assert mpmath.sign(P) == math.copysign(1, value)
+            assert derivative / value == pytest.approx(float(Pw / P), rel=1e-10)
 
 
 def test_eval_P_no_underflow_where_the_state_decays():
     # at w = -1 each step multiplies P_j by about (4j - 3) q < 1, so without
     # rescaling upwards P_400 underflows to an exact zero: a false root
     for w in (-1.0, -0.999):
-        ev = eval_P(400, w, 1e-4)
-        assert ev.value != 0 and math.isfinite(ev.derivative_omega)
-        assert 0 < abs(ev.value) <= 1 and ev.log_scale < -1000
+        value, derivative = _eval_state(400, w, 1e-4)[:2]
+        assert value != 0 and math.isfinite(derivative)
+        assert 0 < abs(value) <= 1
         with mpmath.workdps(30):
             P, Pw = mp_state(400, w, 1e-4)[:2]
-            assert mpmath.sign(P) == math.copysign(1, ev.value)
-            log_abs = float(mpmath.log(abs(P)))
-            assert ev.log_scale + math.log(abs(ev.value)) == pytest.approx(log_abs, rel=1e-13)
-            assert ev.derivative_omega / ev.value == pytest.approx(float(Pw / P), rel=1e-10)
+            assert abs(P) < mpmath.mpf(10) ** -400
+            assert mpmath.sign(P) == math.copysign(1, value)
+            assert derivative / value == pytest.approx(float(Pw / P), rel=1e-10)
 
 
 def test_eval_P_derivative_matches_difference_quotient():
+    # the factor that maps the scaled P onto the exact one maps P_w onto the
+    # exact polynomial's difference quotient
     n, w, q, h = 12, -0.4, 0.3, 1e-6
-    a = eval_P(n, w + h, q)
-    b = eval_P(n, w - h, q)
-    dnum = (reconstruct(a) - reconstruct(b)) / (2 * h)
-    ev = eval_P(n, w, q)
-    assert math.copysign(
-        math.exp(ev.log_scale) * abs(ev.derivative_omega), ev.derivative_omega
-    ) == pytest.approx(dnum, rel=1e-6)
+    value, derivative = _eval_state(n, w, q)[:2]
+    c = exact_P(n, w, q) / Fr(value)
+    assert c > 0
+    dnum = (exact_P(n, w + h, q) - exact_P(n, w - h, q)) / Fr(2 * h)
+    assert float(Fr(derivative) * c) == pytest.approx(float(dnum), rel=1e-6)
 
 
 def _integer_polynomial(n):
@@ -163,6 +171,11 @@ def _differentiate(poly, var):
     return out
 
 
+def _evaluate(poly, w, q):
+    """poly(w, q) exactly, for Fractions w and q."""
+    return sum(c * w**i * q**m for (i, m), c in poly.items())
+
+
 def _evaluate_at_eighths(poly, a, b):
     """poly(a/8, b/8) exactly, through one integer numerator."""
     I = max((i for i, _ in poly), default=0)
@@ -174,24 +187,24 @@ def _evaluate_at_eighths(poly, a, b):
 @pytest.mark.parametrize("n", [1, 2, 5, 50, 100])
 def test_eval_state_matches_exact_polynomial_derivatives(n):
     # independent oracle: the exact bivariate polynomial, differentiated
-    # symbolically; both the 3-slot and the 5-slot state are checked.  At
-    # n = 100, q = 10/8 the state is rescaled by 2^-200 two or three times.
+    # symbolically; one positive factor maps both the 3-slot and the 5-slot
+    # state onto it.  At n = 100, q = 10/8 the state is rescaled by 2^-200
+    # two or three times.
     P = _integer_polynomial(n)
     Pw = _differentiate(P, 0)
     polys = (P, Pw, _differentiate(P, 1), _differentiate(Pw, 0), _differentiate(Pw, 1))
     for a in (-10, -6, -2, 4):  # w = a/8
         for b in (1, 6, 10):  # q = b/8
-            exact = [float(_evaluate_at_eighths(p, a, b)) for p in polys]
-            st5, ls5 = _eval_state(n, a / 8, b / 8, second=True)
-            st3, ls3 = _eval_state(n, a / 8, b / 8)
-            if n == 100 and b == 10:
-                # ln max(|P_n|, |P_{n-1}|, 1) stays below 201 ln 2 after the
-                # last rescaling, so at least two rescalings fired
-                assert ls5 > 3 * 200 * math.log(2)
+            exact = [_evaluate_at_eighths(p, a, b) for p in polys]
+            st5 = _eval_state(n, a / 8, b / 8, second=True)
+            st3 = _eval_state(n, a / 8, b / 8)
             assert len(st5) == 5 and len(st3) == 3
-            assert st3 == st5[:3] and ls3 == ls5
-            got = [v * math.exp(ls5) for v in st5]
-            assert got == pytest.approx(exact, rel=1e-12, abs=0)
+            assert st3 == st5[:3]
+            c = assert_common_factor(st5, exact, 1e-12)
+            if n == 100 and b == 10:
+                # max(|P_n|, |P_{n-1}|, 1) stays below 2^201 after the last
+                # rescaling, so at least two rescalings fired
+                assert c > 2**600
 
 
 def test_eval_state_numpy_scalars_give_plain_floats():
@@ -200,15 +213,7 @@ def test_eval_state_numpy_scalars_give_plain_floats():
             ref = _eval_state(n, w, q, second=second)
             got = _eval_state(n, np.float64(w), np.float64(q), second=second)
             assert got == ref
-            state, log_scale = got
-            assert all(type(v) is float for v in state + (log_scale,))
-
-
-def test_eval_P_input_validation():
-    with pytest.raises(ValueError):
-        eval_P(-1, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        eval_P(2, 0.0, -0.1)
+            assert all(type(v) is float for v in got)
 
 
 # --- branch tracing -----------------------------------------------------------
@@ -243,7 +248,7 @@ def test_branch_n1_small_k_diffusion_slope(branch_1):
 
 def test_branch_samples_satisfy_residual(branch_50):
     for s in branch_50.samples:
-        st, _ = _eval_state(50, s.omega, s.k**2)
+        st = _eval_state(50, s.omega, s.k**2)
         assert _normalized_residual(st[0], st[1], st[2] * 2 * s.k) < 1e-10
 
 
@@ -300,7 +305,7 @@ def test_branch_n50_between_last_sample_and_fold(branch_50):
     assert last < 1.03 < branch_50.fold.k_c
     w = branch_50.omega_at(1.03)
     assert branch_50.fold.omega_c < w < -0.5
-    st, _ = _eval_state(50, w, 1.03**2)
+    st = _eval_state(50, w, 1.03**2)
     assert _normalized_residual(st[0], st[1]) < 1e-12
 
 
