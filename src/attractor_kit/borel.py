@@ -64,14 +64,6 @@ class PadeApproximant:
     residues: np.ndarray
 
     @property
-    def L(self) -> int:
-        return len(self.num) - 1
-
-    @property
-    def M(self) -> int:
-        return len(self.den) - 1
-
-    @property
     def physical(self) -> np.ndarray:
         """Mask of the genuine poles, those not flagged as Froissart doublets."""
         return np.abs(self.residues) > _SPURIOUS_RESIDUE

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import enum
 import math
+import statistics
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 from typing import Callable, Sequence
-
-import numpy as np
 
 
 class InsufficientData(Exception):
@@ -266,9 +265,10 @@ def radius_estimate(c: CECoefficients) -> RadiusEstimate:
         raise InsufficientData("radius extrapolation needs >= 8 coefficients")
     ratios = ratio_sequence(c)
     m = max(len(ratios) // 3, 3)
-    n = np.arange(1, len(ratios) + 1)[-m:]
-    y = 1.0 / np.asarray(ratios[-m:])
-    slope, intercept = np.polyfit(1.0 / n, y, 1)
-    radius = max(float(intercept), 0.0)
+    start = len(ratios) - m
+    inv_n = [1.0 / n for n in range(start + 1, len(ratios) + 1)]
+    inv_r = [1.0 / r for r in ratios[start:]]
+    _slope, intercept = statistics.linear_regression(inv_n, inv_r)
+    radius = max(intercept, 0.0)
     return RadiusEstimate(radius, radius < _DIVERGENT_RADIUS)
 

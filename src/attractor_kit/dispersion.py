@@ -39,177 +39,148 @@ class DispersionSample:
     residual: float
 
 
-# below this u, erfcx(u) = exp(u^2) erfc(u) with u^2 split exactly; above
-# it erfc(u) ~ 1e-296 nears underflow and the continued fraction converges
-# to double precision within _ERFCX_CF_TERMS terms
-_ERFCX_SPLIT = 26.0
-_ERFCX_CF_TERMS = 12
-# Dekker's splitting constant 2^27 + 1 for doubles
-_DEKKER = 134217729.0
-# from this u on, dI/du comes from the continued fraction: the closed form
-# (1 + 2u^2) sqrt(pi) erfcx(u) - 2u cancels all but ~1/u^3 of its ~2u terms
-_DERIV_CF_MIN = 2.0
+# below this u the resolvent comes from exp(u^2) erfc(u); from it on, from
+# Laplace's continued fraction, with _CF_TERMS + 240/u^2 terms
+_CF_MIN = 2.0
+_CF_TERMS = 12
 
 
-def _laplace_cf(u: float, terms: int) -> tuple:
-    """Tails K_1, K_2, K_3 of K_n = u + (n/2)/K_{n+1}, evaluated bottom-up.
+def _resolvent(A: float) -> tuple:
+    """(I, 1 - I, dI/dA) at A > 0, with I(A) = sqrt(pi) u exp(u^2) erfc(u)
+    and u = sqrt(A/2).
 
-    Laplace's continued fraction for erfc gives erfcx(u) = 1/(sqrt(pi) K_1)
-    (Cody, Math. Comp. 23 (1969) 631).
+    Below u = _CF_MIN: erfcx(u) = exp(u^2) erfc(u) from the C library, and
+    dI/du = sqrt(pi) (1 + 2u^2) erfcx(u) - 2u, from
+    erfcx'(u) = 2u erfcx(u) - 2/sqrt(pi).  From it on, Laplace's continued
+    fraction K_n = u + (n/2)/K_{n+1} gives erfcx(u) = 1/(sqrt(pi) K_1)
+    (Cody, Math. Comp. 23 (1969) 631), and with it, without cancellation,
+    I = u/K_1, 1 - I = 1/(2 K_1 K_2) and dI/du = 1/(K_1 K_2 K_3).  The
+    fraction, evaluated bottom-up, has an error falling like
+    exp(-2u sqrt(2N)) in its term count N, and 12 + 240/u^2 terms reach
+    double precision for every u >= 2.
     """
+    u = math.sqrt(A / 2.0)
+    if u < _CF_MIN:
+        e = math.exp(u * u) * math.erfc(u)
+        I = math.sqrt(math.pi) * u * e
+        dI_du = math.sqrt(math.pi) * (e + 2 * u * u * e) - 2 * u
+        return I, 1.0 - I, dI_du / (4 * u)
     k3 = k2 = k1 = u
-    for n in range(terms, 0, -1):
+    for n in range(_CF_TERMS + int(240.0 / (u * u)), 0, -1):
         k3, k2, k1 = k2, k1, u + 0.5 * n / k1
-    return k1, k2, k3
-
-
-def _erfcx(u: float) -> float:
-    """Scaled complementary error function exp(u^2) erfc(u) for u >= 0.
-
-    Small u: u^2 = hi + lo exactly (Dekker), so exp(u^2) = exp(hi)(1 + lo)
-    to within lo^2, and erfc(u) comes from the C library.  Large u: the
-    Laplace continued fraction.
-    """
-    if u < _ERFCX_SPLIT:
-        c = _DEKKER * u
-        uh = c - (c - u)
-        ul = u - uh
-        hi = u * u
-        lo = ((uh * uh - hi) + 2.0 * uh * ul) + ul * ul
-        return math.exp(hi) * (1.0 + lo) * math.erfc(u)
-    return 1.0 / (math.sqrt(math.pi) * _laplace_cf(u, _ERFCX_CF_TERMS)[0])
+    return u / k1, 0.5 / (k1 * k2), 1.0 / (4 * u * k1 * k2 * k3)
 
 
 def gaussian_resolvent(A: float) -> float:
     """I(A) = sqrt(pi A/2) exp(A/2) erfc(sqrt(A/2)).
 
-    Closed form of the Maxwellian average of A/(A + v^2); the scaled
-    complementary error function keeps it finite at large A.
+    Closed form of the Maxwellian average of A/(A + v^2), finite at large A.
     """
     if A <= 0:
         raise ValueError("A must be positive")
-    u = math.sqrt(A / 2.0)
-    return math.sqrt(math.pi) * u * _erfcx(u)
-
-
-def _gaussian_resolvent_dA(A: float) -> float:
-    """dI/dA = (dI/du) / (4u) with I = sqrt(pi) u erfcx(u), u = sqrt(A/2).
-
-    Small u: dI/du = sqrt(pi) (1 + 2u^2) erfcx(u) - 2u, from
-    erfcx'(u) = 2u erfcx(u) - 2/sqrt(pi).  Otherwise the same quantity
-    without cancellation: dI/du = 1/(K_1 K_2 K_3).  The fraction's error
-    falls like exp(-2u sqrt(2N)) in its term count N, and 12 + 240/u^2
-    terms reach double precision for every u >= 2.
-    """
-    u = math.sqrt(A / 2.0)
-    if u < _DERIV_CF_MIN:
-        e = _erfcx(u)
-        dI_du = math.sqrt(math.pi) * (e + 2 * u * u * e) - 2 * u
-    else:
-        k1, k2, k3 = _laplace_cf(u, _ERFCX_CF_TERMS + int(240.0 / (u * u)))
-        dI_du = 1.0 / (k1 * k2 * k3)
-    return dI_du / (4 * u)
+    return _resolvent(A)[0]
 
 
 def solve_exact_gaussian(k: float) -> DispersionSample:
     """Root of (w+1) - I((1+w)^2/k^2) on the hydrodynamic interval (-1, 0].
 
     Starts from the 4th-order gradient estimate -k^2 + k^4 for small k.
-    The kinetic eigenvalue w = -1 is excluded by construction.  Where k^2
-    underflows to 0, so does the root -k^2 + O(k^4): it is 0.
+    Once 1 - I < 1/2 the residual is w + (1 - I), which keeps the root's
+    relative accuracy where w is far smaller than 1.  The kinetic eigenvalue
+    w = -1 is excluded by construction.  At k = 0, and where k^2 underflows
+    to 0, the root -k^2 + O(k^4) is 0.
     """
-    if k <= 0:
-        raise ValueError("k must be positive")
+    if k < 0:
+        raise ValueError("k must be non-negative")
     if k * k == 0:
         return DispersionSample(k, 0.0, 0.0)
 
-    def f(w):
-        return (w + 1) - gaussian_resolvent((1 + w) ** 2 / (k * k))
-
-    def fprime(w):
+    def fg(w):
         A = (1 + w) ** 2 / (k * k)
-        return 1 - _gaussian_resolvent_dA(A) * 2 * (1 + w) / (k * k)
+        I, one_minus_I, dI_dA = _resolvent(A)
+        r = w + one_minus_I if one_minus_I < 0.5 else (w + 1) - I
+        return r, 1 - dI_dA * 2 * (1 + w) / (k * k)
 
     x0 = -k * k + k**4 if k <= 0.5 else -0.2
-    w = _safeguarded_newton(f, fprime, -1 + 1e-9, 0.0, x0)
-    return DispersionSample(k, w, abs(f(w)))
+    w = _safeguarded_newton(fg, -1 + 1e-9, 0.0, x0)
+    return DispersionSample(k, w, abs(fg(w)[0]))
 
 
 # terms of a custom weight's moment series that the exact solver sums
 _BOUNDED_SERIES_TERMS = 60
 
 
-def _bounded_series_sum(coeffs: Sequence[float], x: float) -> float:
-    """Sum of the moment series sum_m coeffs[m-1] x^m, with divergence guard.
+def _bounded_series(coeffs: Sequence[float], x: float) -> tuple:
+    """The moment series F(x) = sum_m coeffs[m-1] x^m and x F'(x).
 
     ``coeffs`` are the float source-series coefficients (-1)^m mu_{2m},
     built once per solve.
     """
-    total = 0.0
-    prev_term = math.inf
-    growing = 0
+    F = xdF = 0.0
     for m, c in enumerate(coeffs, start=1):
         term = c * x**m
-        total += term
-        if abs(term) > prev_term:
-            growing += 1
-            if growing >= 3 and abs(term) > 1e-12:
-                raise SeriesDivergent(
-                    f"moment series terms growing at x = {x:.6g}"
-                )
-        else:
-            growing = 0
-        prev_term = abs(term)
-    return total
+        F += term
+        xdF += m * term
+    return F, xdF
 
 
 def solve_exact_bounded(k: float, w: WeightModel) -> DispersionSample:
     """Hydrodynamic root for a bounded-support weight.
 
-    The uniform weight admits the closed condition arctan(k/(1+w)) = k
-    (imaginary part cancels by symmetry); custom weights are solved through
-    their moment series with a convergence check on x = k^2/(1+w)^2.
+    The uniform weight's condition arctan(k/(1+w)) = k (the imaginary part
+    cancels by symmetry) has the root w = k cot k - 1, in (-1, 0) for
+    0 < k < pi/2.  Custom weights are solved through their moment series in
+    x = k^2/(1+w)^2, which alternates and, with non-increasing moments,
+    has terms that do not grow for x <= 1: the first omitted term then
+    bounds the truncation error, and a root where it exceeds 1e-15 is
+    refused.  So is every k >= 1, where x >= 1 on all of (-1, 0].
     """
     if not w.bounded:
         raise ValueError("use solve_exact_gaussian for the Gaussian weight")
-    if k == 0:
-        return DispersionSample(0.0, 0.0, 0.0)
     if k < 0:
         raise ValueError("k must be non-negative")
+    if k * k == 0:
+        return DispersionSample(k, 0.0, 0.0)
 
     if w.kind is WeightKind.BOUNDED_UNIFORM:
+        if k >= math.pi / 2:
+            raise NoRootInInterval(f"k cot k - 1 <= -1 at k = {k:.6g} >= pi/2")
+        # k cot k - 1 = (k cos k - sin k)/sin k, with the numerator summed as
+        # sum_n (-1)^n 2n k^(2n+1)/(2n+1)!: k/tan(k) - 1 would cancel to an
+        # absolute 1e-16 at small k, while 14 terms of the sum keep 5e-16
+        # relative accuracy on all of (0, pi/2)
+        num, term = 0.0, k
+        for n in range(1, 15):
+            term *= -k * k / ((2 * n) * (2 * n + 1))
+            num += 2 * n * term
+        root = num / math.sin(k)
+        return DispersionSample(k, root, abs(math.atan(k / (1 + root)) - k))
 
-        def f(om):
-            return math.atan(k / (1 + om)) - k
+    if k >= 1:
+        raise SeriesDivergent(
+            f"x = k^2/(1+w)^2 >= 1 on all of (-1, 0] at k = {k:.6g}"
+        )
+    coeffs = [float(c) for c in build_source_series(w, _BOUNDED_SERIES_TERMS)[1:]]
 
-        def fprime(om):
-            a = 1 + om
-            return -k / (a * a + k * k)
+    def fg(om):
+        F, xdF = _bounded_series(coeffs, k * k / (1 + om) ** 2)
+        return om - F, 1 + 2 * xdF / (1 + om)
 
-        root = _safeguarded_newton(f, fprime, -1 + 1e-12, 0.0, -k * k / 3)
-        return DispersionSample(k, root, abs(f(root)))
-
-    source = build_source_series(w, _BOUNDED_SERIES_TERMS)
-    coeffs = [float(c) for c in source[1:]]
-
-    def f(om):
-        x = k * k / (1 + om) ** 2
-        return om - _bounded_series_sum(coeffs, x)
-
-    def fprime(om, h=1e-7):
-        return (f(om + h) - f(om - h)) / (2 * h)
-
-    # the moment series is only summable for x = k^2/(1+om)^2 below ~1
-    # (monotone moments <= 1), so the bracket stops at 1 + om = k
+    # the bracket stops where x reaches 1, at 1 + om = k
     lo = max(-1 + 1e-6, k - 1 + 1e-7)
     try:
-        root = _safeguarded_newton(f, fprime, lo, 0.0, -k * k / 3)
+        root = _safeguarded_newton(fg, lo, 0.0, -k * k / 3)
     except NoRootInInterval as exc:
         raise SeriesDivergent(
             f"root at k = {k:.6g} lies outside the moment series' "
             "convergence region"
         ) from exc
-    return DispersionSample(k, root, abs(f(root)))
+    tail = abs(coeffs[-1]) * (k * k / (1 + root) ** 2) ** (len(coeffs) + 1)
+    if tail > 1e-15:
+        raise SeriesDivergent(
+            f"moment series truncated at k = {k:.6g} with a tail up to {tail:.3g}"
+        )
+    return DispersionSample(k, root, abs(fg(root)[0]))
 
 
 def compare_methods(
@@ -233,7 +204,7 @@ def compare_methods(
     branches = {n: trace_branch(n) for n in branch_orders}
 
     cols: dict = {"k": ks}
-    exact = [solve_exact_gaussian(k).omega if k else 0.0 for k in ks]
+    exact = [solve_exact_gaussian(k).omega for k in ks]
     cols["omega_exact"] = exact
     cols["omega_resummed"] = [float(v) for v in resum(ks)]
     for n in branch_orders:

@@ -146,10 +146,11 @@ def _newton_done(step: float, prev: float) -> bool:
     return step < 1e-14 or (step < 1e-9 and step > 0.5 * prev)
 
 
-def _safeguarded_newton(f, fprime, lo, hi, x0):
+def _safeguarded_newton(fg, lo, hi, x0):
     """Newton iteration that falls back to bisection on a sign-change
-    bracket, stopped by `_newton_done`."""
-    flo, fhi = f(lo), f(hi)
+    bracket, stopped by `_newton_done`.  ``fg(x)`` returns the value and
+    the slope at x from one evaluation."""
+    flo, fhi = fg(lo)[0], fg(hi)[0]
     if flo == 0.0:
         return lo
     if fhi == 0.0:
@@ -161,14 +162,13 @@ def _safeguarded_newton(f, fprime, lo, hi, x0):
     x = min(max(x0, lo), hi)
     prev = math.inf
     for _ in range(100):
-        fx = f(x)
+        fx, d = fg(x)
         if fx == 0.0:
             return x
         if fx * flo < 0:
             hi = x
         else:
             lo, flo = x, fx
-        d = fprime(x)
         x_new = x - fx / d if d != 0 else math.nan
         if not (lo < x_new < hi):
             x_new = 0.5 * (lo + hi)
@@ -215,19 +215,10 @@ class BranchCurve:
         q = k * k
         if past_samples:
             k_c, lo = self.fold.k_c, self.fold.omega_c
-            # Newton asks for P and then P_w at the same iterate: one
-            # recurrence serves both
-            memo = [None, None]
-
-            def state(w):
-                if memo[0] != w:
-                    memo[:] = w, _eval_state(self.n, w, q)
-                return memo[1]
-
             seed = lo + (last.omega - lo) * math.sqrt((k_c - k) / (k_c - last.k))
             try:
                 return _safeguarded_newton(
-                    lambda w: state(w)[0], lambda w: state(w)[1], lo, last.omega, seed
+                    lambda w: _eval_state(self.n, w, q)[:2], lo, last.omega, seed
                 )
             except NoRootInInterval:
                 return lo

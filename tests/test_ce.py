@@ -1,8 +1,11 @@
+import importlib.util
 import math
+import sys
 from fractions import Fraction as Fr
 
 import pytest
 
+import attractor_kit.ce
 from attractor_kit.ce import (
     CECoefficients,
     InsufficientData,
@@ -184,6 +187,19 @@ def test_radius_geometric_input():
     vals = tuple(Fr(-1, 2) ** n for n in range(1, 13))
     est = radius_estimate(CECoefficients(vals, WeightModel.gaussian()))
     assert est.radius == pytest.approx(2.0, rel=0.05)
+
+
+def test_ce_loads_without_numpy(monkeypatch):
+    # None in sys.modules makes `import numpy` raise ImportError
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    spec = importlib.util.spec_from_file_location("ce_without_numpy", attractor_kit.ce.__file__)
+    ce = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up in sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, ce)
+    spec.loader.exec_module(ce)
+    est = ce.radius_estimate(ce.ce_coefficients(ce.WeightModel.bounded_uniform(), 30))
+    ref = radius_estimate(ce_coefficients(WeightModel.bounded_uniform(), 30))
+    assert est.radius == ref.radius
 
 
 def test_radius_needs_eight_coefficients():

@@ -6,16 +6,14 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from attractor_kit.ce import WeightModel
+from attractor_kit.ce import WeightModel, ce_coefficients
 from attractor_kit.dispersion import (
-    _DERIV_CF_MIN,
-    _ERFCX_SPLIT,
+    _CF_MIN,
     K_GRID_MAX,
     NoRootInInterval,
     SeriesDivergent,
+    _resolvent,
     compare_methods,
-    _erfcx,
-    _gaussian_resolvent_dA,
     gaussian_resolvent,
     solve_exact_bounded,
     solve_exact_gaussian,
@@ -77,27 +75,31 @@ def mp_resolvent(A):
     return mpmath.sqrt(mpmath.pi) * u * mpmath.exp(u * u) * mpmath.erfc(u)
 
 
-def test_erfcx_matches_mpmath():
-    split = _ERFCX_SPLIT
+def test_resolvent_matches_mpmath():
+    # I and 1 - I, on both sides of the continued-fraction switch at u = 2
+    split = _CF_MIN
     us = [float(u) for u in np.logspace(-4, math.log10(80.0), 2000)]
-    us += [0.0, split, math.nextafter(split, 0.0), split * (1 - 1e-6), split * (1 + 1e-6)]
-    worst = 0.0
+    us += [split, math.nextafter(split, 0.0), split * (1 - 1e-6), split * (1 + 1e-6)]
+    worst_I = worst_rest = 0.0
     with mpmath.workdps(40):
         for u in us:
-            ref = mpmath.exp(mpmath.mpf(u) ** 2) * mpmath.erfc(u)
-            worst = max(worst, float(abs(_erfcx(u) - ref) / ref))
-    assert _erfcx(0.0) == 1.0
-    assert worst <= 1e-15
+            A = 2 * u * u
+            ref = mp_resolvent(A)
+            I, one_minus_I, _ = _resolvent(A)
+            worst_I = max(worst_I, float(abs(I - ref) / ref))
+            worst_rest = max(worst_rest, float(abs(one_minus_I - (1 - ref)) / (1 - ref)))
+    assert worst_I <= 1e-15
+    assert worst_rest <= 1e-14
 
 
 def test_resolvent_derivative_matches_mpmath_diff():
     # u = sqrt(A/2) crosses the continued-fraction switch at A = 2 u_min^2
-    switch = 2 * _DERIV_CF_MIN**2
+    switch = 2 * _CF_MIN**2
     grid = list(np.logspace(-6, 4, 41)) + [switch * (1 - 1e-12), switch, switch * (1 + 1e-12)]
     with mpmath.workdps(40):
         for A in grid:
             ref = mpmath.diff(mp_resolvent, mpmath.mpf(float(A)))
-            assert abs(_gaussian_resolvent_dA(float(A)) - ref) <= 1e-13 * abs(ref)
+            assert abs(_resolvent(float(A))[2] - ref) <= 1e-13 * abs(ref)
 
 
 # --- Gaussian solver -------------------------------------------------------------
@@ -118,6 +120,15 @@ def test_exact_gaussian_small_k():
         xtol=1e-14,
     )
     assert s.omega == pytest.approx(ref, abs=1e-10)
+
+
+def test_exact_gaussian_relative_accuracy_at_small_k():
+    # the first 8 terms of the gradient expansion leave a relative error
+    # below 1e-20 for k <= 1e-2, far under the solver's rounding
+    a = [float(c) for c in ce_coefficients(WeightModel.gaussian(), 8).values]
+    for k in (1e-10, 1e-8, 1e-6, 1e-4, 1e-2):
+        ref = sum(c * k ** (2 * n) for n, c in enumerate(a, 1))
+        assert abs(solve_exact_gaussian(k).omega - ref) <= 1e-14 * abs(ref)
 
 
 def test_exact_gaussian_leading_diffusion():
@@ -149,6 +160,11 @@ def test_exact_gaussian_input_validation():
         solve_exact_gaussian(-0.1)
 
 
+def test_exact_solvers_share_the_zero_sample():
+    for s in (solve_exact_gaussian(0.0), solve_exact_bounded(0.0, WeightModel.bounded_uniform())):
+        assert (s.k, s.omega, s.residual) == (0.0, 0.0, 0.0)
+
+
 def test_series_integral_equivalence_small_k():
     # 10-term partial sums at the solved root stay within the first
     # omitted term of zero
@@ -165,11 +181,17 @@ def test_series_integral_equivalence_small_k():
 
 # --- bounded solver ----------------------------------------------------------------
 
-def test_bounded_uniform_matches_closed_form():
-    # arctan(k/(1+w)) = k has the closed solution w = k cot k - 1
-    for k in (0.1, 0.5, 0.9):
+def test_bounded_uniform_matches_mpmath_root():
+    # the root of arctan(k/(1+w)) = k, found by mpmath from the solver's
+    # value, to its relative accuracy also where w is far below 1
+    for k in (1e-6, 1e-3, 0.1, 0.5, 0.9, 1.5):
         s = solve_exact_bounded(k, WeightModel.bounded_uniform())
-        assert s.omega == pytest.approx(k / math.tan(k) - 1, abs=1e-12)
+        with mpmath.workdps(50):
+            ref = mpmath.findroot(lambda w: mpmath.atan(k / (1 + w)) - k, s.omega)
+        assert abs(s.omega - ref) <= 1e-15 * abs(ref)
+    for k in (math.pi / 2, 2.0):
+        with pytest.raises(NoRootInInterval):
+            solve_exact_bounded(k, WeightModel.bounded_uniform())
 
 
 def test_bounded_uniform_small_k():
@@ -205,23 +227,34 @@ def test_bounded_custom_series_divergence():
         solve_exact_bounded(0.9, w)
 
 
-# solve_exact_bounded for mu_2m = 3/(2m+3) at k = 0.05, 0.10, ..., 0.65, as
-# computed when the Fraction source series was rebuilt on every residual call
-BOUNDED_CUSTOM_PINNED = (
-    -0.001501826170275155, -0.00602944934917501, -0.01365108598960557,
-    -0.02448672064376583, -0.03871889213913746, -0.05661103975281841,
-    -0.07853829553679181, -0.10504069950357206, -0.13692080509700674,
-    -0.17543983426322293, -0.22276962071190246, -0.28328850937846606,
-    -0.3471711245232637,
-)
-
-
-def test_bounded_custom_bit_identical_on_grid():
-    # the float moments are built once per solve; the sums, and so the roots,
-    # must not change by a single bit
+def test_bounded_custom_matches_closed_form():
+    # mu_2m = 3/(2m+3) is the weight 3v^2/2 on [-1, 1], whose condition is
+    # w = (3/x)(1 - arctan(sqrt(x))/sqrt(x)) - 1 with sqrt(x) = k/(1+w)
     w = WeightModel.bounded_custom([Fr(3, 2 * m + 3) for m in range(1, 61)])
-    got = tuple(solve_exact_bounded(i / 20, w).omega for i in range(1, 14))
-    assert got == BOUNDED_CUSTOM_PINNED
+    for i in range(1, 12):
+        k = i / 20
+        s = solve_exact_bounded(k, w)
+        with mpmath.workdps(40):
+
+            def condition(om):
+                r = k / (1 + om)
+                return 3 / r**2 * (1 - mpmath.atan(r) / r) - 1 - om
+
+            ref = mpmath.findroot(condition, s.omega)
+        assert abs(s.omega - ref) <= 1e-15
+    # from k = 0.60 on, 60 moments leave the root unresolved: at 0.65 the
+    # truncated series has a spurious root at x < 1, the true one has x > 1
+    for k in (0.60, 0.65):
+        with pytest.raises(SeriesDivergent):
+            solve_exact_bounded(k, w)
+
+
+def test_bounded_custom_refuses_k_from_one():
+    # x = k^2/(1+w)^2 >= 1 on the whole hydrodynamic interval
+    w = WeightModel.bounded_custom([Fr(1, 2 * m + 1) for m in range(1, 61)])
+    for k in (1.0, 1.2):
+        with pytest.raises(SeriesDivergent):
+            solve_exact_bounded(k, w)
 
 
 def test_bounded_rejects_gaussian():
