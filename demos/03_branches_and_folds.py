@@ -25,7 +25,8 @@ for n in (2, 5, 10, 20, 50):
     dev = max(abs(curve.omega_at(k) - exact[k]) for k in ks)
     print(f"  n = {n:<3d}  {dev:.3e}")
 
-# The continuation ends at the fold: its last sample lies just below k_c.
+# The continuation stops at the first step that turns back; the fold, solved
+# for from its last sample without further tracing, lies just past it.
 curve = trace_branch(5)
 last = curve.samples[-1]
 print(f"\nOrder-5 branch: fold at (k_c, omega_c) = "

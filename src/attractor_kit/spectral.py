@@ -1,18 +1,24 @@
-"""Spectral polynomials of the truncated moment hierarchy.
+"""Spectral branches of the truncated moment hierarchy and their folds.
 
-P_0 = 1, P_1 = w(w+1) + k^2, and for n >= 2
+Truncating the hierarchy at order n gives P_n(w, k^2) = det(w I + D +
+ik J_2n), with D = diag(0, 1, ..., 1) and J_2n the Hermite Jacobi matrix
+(off-diagonals sqrt(j)).  With s = 1 + w and q = k^2 it factors as
+P_n = R K_1 K_2 ... K_{2n-1}, where
 
-    P_n = [(w+1)^2 + (4n-3) k^2] P_{n-1} - k^4 (2n-2)(2n-3) P_{n-2}.
+    K_{2n-1} = s,   K_j = s + (j+1) q / K_{j+1},   R = w + q / K_1.
 
-The branch of P_n(w, k^2) = 0 through (k, w) = (0, 0) approximates the
-hydrodynamic dispersion relation and terminates at a fold k_c(n).
+This is the Hermite Jacobi fraction cut at depth 2n (Golub & Welsch, Math.
+Comp. 23 (1969) 221), or the BGK relation of the 2n-point Gauss-Hermite
+velocity set (Shan, Yuan & Chen, J. Fluid Mech. 550 (2006) 413).  For
+w > -1 every K_j >= s > 0, so R has the sign and the roots of P_n, and the
+fraction summed bottom-up needs no rescaling.  R is w + q/K_1 rather than
+K_0 - 1, so w keeps its relative accuracy at small k.
 
-Evaluation is normalized: the whole state is multiplied by 2^-200 (exact in
-binary floating point) whenever P_j passes 2^200, by 2^200 whenever both
-P_j and P_{j-1} fall below 2^-200, and divided once by
-max(|P_n|, |P_{n-1}|, 1) at the end, so magnitudes stay O(1) while signs and
-roots are those of the unscaled recurrence.  The recurrence is linear in
-(P_{n-1}, P_{n-2}), so derivatives propagated alongside share the scale.
+The root branch of R through (k, w) = (0, 0) approximates the hydrodynamic
+dispersion relation and ends at a fold k_c(n), where R = R_w = 0.  R + 1 =
+s + q/K_1 is homogeneous of degree 1 in (s, k), so the minimiser of
+R(., k^2) is s = u k with u fixed by n, and M(k) = min_s R(s, k^2) =
+k / k_c - 1 is linear in k.
 """
 
 from __future__ import annotations
@@ -32,80 +38,40 @@ class DegenerateTangent(Exception):
 
 
 class NoFoldFound(Exception):
-    """Branch stayed monotone in k within the arclength budget, or the fold
-    it turned at could not be refined."""
+    """The fold solve's brackets failed their sign checks, or its inner
+    solve did not converge."""
 
 
 class NoBranchPoint(Exception):
     """No branch root at the requested wavenumber (past the fold)."""
 
 
-# |P_j| past 2^200 rescales the state by 2^-200, and |P_j|, |P_{j-1}| both
-# below 2^-200 by 2^200: far from both ends of the float range, so
-# derivative slots a few powers of n larger stay finite
-_RESCALE_AT, _RESCALE_BY = 2.0**200, 2.0**-200
+def _eval_state(n: int, w: float, q: float):
+    """(R, R_w, R_q) at (w, k^2 = q), for w > -1.
 
-
-def _eval_state(n: int, w: float, q: float, second: bool = False):
-    """Scaled (P, P_w, P_q) at (w, k^2=q).
-
-    With ``second`` the state also carries (P_ww, P_wq), which only the fold
-    Newton reads.  The inputs become plain floats on entry, so numpy scalars
-    do not slow every step down.  Every slot is the true one times the same
-    positive factor: powers of 2^200, which are exact, and the final
-    division by max(|P_n|, |P_{n-1}|, 1), the only rounding the
-    normalization adds.
+    The fraction is summed from K_{2n-1} down to K_1 together with its
+    derivatives in s (which are those in w) and in q.  The inputs become
+    plain floats on entry, so numpy scalars do not slow every step down.
     """
-    if n == 0:
-        return (1.0, 0.0, 0.0, 0.0, 0.0) if second else (1.0, 0.0, 0.0)
     w, q = float(w), float(q)
-    # P.. is the state of P_j, Q.. that of P_{j-1}
-    Q, Qw, Qq, Qww, Qwq = 1.0, 0.0, 0.0, 0.0, 0.0
-    P, Pw, Pq, Pww, Pwq = w * (w + 1) + q, 2 * w + 1, 1.0, 2.0, 0.0
-    w1sq = (w + 1) ** 2
-    w1x2 = 2 * (w + 1)
-    w1x4 = 4 * (w + 1)
-    qq = q * q
-    qx2 = 2 * q
-    big, by = _RESCALE_AT, _RESCALE_BY
-    # 4j - 3, 2j - 2 and 2j - 3 as floats, which multiply faster than ints
-    c, a, b = 5.0, 2.0, 1.0
-    for _ in range(n - 1):
-        A = w1sq + c * q
-        B = qq * a * b
-        Bq = qx2 * a * b
-        P2 = A * P - B * Q
-        Pw2 = w1x2 * P + A * Pw - B * Qw
-        Pq2 = c * P + A * Pq - Bq * Q - B * Qq
-        if second:
-            Pww2 = 2 * P + w1x4 * Pw + A * Pww - B * Qww
-            Pwq2 = c * Pw + w1x2 * Pq + A * Pwq - Bq * Qw - B * Qwq
-            Pww, Pwq, Qww, Qwq = Pww2, Pwq2, Pww, Pwq
-        Q, Qw, Qq = P, Pw, Pq
-        P, Pw, Pq = P2, Pw2, Pq2
-        # abs(P) > big, spelled out: faster than the builtin abs
-        if P > big or P < -big:
-            P, Pw, Pq, Q, Qw, Qq = P * by, Pw * by, Pq * by, Q * by, Qw * by, Qq * by
-            if second:
-                Pww, Pwq, Qww, Qwq = Pww * by, Pwq * by, Qww * by, Qwq * by
-        elif -by < P < by and -by < Q < by and (P or Q):
-            # the mirror image where the state decays (w near -1, small q);
-            # an exactly zero pair (q = 0 on a root of P_1) is left alone
-            P, Pw, Pq, Q, Qw, Qq = P * big, Pw * big, Pq * big, Q * big, Qw * big, Qq * big
-            if second:
-                Pww, Pwq, Qww, Qwq = Pww * big, Pwq * big, Qww * big, Qwq * big
-        c += 4.0
-        a += 2.0
-        b += 2.0
-    scale = max(abs(P), abs(Q), 1.0)
-    if second:
-        return (P / scale, Pw / scale, Pq / scale, Pww / scale, Pwq / scale)
-    return (P / scale, Pw / scale, Pq / scale)
+    s = w + 1.0
+    K, Ks, Kq = s, 1.0, 0.0
+    c = 2.0 * n - 1.0  # j + 1 as a float, which multiplies faster than an int
+    while c > 1.0:
+        inv = 1.0 / K
+        # c q / K, not c q * inv: one rounding fewer halves the worst error
+        # of the branch values
+        t = c * q / K
+        K, Ks, Kq = s + t, 1.0 - t * Ks * inv, (c - t * Kq) * inv
+        c -= 1.0
+    inv = 1.0 / K
+    t = q / K
+    return w + t, 1.0 - t * Ks * inv, (1.0 - t * Kq) * inv
 
 
 @dataclass(frozen=True)
 class FoldPoint:
-    """Location where the branch turns back: P_n = dP_n/dw = 0."""
+    """Location where the branch turns back: R = R_w = 0."""
 
     k_c: float
     omega_c: float
@@ -138,7 +104,7 @@ class NoRootInInterval(Exception):
 
 
 def _newton_done(step: float, prev: float) -> bool:
-    """Stopping test of the fold Newton, the branch polish and
+    """Stopping test of the fold's inner secant, the branch polish and
     `_safeguarded_newton`, on the size of the last update and the one before
     it: below 1e-14, or below 1e-9 and no longer halving.  A converging
     Newton at least halves its update; one that stops halving is moving by
@@ -181,7 +147,7 @@ def _safeguarded_newton(fg, lo, hi, x0):
 
 @dataclass
 class BranchCurve:
-    """Arc of the P_n = 0 root branch from the origin up to its fold.
+    """Arc of the R = 0 root branch from the origin up to its fold.
 
     The samples rise strictly in k, each with the branch's slope there;
     the fold lies past the last one.
@@ -197,7 +163,7 @@ class BranchCurve:
         Up to the last sample: Newton polish seeded on the cubic Hermite
         through the two samples that bracket k, stopped by `_newton_done` and
         accepted only with a normalised residual within _RESIDUAL_TOL.
-        Between that sample and the fold: the root of P_n(., k^2) bracketed
+        Between that sample and the fold: the root of R(., k^2) bracketed
         by omega_c and the last sample's omega, seeded on the square-root
         law of the branch near its fold; below k_c the two roots merging at
         the fold straddle omega_c, so the branch root is the only one in the
@@ -229,6 +195,8 @@ class BranchCurve:
             w = _hermite(self.samples[i - 1], self.samples[i], k)
         prev = math.inf
         for _ in range(50):
+            if not w > -1:
+                break
             st = _eval_state(self.n, w, q)
             if st[1] == 0:
                 break
@@ -251,16 +219,15 @@ _STEP_MAX = 0.05
 _MAX_ARCLENGTH = 4.0
 
 
-def _normalized_residual(P: float, Pw: float, Pk: float = 0.0) -> float:
-    """|P| scaled by the local gradient: an estimate of the distance to the
-    zero set, which is the meaningful residual when P itself spans many
-    orders of magnitude along the branch."""
-    return abs(P) / max(1.0, math.hypot(Pw, Pk))
+def _normalized_residual(R: float, Rw: float, Rk: float = 0.0) -> float:
+    """|R| scaled by the local gradient where that exceeds 1: an estimate of
+    the distance to the zero set."""
+    return abs(R) / max(1.0, math.hypot(Rw, Rk))
 
 
 def _tangent(st, k: float, prev=None):
-    """Unit tangent (dk/ds, dw/ds) of the implicit curve P_n(w, k^2) = 0,
-    from the state (P, P_w, P_q) at wavenumber k."""
+    """Unit tangent (dk/ds, dw/ds) of the implicit curve R(w, k^2) = 0,
+    from the state (R, R_w, R_q) at wavenumber k."""
     tk, tw = st[1], -(st[2] * 2 * k)
     norm = math.hypot(tk, tw)
     if norm < 1e-300:
@@ -272,7 +239,7 @@ def _tangent(st, k: float, prev=None):
 
 
 def _correct(n: int, pred, t):
-    """Newton on {P_n = 0, t . (v - pred) = 0} from the predictor ``pred``.
+    """Newton on {R = 0, t . (v - pred) = 0} from the predictor ``pred``.
 
     Returns ((k, w), updates, state), or None when the iteration fails.
     The last evaluation only confirms convergence, so ``updates`` counts the
@@ -282,94 +249,94 @@ def _correct(n: int, pred, t):
     (k0, w0), (tk, tw) = pred, t
     k, w = pred
     for iters in range(1, 26):
-        st = _eval_state(n, w, k * k)
-        P, Pw = st[0], st[1]
-        Pk = st[2] * 2 * k
+        if not w > -1:
+            # outside the fraction's domain: a failed step, as a singular one
+            return None
+        R, Rw, Rq = _eval_state(n, w, k * k)
+        Rk = Rq * 2 * k
         g = tk * (k - k0) + tw * (w - w0)
-        # Cramer's rule for [[Pk, Pw], [tk, tw]] (dk, dw) = -(P, g)
-        det = Pk * tw - Pw * tk
+        # Cramer's rule for [[Rk, Rw], [tk, tw]] (dk, dw) = -(R, g)
+        det = Rk * tw - Rw * tk
         if det == 0 or not math.isfinite(det):
             return None
-        dk = (Pw * g - P * tw) / det
-        dw = (P * tk - Pk * g) / det
+        dk = (Rw * g - R * tw) / det
+        dw = (R * tk - Rk * g) / det
         k += dk
         w += dw
-        if _normalized_residual(P, Pw, Pk) < _RESIDUAL_TOL and max(abs(dk), abs(dw)) < 1e-10:
-            return (k, w), iters - 1, st
+        if _normalized_residual(R, Rw, Rk) < _RESIDUAL_TOL and max(abs(dk), abs(dw)) < 1e-10:
+            return (k, w), iters - 1, (R, Rw, Rq)
     return None
 
 
-def _refine_fold(n: int, u, t, h: float, tk_end: float, curvature=(0.0, 0.0)) -> FoldPoint:
-    """Fold inside the continuation step of length h from u along t.
+# the fold lies below k* = sqrt(pi/2), where the exact Gaussian branch
+# reaches omega = -1 and every k_c(n) stays below it
+_K_STAR = math.sqrt(math.pi / 2)
 
-    dk/ds is t[0] > 0 at u and tk_end < 0 at the step's end: bracket its
-    root in the step's arclength by regula falsi (Illinois) down to the
-    smallest continuation step, then Newton on {P_n = 0, dP_n/dw = 0} from
-    the last bracketing point.  Each bracketing point is predicted from the
-    last corrected point with dk/ds > 0, along that point's own tangent plus
-    the second-order term of its dt/ds: ``curvature`` at u, then the
-    difference quotient between the last two such points.  The Newton stops
-    once its update falls below 1e-14 or, below 1e-9, stops halving:
-    rounding noise then sets its size.
+
+def _fold(n: int, k: float, s: float) -> FoldPoint:
+    """Fold of the order-n branch from a seed below it: k < k_c, and s =
+    1 + w above the minimiser of R(., k^2), as at a branch point before the
+    turn.
+
+    Inner solve: the minimiser of R(., k^2) on (0, 1] is the root of R_w,
+    bracketed by [k / (2 sqrt(n)), s]; the minimiser's s sqrt(n) / k rises
+    from 1 at n = 1 (2.13 at n = 3200).  Secant on s^2 R_w in y = s^2,
+    which is linear in y for n = 1, with bisection where the secant leaves
+    the bracket.  It stops after a secant step by `_newton_done`, or on the
+    bracket's width, and keeps the state of its last evaluation, within that
+    step of the minimiser.
+
+    Outer solve: Newton on M(k) = min_s R(s, k^2), whose slope at the
+    minimiser, 2k R_q, is (M + 1)/k since R + 1 is homogeneous of degree 1
+    in (s, k).  M is linear in k, so the step k -> k / (1 + M) lands on k_c
+    and the minimiser, scaled with k, on the fold's.  One evaluation there
+    gives the residual max(|R|, |R_w|), and a last Newton step in k and
+    secant step in y that take up the first step's rounding.
+
+    Raises NoFoldFound where R_w has the wrong sign at an end of the inner
+    bracket, or M at an end of the outer one, [k, sqrt(pi/2)] (for a linear
+    M the second end is k_c < sqrt(pi/2)), or the residual exceeds
+    _RESIDUAL_TOL.
     """
-    lo, hi, flo, fhi = 0.0, h, t[0], tk_end
-    side = 0  # bracket end the last point replaced: -1 lo, +1 hi
-    base, tb, (ck, cw) = u, t, curvature  # lo end: place, tangent, dt/ds
-    k, w = u
-    while hi - lo > _STEP_MIN:
-        s = (lo * fhi - hi * flo) / (fhi - flo)
-        d = s - lo
-        pred = (base[0] + d * tb[0] + 0.5 * d * d * ck, base[1] + d * tb[1] + 0.5 * d * d * cw)
-        corrected = _correct(n, pred, tb)
-        if corrected is None:
-            raise NoFoldFound(f"corrector failed while bracketing the fold for n={n}")
-        (k, w), _updates, st = corrected
-        t_new = _tangent(st, k, prev=tb)
-        f = t_new[0]
-        if f == 0:
-            # s is the fold; regula falsi would land on it again and again
-            break
-        if f > 0:
-            chord = math.hypot(k - base[0], w - base[1])
-            ck, cw = (t_new[0] - tb[0]) / chord, (t_new[1] - tb[1]) / chord
-            base, tb = (k, w), t_new
-            lo, flo = s, f
-            if side == -1:
-                fhi *= 0.5
-            side = -1
-        else:
-            hi, fhi = s, f
-            if side == 1:
-                flo *= 0.5
-            side = 1
-
+    q = k * k
+    (y0, f0), (y1, f1) = [(x * x, x * x * _eval_state(n, x - 1, q)[1])
+                          for x in (k / (2 * math.sqrt(n)), s)]
+    if not f0 < 0 < f1:
+        raise NoFoldFound(f"R_w does not change sign on [{y0**0.5:.6g}, {s:.6g}] for n={n}")
+    lo, hi = y0, y1
+    st = None  # the state at y1, once y1 is an iterate
     prev = math.inf
     for _ in range(100):
-        st = _eval_state(n, w, k * k, second=True)
-        P, Pw, Pq, Pww, Pwq = st
-        Pk, Pwk = Pq * 2 * k, Pwq * 2 * k
-        # Cramer's rule for [[Pw, Pk], [Pww, Pwk]] (dw, dk) = -(P, Pw)
-        det = Pw * Pwk - Pk * Pww
-        if det == 0 or not math.isfinite(det):
-            raise NoFoldFound(f"singular fold system for n={n}")
-        dw = (Pk * Pw - P * Pwk) / det
-        dk = (P * Pww - Pw * Pw) / det
-        w += dw
-        k += dk
-        step = max(abs(dw), abs(dk))
-        if _newton_done(step, prev):
+        y = y1 - f1 * (y1 - y0) / (f1 - f0) if f1 != f0 else math.nan
+        secant = lo < y < hi
+        if not secant:
+            y = 0.5 * (lo + hi)
+        step = abs(y - y1)
+        if st is not None and (secant and _newton_done(step, prev) or hi - lo < 1e-15):
             break
-        prev = step
-
-    st = _eval_state(n, w, k * k, second=True)
-    P, Pw, Pq, Pww, Pwq = st
-    residual = max(
-        _normalized_residual(P, Pw, Pq * 2 * k),
-        _normalized_residual(Pw, Pww, Pwq * 2 * k),
-    )
-    if not (math.isfinite(k) and math.isfinite(w)) or residual > _RESIDUAL_TOL:
-        raise NoFoldFound(f"fold refinement did not converge for n={n}")
-    return FoldPoint(k, w, residual)
+        st = _eval_state(n, math.sqrt(y) - 1, q)
+        f = y * st[1]
+        if f == 0:
+            break
+        lo, hi = (y, hi) if f < 0 else (lo, y)
+        y0, f0, y1, f1, prev = y1, f1, y, f, step
+    else:
+        raise NoFoldFound(f"the minimiser of R did not converge for n={n}")
+    slope = (f1 - f0) / (y1 - y0)  # d(s^2 R_w)/dy, unchanged as s scales with k
+    M = st[0]
+    if not M < 0:
+        raise NoFoldFound(f"the seed k = {k:.6g} is not below the fold of n={n}")
+    k_c = k / (1 + M)
+    if not k_c < _K_STAR:
+        raise NoFoldFound(f"the fold of n={n} is not below sqrt(pi/2)")
+    s = math.sqrt(y) * k_c / k
+    R, Rw, _ = _eval_state(n, s - 1, k_c * k_c)
+    residual = max(abs(R), abs(Rw))
+    if not residual <= _RESIDUAL_TOL:
+        raise NoFoldFound(f"fold residual {residual:.3g} for n={n}")
+    k_f = k_c / (1 + R)
+    s_f = math.sqrt(s * s * (1 - Rw / slope)) * k_f / k_c
+    return FoldPoint(k_f, s_f - 1, residual)
 
 
 def trace_branch(n: int) -> BranchCurve:
@@ -378,12 +345,11 @@ def trace_branch(n: int) -> BranchCurve:
     Predictor: the cubic Hermite through the last two samples and their
     unit tangents, parametrised by arclength with the chord between them
     standing for it (Euler on the first step).  Corrector: Newton
-    on {P_n = 0, orthogonality to the tangent}; the next tangent comes from
+    on {R = 0, orthogonality to the tangent}; the next tangent comes from
     the corrector's last evaluation.  The step doubles after at most three
     Newton updates and halves after more than eight, between 1e-4 and
     0.05.  The trace ends at the first step over which dk/ds turns
-    negative, with the fold bracketed by regula falsi inside that step and
-    refined by Newton.
+    negative, and the fold is solved for from its last sample.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -392,7 +358,6 @@ def trace_branch(n: int) -> BranchCurve:
     t = _tangent(_eval_state(n, 0.0, 0.0), 0.0)
     samples = [BranchSample(0.0, 0.0, t[1] / t[0])]
     curve = BranchCurve(n, samples)
-    ck, cw = 0.0, 0.0  # dt/ds over the last step
     # u + s t + s^2 a2 + s^3 a3: the cubic through the last two samples
     a2 = a3 = (0.0, 0.0)
     h = _STEP
@@ -417,9 +382,8 @@ def trace_branch(n: int) -> BranchCurve:
         t_new = _tangent(st, v[0], prev=t)
         if t_new[0] <= 0:
             # the step passed the fold, or ended on it, where the slope is
-            # infinite.  dt/ds across a step that turns at the fold
-            # overshoots, so the bracket starts from the last step's
-            curve.fold = _refine_fold(n, u, t, h, t_new[0], (ck, cw))
+            # infinite; the last sample lies below it
+            curve.fold = _fold(n, u[0], 1 + u[1])
             break
         # the chord is at least h > 0: the corrector moves orthogonally to t
         chord = math.hypot(v[0] - u[0], v[1] - u[1])
@@ -443,8 +407,11 @@ def trace_branch(n: int) -> BranchCurve:
 
 
 def find_fold(n: int) -> FoldPoint:
-    """Fold of the P_n branch, where P_n = dP_n/dw = 0, from its trace."""
-    fold = trace_branch(n).fold
-    if fold is None:
-        raise NoFoldFound(f"n={n} branch stayed monotone in k up to arclength {_MAX_ARCLENGTH}")
-    return fold
+    """Fold of the order-n branch, where R = R_w = 0, without a trace.
+
+    The seed k = 1/4 lies below every fold (k_c(1) = 1/2 is the lowest), and
+    s = 1/2 above the minimiser u/4 <= 1/4 of R(., 1/16).
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return _fold(n, 0.25, 0.5)

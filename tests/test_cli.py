@@ -176,11 +176,11 @@ def test_folds_rejects_zero(tmp_path):
 FOLDS_PINNED = (
     "n,k_c,omega_c,residual,note\n"
     "1,0.5,-0.5,0,n=1 fold is exactly k_c = 1/2 (discriminant of w^2 + w + k^2); the commonly quoted 0.47 appears to be a figure-read value\n"
-    "2,0.62347364453507226,-0.53030534384913064,1.2164597925592282e-17,\n"
-    "10,0.86521475530841663,-0.66000857102423049,5.201741341937577e-16,\n"
-    "50,1.0307459661532892,-0.78681209840592148,4.2741618458870146e-15,\n"
-    "100,1.0811562827206451,-0.83061598951548143,3.9921086639021436e-14,\n"
-    "200,1.1212851264563313,-0.86719521289256019,1.5321309492298861e-14,\n"
+    "2,0.62347364453507226,-0.53030534384913075,5.5511151231257827e-16,\n"
+    "10,0.86521475530841618,-0.66000857102423027,1.7763568394002505e-15,\n"
+    "50,1.0307459661532934,-0.78681209840592414,2.4424906541753444e-15,\n"
+    "100,1.0811562827206207,-0.83061598951547022,1.5543122344752192e-15,\n"
+    "200,1.1212851264563186,-0.86719521289256185,2.2204460492503131e-16,\n"
 )
 
 

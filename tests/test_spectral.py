@@ -1,4 +1,6 @@
 import math
+import random
+from decimal import Decimal, localcontext
 from fractions import Fraction as Fr
 
 import mpmath
@@ -13,36 +15,21 @@ from attractor_kit.spectral import (
     NoFoldFound,
     _correct,
     _eval_state,
+    _fold,
     _normalized_residual,
-    _refine_fold,
     find_fold,
     trace_branch,
 )
 
 
-def exact_P(n, w, q):
-    """Exact-rational evaluation of the recurrence."""
+def exact_fraction(n, w, q):
+    """R and [K_{2n-1}, ..., K_1] of the depth-2n fraction, over Fractions."""
     w, q = Fr(w), Fr(q)
-    p0, p1 = Fr(1), w * (w + 1) + q
-    if n == 0:
-        return p0
-    for j in range(2, n + 1):
-        p0, p1 = p1, ((w + 1) ** 2 + (4 * j - 3) * q) * p1 - q**2 * (
-            2 * j - 2
-        ) * (2 * j - 3) * p0
-    return p1
-
-
-def assert_common_factor(state, exact, rel):
-    """One factor c > 0 maps every slot of the scaled state onto the exact
-    Fraction in the same slot, to ``rel``; c is read off the state's
-    largest slot, and returned."""
-    i = max(range(len(state)), key=lambda j: abs(state[j]))
-    c = Fr(exact[i]) / Fr(state[i])
-    assert c > 0
-    for got, want in zip(state, exact):
-        assert abs(Fr(got) * c - want) <= Fr(rel) * abs(want)
-    return c
+    s = w + 1
+    K = [s]
+    for c in range(2 * n - 1, 1, -1):
+        K.append(s + c * q / K[-1])
+    return w + q / K[-1], K
 
 
 def mp_state(n, w, q):
@@ -51,8 +38,6 @@ def mp_state(n, w, q):
     w, q = mpmath.mpf(w), mpmath.mpf(q)
     prev = (mpmath.mpf(1), 0, 0, 0, 0)
     cur = (w * (w + 1) + q, 2 * w + 1, mpmath.mpf(1), mpmath.mpf(2), 0)
-    if n == 0:
-        return prev
     for j in range(2, n + 1):
         P, Pw, Pq, Pww, Pwq = cur
         Q, Qw, Qq, Qww, Qwq = prev
@@ -68,84 +53,127 @@ def mp_state(n, w, q):
     return cur
 
 
+def decimal_state(n, w, q):
+    """(P, P_w) of P_n at Decimals (w, q), unscaled, at the context's
+    precision: the first two slots of `mp_state`.  The standard library's
+    decimal runs this recurrence about eight times faster than mpmath, which
+    the many-point oracles below need."""
+    Q, Qw = Decimal(1), Decimal(0)
+    P, Pw = w * (w + 1) + q, 2 * w + 1
+    w1sq, w1x2, qq = (w + 1) ** 2, 2 * (w + 1), q * q
+    for j in range(2, n + 1):
+        A = w1sq + (4 * j - 3) * q
+        B = qq * ((2 * j - 2) * (2 * j - 3))
+        P, Pw, Q, Qw = A * P - B * Q, w1x2 * P + A * Pw - B * Qw, P, Pw
+    return P, Pw
+
+
+def branch_root(n, w, k):
+    """The root of P_n(., k^2) next to w, by Newton at 50 digits on the
+    unscaled recurrence, with k^2 exact."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        w, q = Decimal(w), Decimal(k) ** 2
+        for _ in range(10):
+            P, Pw = decimal_state(n, w, q)
+            w -= P / Pw
+            if abs(P / Pw) < Decimal("1e-40"):
+                return float(w)
+    pytest.fail(f"oracle Newton did not converge for n={n}, k={k}")
+
+
 # --- _eval_state ---------------------------------------------------------------
-
-def test_eval_P0_is_one():
-    for w, q in [(0.3, 0.1), (-0.9, 1.4), (2.0, 0.0)]:
-        assert _eval_state(0, w, q)[0] == 1.0
-
 
 def test_eval_P1_vanishes_at_origin():
     assert _eval_state(1, 0.0, 0.0)[0] == 0.0
 
 
 def test_eval_P2_hand_value():
-    # [(1)^2 + 5*0.01]*0.01 - (0.0001)(2)(1)(1) = 0.0103; |P_2| and |P_1|
-    # stay below 1, so the state is not scaled
-    assert _eval_state(2, 0.0, 0.01)[0] == pytest.approx(0.0103, rel=1e-12)
+    # at (w, q) = (0, 0.01): K_3 = 1, K_2 = 1.03, K_1 = 1 + 0.02/1.03, and
+    # R = 0.01/K_1 = 0.0103/1.05, so that R K_1 K_2 K_3 is the hand value
+    # P_2 = [(1)^2 + 5*0.01]*0.01 - (0.0001)(2)(1)(1) = 0.0103
+    assert _eval_state(2, 0.0, 0.01)[0] == pytest.approx(0.0103 / 1.05, rel=1e-14, abs=0)
 
 
 def test_eval_matches_exact_rational_oracle_on_grid():
-    # sign, and one positive factor onto the exact (P, P_w, P_q) for n <= 10
+    # R against the fraction summed over Fractions, to the rounding of its
+    # last sum w + q/K_1; and P_n, from the forward recurrence as an exact
+    # integer polynomial, is R K_1 ... K_{2n-1}, every K_j >= 1 + w > 0, so
+    # sign(R) = sign(P_n)
     for n in (3, 7, 10):
         P = _integer_polynomial(n)
-        polys = (P, _differentiate(P, 0), _differentiate(P, 1))
         for i in range(8):
             for j in range(8):
                 w = -0.95 + 0.125 * i
                 q = 0.02 + 0.15 * j
-                exact = [_evaluate(p, Fr(w), Fr(q)) for p in polys]
-                state = _eval_state(n, w, q)
-                assert math.copysign(1, state[0]) == math.copysign(1, exact[0])
-                assert_common_factor(state, exact, 1e-10)
+                R, K = exact_fraction(n, w, q)
+                assert min(K) > 0
+                assert _evaluate(P, Fr(w), Fr(q)) == R * math.prod(K)
+                value = _eval_state(n, w, q)[0]
+                assert abs(Fr(value) - R) <= Fr(1e-15) * (abs(Fr(w)) + abs(R - Fr(w)))
+                assert (value > 0) == (R > 0)
 
 
 def test_eval_P_no_overflow_at_large_order():
     # at the largest order and wavenumber the CLI accepts, P_n is far past
-    # the float range (log|P_n| ~ 2400); the normalized value stays O(1) and
-    # agrees in sign and P_w/P with the unscaled recurrence in mpmath
+    # the float range (log|P_n| ~ 2400); R = w + q/K_1 stays within
+    # 0 < q/K_1 <= q/(1 + w) of w, with the sign of the unscaled recurrence
+    # in mpmath
+    q = K_GRID_MAX**2
     for w in (-0.99, -0.5, 0.0):
-        value, derivative = _eval_state(N_LIST_MAX, w, K_GRID_MAX**2)[:2]
-        assert math.isfinite(value) and math.isfinite(derivative)
-        assert 0 < abs(value) <= 1
+        state = _eval_state(N_LIST_MAX, w, q)
+        assert all(math.isfinite(v) for v in state)
+        assert w < state[0] <= w + q / (1 + w)
         with mpmath.workdps(30):
-            P, Pw = mp_state(N_LIST_MAX, w, mpmath.mpf(K_GRID_MAX) ** 2)[:2]
+            P = mp_state(N_LIST_MAX, w, mpmath.mpf(K_GRID_MAX) ** 2)[0]
             assert abs(P) > mpmath.mpf(10) ** 1000
-            assert mpmath.sign(P) == math.copysign(1, value)
-            assert derivative / value == pytest.approx(float(Pw / P), rel=1e-10)
+            assert mpmath.sign(P) == math.copysign(1, state[0])
 
 
 def test_eval_P_no_underflow_where_the_state_decays():
-    # at w = -1 each step multiplies P_j by about (4j - 3) q < 1, so without
-    # rescaling upwards P_400 underflows to an exact zero: a false root
-    for w in (-1.0, -0.999):
-        value, derivative = _eval_state(400, w, 1e-4)[:2]
-        assert value != 0 and math.isfinite(derivative)
-        assert 0 < abs(value) <= 1
+    # near w = -1 each step of the recurrence multiplies P_j by about
+    # (4j - 3) q < 1, so P_400 lies far below the float range; R is no
+    # false zero and has P_400's sign
+    for w in (-0.999, -1 + 1e-9):
+        state = _eval_state(400, w, 1e-4)
+        assert state[0] != 0 and all(math.isfinite(v) for v in state)
         with mpmath.workdps(30):
-            P, Pw = mp_state(400, w, 1e-4)[:2]
+            P = mp_state(400, w, 1e-4)[0]
             assert abs(P) < mpmath.mpf(10) ** -400
-            assert mpmath.sign(P) == math.copysign(1, value)
-            assert derivative / value == pytest.approx(float(Pw / P), rel=1e-10)
+            assert mpmath.sign(P) == math.copysign(1, state[0])
 
 
 def test_eval_P_derivative_matches_difference_quotient():
-    # the factor that maps the scaled P onto the exact one maps P_w onto the
-    # exact polynomial's difference quotient
-    n, w, q, h = 12, -0.4, 0.3, 1e-6
-    value, derivative = _eval_state(n, w, q)[:2]
-    c = exact_P(n, w, q) / Fr(value)
-    assert c > 0
-    dnum = (exact_P(n, w + h, q) - exact_P(n, w - h, q)) / Fr(2 * h)
-    assert float(Fr(derivative) * c) == pytest.approx(float(dnum), rel=1e-6)
+    # R_w and R_q against exact difference quotients of the fraction over
+    # Fractions, with a step of 1e-30 that leaves them exact to ~1e-29
+    n, w, q, h = 12, -0.4, 0.3, Fr(1, 10**30)
+    R, Rw, Rq = _eval_state(n, w, q)
+    R0 = exact_fraction(n, w, q)[0]
+    assert float(Fr(R) - R0) == pytest.approx(0, abs=1e-16)
+    assert Rw == pytest.approx(float((exact_fraction(n, Fr(w) + h, q)[0] - R0) / h), rel=1e-14)
+    assert Rq == pytest.approx(float((exact_fraction(n, w, Fr(q) + h)[0] - R0) / h), rel=1e-14)
+
+
+def test_sign_of_R_is_sign_of_P():
+    # every K_j >= 1 + w > 0, so R = P_n / (K_1 ... K_{2n-1}) has the sign
+    # of P_n; checked against the unscaled recurrence at 50 digits at 400
+    # random points n <= 400, w > -1, q in (0, 2]
+    rng = random.Random(2006)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        for _ in range(400):
+            n, w, q = rng.randint(1, 400), rng.uniform(-1, 0.5), 2 - rng.uniform(0, 2)
+            if w == -1:
+                continue
+            P = decimal_state(n, Decimal(w), Decimal(q))[0]
+            assert P != 0
+            assert (_eval_state(n, w, q)[0] > 0) == (P > 0), (n, w, q)
 
 
 def _integer_polynomial(n):
     """P_n as {(i, m): c}, the integer coefficient of w^i q^m, built from the
     value recurrence on polynomials (no derivative slots)."""
     p0, p1 = {(0, 0): 1}, {(2, 0): 1, (1, 0): 1, (0, 1): 1}
-    if n == 0:
-        return p0
     for j in range(2, n + 1):
         nxt = {}
         # [(w+1)^2 + (4j-3) q] P_{j-1}
@@ -158,6 +186,22 @@ def _integer_polynomial(n):
             nxt[i, m + 2] = nxt.get((i, m + 2), 0) - (2 * j - 2) * (2 * j - 3) * c
         p0, p1 = p1, nxt
     return p1
+
+
+def _tail_polynomials(n):
+    """D_1 and D_2 as {(i, m): c}, where D_j = K_j K_{j+1} ... K_{2n-1} is the
+    determinant of the rows and columns j..2n-1 of w I + D + ik J_2n:
+    D_2n = 1, D_{2n-1} = s and D_j = s D_{j+1} + (j+1) q D_{j+2}, s = w + 1."""
+    lower, D = {(0, 0): 1}, {(1, 0): 1, (0, 0): 1}
+    for j in range(2 * n - 2, 0, -1):
+        nxt = {}
+        for (i, m), c in D.items():
+            nxt[i + 1, m] = nxt.get((i + 1, m), 0) + c
+            nxt[i, m] = nxt.get((i, m), 0) + c
+        for (i, m), c in lower.items():
+            nxt[i, m + 1] = nxt.get((i, m + 1), 0) + (j + 1) * c
+        lower, D = D, nxt
+    return D, lower
 
 
 def _differentiate(poly, var):
@@ -180,40 +224,40 @@ def _evaluate_at_eighths(poly, a, b):
     """poly(a/8, b/8) exactly, through one integer numerator."""
     I = max((i for i, _ in poly), default=0)
     M = max((m for _, m in poly), default=0)
-    num = sum(c * a**i * 8 ** (I - i) * b**m * 8 ** (M - m) for (i, m), c in poly.items())
-    return Fr(num, 8 ** (I + M))
+    A = [a**i * 8 ** (I - i) for i in range(I + 1)]
+    B = [b**m * 8 ** (M - m) for m in range(M + 1)]
+    return Fr(sum(c * A[i] * B[m] for (i, m), c in poly.items()), 8 ** (I + M))
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 50, 100])
 def test_eval_state_matches_exact_polynomial_derivatives(n):
-    # independent oracle: the exact bivariate polynomial, differentiated
-    # symbolically; one positive factor maps both the 3-slot and the 5-slot
-    # state onto it.  At n = 100, q = 10/8 the state is rescaled by 2^-200
-    # two or three times.
+    # independent oracle: R = P_n / D_1, both exact integer polynomials, P_n
+    # from the forward recurrence and D_1 = K_1 ... K_{2n-1} from the
+    # bottom-up determinant, with P_n = w D_1 + q D_2 checked term by term;
+    # R_w and R_q by the quotient rule on the symbolic partial derivatives
     P = _integer_polynomial(n)
-    Pw = _differentiate(P, 0)
-    polys = (P, Pw, _differentiate(P, 1), _differentiate(Pw, 0), _differentiate(Pw, 1))
-    for a in (-10, -6, -2, 4):  # w = a/8
+    D1, D2 = _tail_polynomials(n)
+    wD1 = {(i + 1, m): c for (i, m), c in D1.items()}
+    for (i, m), c in D2.items():
+        wD1[i, m + 1] = wD1.get((i, m + 1), 0) + c
+    assert {key: c for key, c in wD1.items() if c} == P
+    polys = (P, _differentiate(P, 0), _differentiate(P, 1),
+             D1, _differentiate(D1, 0), _differentiate(D1, 1))
+    for a in (-6, -2, 4):  # w = a/8
         for b in (1, 6, 10):  # q = b/8
-            exact = [_evaluate_at_eighths(p, a, b) for p in polys]
-            st5 = _eval_state(n, a / 8, b / 8, second=True)
-            st3 = _eval_state(n, a / 8, b / 8)
-            assert len(st5) == 5 and len(st3) == 3
-            assert st3 == st5[:3]
-            c = assert_common_factor(st5, exact, 1e-12)
-            if n == 100 and b == 10:
-                # max(|P_n|, |P_{n-1}|, 1) stays below 2^201 after the last
-                # rescaling, so at least two rescalings fired
-                assert c > 2**600
+            p, pw, pq, d, dw, dq = (_evaluate_at_eighths(f, a, b) for f in polys)
+            exact = (p / d, (pw * d - p * dw) / d**2, (pq * d - p * dq) / d**2)
+            state = _eval_state(n, a / 8, b / 8)
+            for got, want in zip(state, exact):
+                assert abs(Fr(got) - want) <= Fr(1e-13) * max(1, abs(want))
 
 
 def test_eval_state_numpy_scalars_give_plain_floats():
-    for n, w, q in [(0, -0.3, 0.2), (1, -0.3, 0.2), (7, -0.45, 0.61), (120, -0.8, 1.1)]:
-        for second in (False, True):
-            ref = _eval_state(n, w, q, second=second)
-            got = _eval_state(n, np.float64(w), np.float64(q), second=second)
-            assert got == ref
-            assert all(type(v) is float for v in got)
+    for n, w, q in [(1, -0.3, 0.2), (7, -0.45, 0.61), (120, -0.8, 1.1)]:
+        ref = _eval_state(n, w, q)
+        got = _eval_state(n, np.float64(w), np.float64(q))
+        assert got == ref
+        assert all(type(v) is float for v in got)
 
 
 # --- branch tracing -----------------------------------------------------------
@@ -250,6 +294,65 @@ def test_branch_samples_satisfy_residual(branch_50):
     for s in branch_50.samples:
         st = _eval_state(50, s.omega, s.k**2)
         assert _normalized_residual(st[0], st[1], st[2] * 2 * s.k) < 1e-10
+    # the chord of a continuation step is at least its predictor step h,
+    # since the corrector moves orthogonally to the tangent: the step grows
+    # to its largest
+    chords = [
+        math.hypot(b.k - a.k, b.omega - a.omega)
+        for a, b in zip(branch_50.samples, branch_50.samples[1:])
+    ]
+    assert max(chords) >= spectral._STEP_MAX - 1e-12
+
+
+# the README grid, and every 7th point of the CI grid with step 0.001, as the
+# CLI spells them
+README_GRID = [0.01 * i for i in range(121)]
+FINE_GRID = [0.001 * i for i in range(0, 1201, 7)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 20, 50, 200, 400])
+def test_branch_values_match_high_precision_oracle(n):
+    # every branch value of the README grid (the fine grid from n = 200 on),
+    # to within 2e-15 of the root of the unscaled recurrence at 50 digits.
+    # The normalised recurrence's Newton left up to 3.8e-14 at n = 50,
+    # k = 1.03 and 2.2e-13 at n = 200, k = 1.12
+    grid = FINE_GRID if n >= 200 else README_GRID
+    curve = trace_branch(n)
+    errors = {}
+    for k in grid:
+        try:
+            w = curve.omega_at(k)
+        except NoBranchPoint:
+            assert k >= curve.fold.k_c
+            continue
+        errors[k] = abs(w - branch_root(n, w, k))
+    assert len(errors) > len(grid) // 3
+    worst = max(errors, key=errors.get)
+    assert errors[worst] <= 2e-15, (worst, errors[worst])
+
+
+@pytest.mark.parametrize("n", [2, 50])
+def test_branch_keeps_relative_accuracy_at_small_k(n):
+    # w = -k^2 + k^4 + O(k^6) for n >= 2.  R = w + q/K_1 keeps the relative
+    # accuracy of w = -1e-12; K_0 - 1 would round it at 1e-16 absolute, 1e-4
+    # of w
+    k = 1e-6
+    assert trace_branch(n).omega_at(k) == pytest.approx(-k * k + k**4, rel=1e-15, abs=0)
+
+
+def test_branch_convergence_law():
+    # paper claims 2 and 3: the order-n branch approaches the exact root as
+    # |w_n(k) - w(k)| ~ C(k) exp(-2 sqrt(2) (1 + w(k)) sqrt(n) / k), the
+    # truncation error of the Jacobi fraction at depth 2n.  The rate is the
+    # formula's, not a fit; the log-ratios between consecutive orders match it
+    # within 2 % (0.44 % at most when written)
+    for k, orders in ((0.6, (25, 50, 100)), (0.9, (50, 100, 200, 400))):
+        exact = solve_exact_gaussian(k).omega
+        rate = 2 * math.sqrt(2) * (1 + exact) / k
+        errors = [abs(trace_branch(n).omega_at(k) - exact) for n in orders]
+        for n1, n2, e1, e2 in zip(orders, orders[1:], errors, errors[1:]):
+            predicted = rate * (math.sqrt(n2) - math.sqrt(n1))
+            assert math.log(e1 / e2) == pytest.approx(predicted, rel=0.02), (k, n1, n2)
 
 
 def test_branch_excludes_kinetic_root(branch_50):
@@ -313,9 +416,9 @@ def _record_eval_state(monkeypatch):
     calls = []
     real = spectral._eval_state
 
-    def recorder(n, w, q, **kwargs):
+    def recorder(n, w, q):
         calls.append((float(w), float(q)))
-        return real(n, w, q, **kwargs)
+        return real(n, w, q)
 
     monkeypatch.setattr(spectral, "_eval_state", recorder)
     return calls
@@ -427,10 +530,11 @@ def test_branch_convergence_to_attractor():
 
 # --- folds ---------------------------------------------------------------------
 
-def test_fold_n1_exact():
-    fp = find_fold(1)
-    assert fp.k_c == pytest.approx(0.5, abs=1e-10)
-    assert fp.omega_c == pytest.approx(-0.5, abs=1e-10)
+def test_fold_n1_exact(branch_1):
+    # exactly: a k_c one ulp above 1/2 would give the README grid a branch
+    # value at k = 0.50, the fold's double root
+    for fp in (find_fold(1), branch_1.fold):
+        assert (fp.k_c, fp.omega_c) == (0.5, -0.5)
 
 
 def test_fold_n2_closed_form():
@@ -518,56 +622,61 @@ def test_folds_match_high_precision_oracle(n):
 
 
 def test_singular_newton_systems():
-    # n = 1 at the origin: P_k = 2k P_q = 0, so with t = (0, 1) the corrector
-    # system [[P_k, P_w], [t_k, t_w]] has det = -t_k = 0, and the fold system
-    # [[P_w, P_k], [P_ww, P_wk]] has det = P_w * 0 - 0 * P_ww = 0
+    # n = 1 at the origin: R_k = 2k R_q = 0, so with t = (0, 1) the corrector
+    # system [[R_k, R_w], [t_k, t_w]] has det = -t_k = 0
     assert _correct(1, (0.0, 0.0), (0.0, 1.0)) is None
-    # a step of _STEP_MIN goes straight to the fold Newton; a longer one is
-    # bracketed first, through the corrector.  With dk/ds = t_k = 0 at the
-    # step's start, regula falsi puts its first point there, at the origin
-    with pytest.raises(NoFoldFound, match="singular fold system"):
-        _refine_fold(1, (0.0, 0.0), (0.0, 1.0), spectral._STEP_MIN, -1.0)
-    with pytest.raises(NoFoldFound, match="corrector failed"):
-        _refine_fold(1, (0.0, 0.0), (0.0, 1.0), 0.01, -1.0)
 
 
-def test_find_fold_recurrence_budget(branch_50, monkeypatch):
-    # the recurrence work of one fold, in steps (n per _eval_state call):
-    # a cubic predictor through the last two samples, bracket points
-    # predicted from the bracket's lo end and a fold Newton that stops at
-    # the rounding floor take find_fold(200) to 131 recurrences (26,200
-    # steps); a second-order predictor took 148 (29,600), and an Euler
-    # predictor from the step's start and a 1e-14 stop alone 278 (55,600)
+def test_iterates_outside_the_fraction_fail_without_dividing():
+    # at w = -1 the fraction's K_{2n-1} = 1 + w is zero: a corrector iterate
+    # there is a failed step, and the fold solve never evaluates there
+    assert _correct(5, (0.5, -1.0), (1.0, 0.0)) is None
+    assert _correct(5, (0.5, -1.5), (1.0, 0.0)) is None
+
+
+def test_fold_checks_its_brackets(monkeypatch):
+    # a seed past the fold: M(k) >= 0 at the outer bracket's lower end
+    with pytest.raises(NoFoldFound, match="not below the fold"):
+        _fold(1, 0.6, 0.9)
+    # an upper end s below the minimiser of R(., k^2), where R_w < 0
+    with pytest.raises(NoFoldFound, match="does not change sign"):
+        _fold(50, 0.5, 0.05)
+    # R = w + q / (10 s), with its minimiser at s = k / sqrt(10) and its fold
+    # at k_c = sqrt(10)/2, past sqrt(pi/2): M > 0 fails at the outer
+    # bracket's upper end
+    monkeypatch.setattr(
+        spectral, "_eval_state",
+        lambda n, w, q: (w + q / (10 * (1 + w)), 1 - q / (10 * (1 + w) ** 2), 1 / (10 * (1 + w))),
+    )
+    with pytest.raises(NoFoldFound, match="not below sqrt"):
+        _fold(4, 0.5, 0.9)
+
+
+def test_find_fold_evaluation_budget(monkeypatch):
+    # find_fold(200) solves for the fold without a trace: two inner bracket
+    # ends, the secant on s^2 R_w and one evaluation at the fold, 11 in all
+    # (the trace and the fold bracketing it replaced took 131 recurrences of
+    # depth 200)
     calls = _record_eval_state(monkeypatch)
     find_fold(200)
-    assert 200 * len(calls) <= 27_000
-    # the chord of a continuation step is at least its predictor step h,
-    # since the corrector moves orthogonally to the tangent
-    chords = [
-        math.hypot(b.k - a.k, b.omega - a.omega)
-        for a, b in zip(branch_50.samples, branch_50.samples[1:])
-    ]
-    assert max(chords) >= spectral._STEP_MAX - 1e-12
+    assert len(calls) <= 12
 
 
 @pytest.mark.parametrize("n", [180, 250, 400])
 def test_fold_newton_stops_at_rounding_floor(n, monkeypatch):
-    # from n of about 100 rounding keeps the fold Newton's update near
-    # 1e-13, so a stop at 1e-14 alone took 39, 65 and 41 second-order
-    # evaluations here; the Newton converges quadratically in 3 or 4
-    flags = []
-    real = spectral._eval_state
-
-    def recorder(n, w, q, second=False):
-        flags.append(second)
-        return real(n, w, q, second=second)
-
-    monkeypatch.setattr(spectral, "_eval_state", recorder)
+    # at these orders rounding held the update of the fold Newton this solve
+    # replaced near 1e-13, so a stop at 1e-14 alone took it 39 to 65
+    # evaluations; the secant in y = s^2 has its floor near 1e-18, and its
+    # update falls through 1e-14 within 11 evaluations
+    calls = _record_eval_state(monkeypatch)
     fp = find_fold(n)
     assert fp.residual <= 1e-10
-    assert sum(flags) <= 8
+    assert len(calls) <= 12
 
 
-def test_fold_attached_to_trace(branch_50):
-    fp = find_fold(50)
-    assert branch_50.fold.k_c == pytest.approx(fp.k_c, abs=1e-12)
+def test_fold_attached_to_trace():
+    # the trace seeds the same solve at its last sample
+    for n in (1, 2, 20, 50, 200):
+        traced, direct = trace_branch(n).fold, find_fold(n)
+        assert abs(traced.k_c - direct.k_c) <= 1e-12
+        assert abs(traced.omega_c - direct.omega_c) <= 1e-12
