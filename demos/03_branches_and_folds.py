@@ -6,7 +6,7 @@ branch ends at a fold where two real roots merge; the fold wavenumber
 k_c(n) creeps outward as n grows.
 """
 
-from attractor_kit import find_fold, solve_exact_gaussian, trace_branch
+from attractor_kit import BranchCurve, find_fold, solve_exact_gaussian
 
 print("Fold points k_c(n) where the order-n branch turns back:")
 print(f"  {'n':>3s}  {'k_c':>10s}  {'omega_c':>10s}")
@@ -21,14 +21,15 @@ ks = [0.1, 0.2, 0.3, 0.4]
 exact = {k: solve_exact_gaussian(k).omega for k in ks}
 print("\nMax |omega_branch - omega_exact| on k <= 0.4 by truncation order:")
 for n in (2, 5, 10, 20, 50):
-    curve = trace_branch(n)
-    dev = max(abs(curve.omega_at(k) - exact[k]) for k in ks)
+    values = BranchCurve(n, find_fold(n)).omega_at(ks)
+    dev = max(abs(w - exact[k]) for k, w in zip(ks, values))
     print(f"  n = {n:<3d}  {dev:.3e}")
 
-# The continuation stops at the first step that turns back; the fold, solved
-# for from its last sample without further tracing, lies just past it.
-curve = trace_branch(5)
-last = curve.samples[-1]
-print(f"\nOrder-5 branch: fold at (k_c, omega_c) = "
-      f"({curve.fold.k_c:.6f}, {curve.fold.omega_c:.6f}), "
-      f"last sample at (k, omega) = ({last.k:.6f}, {last.omega:.6f})")
+# Below the fold each branch value is the one root of R(omega, k^2) between
+# the minimiser of R and 0; at k_c it merges with its partner, and from k_c
+# on the branch has no value.
+curve = BranchCurve(5, find_fold(5))
+k_c, omega_c = curve.fold.k_c, curve.fold.omega_c
+below, at_fold = curve.omega_at([k_c - 1e-4, k_c])
+print(f"\nOrder-5 branch: fold at (k_c, omega_c) = ({k_c:.6f}, {omega_c:.6f}); "
+      f"omega(k_c - 1e-4) = {below:.6f}, omega(k_c) = {at_fold}")

@@ -5,7 +5,7 @@ Submodules
 exactseries : the paper's Lagrange-inversion formula over Fractions (test oracle)
 ce          : weight models, coefficients a_2n, large-order ratio analysis
 borel       : Borel transform, Pade approximants, Laplace resummation
-spectral    : branch continuation of the spectral polynomials, fold points
+spectral    : fold points of the spectral polynomials and branch values below them
 dispersion  : exact dispersion solvers (Gaussian and bounded-support) and
               the comparison of every method on a k grid
 cli         : command-line front-end (attractor-kit)
@@ -36,7 +36,6 @@ from .spectral import (
     BranchCurve,
     FoldPoint,
     find_fold,
-    trace_branch,
 )
 from .dispersion import (
     DispersionSample,

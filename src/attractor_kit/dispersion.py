@@ -14,12 +14,7 @@ from typing import Iterable, Sequence
 
 from .borel import ce_truncation_eval, resum_dispersion
 from .ce import WeightKind, WeightModel, build_source_series, ce_coefficients
-from .spectral import (
-    NoBranchPoint,
-    NoRootInInterval,
-    _safeguarded_newton,
-    trace_branch,
-)
+from .spectral import BranchCurve, _newton_done, find_fold
 
 
 # largest wavenumber of a comparison grid; it stays below k* = sqrt(pi/2)
@@ -30,6 +25,43 @@ K_GRID_MAX = 1.2
 
 class SeriesDivergent(Exception):
     """Moment series left its convergence region during the solve."""
+
+
+class NoRootInInterval(Exception):
+    """The safeguarded bracket contains no sign change."""
+
+
+def _safeguarded_newton(fg, lo, hi, x0):
+    """Newton iteration that falls back to bisection on a sign-change
+    bracket, stopped by `_newton_done`.  ``fg(x)`` returns the value and
+    the slope at x from one evaluation."""
+    flo, fhi = fg(lo)[0], fg(hi)[0]
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    if flo * fhi > 0:
+        raise NoRootInInterval(
+            f"no sign change on [{lo:.6g}, {hi:.6g}] (f = {flo:.3g}, {fhi:.3g})"
+        )
+    x = min(max(x0, lo), hi)
+    prev = math.inf
+    for _ in range(100):
+        fx, d = fg(x)
+        if fx == 0.0:
+            return x
+        if fx * flo < 0:
+            hi = x
+        else:
+            lo, flo = x, fx
+        x_new = x - fx / d if d != 0 else math.nan
+        if not (lo < x_new < hi):
+            x_new = 0.5 * (lo + hi)
+        step = abs(x_new - x)
+        if _newton_done(step, prev):
+            return x_new
+        x, prev = x_new, step
+    return x
 
 
 @dataclass(frozen=True)
@@ -201,24 +233,15 @@ def compare_methods(
     # omega_ce4 reads a_2 and a_4 even where the approximant needs fewer
     coeffs = ce_coefficients(WeightModel.gaussian(), max(pade_L + pade_M + 1, 2))
     resum = resum_dispersion(coeffs, pade_L, pade_M)
-    branches = {n: trace_branch(n) for n in branch_orders}
 
     cols: dict = {"k": ks}
     exact = [solve_exact_gaussian(k).omega for k in ks]
     cols["omega_exact"] = exact
     cols["omega_resummed"] = [float(v) for v in resum(ks)]
     for n in branch_orders:
-        curve = branches[n]
-        vals, phys = [], []
-        for k in ks:
-            try:
-                vals.append(curve.omega_at(k))
-                phys.append(True)
-            except NoBranchPoint:
-                vals.append(math.nan)
-                phys.append(False)
+        vals = BranchCurve(n, find_fold(n)).omega_at(ks)
         cols[f"omega_branch_n{n}"] = vals
-        cols[f"physical_n{n}"] = phys
+        cols[f"physical_n{n}"] = [not math.isnan(v) for v in vals]
     cols["omega_ce2"] = [ce_truncation_eval(coeffs, 2, k) for k in ks]
     cols["omega_ce4"] = [ce_truncation_eval(coeffs, 4, k) for k in ks]
 

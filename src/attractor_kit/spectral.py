@@ -18,32 +18,20 @@ The root branch of R through (k, w) = (0, 0) approximates the hydrodynamic
 dispersion relation and ends at a fold k_c(n), where R = R_w = 0.  R + 1 =
 s + q/K_1 is homogeneous of degree 1 in (s, k), so the minimiser of
 R(., k^2) is s = u k with u fixed by n, and M(k) = min_s R(s, k^2) =
-k / k_c - 1 is linear in k.
+k / k_c - 1 is linear in k.  So once the fold is known, the branch value
+at every k < k_c is the root of R(., k^2) on (u k - 1, 0], a bracket
+whose signs are known without evaluating its ends.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
-from dataclasses import dataclass, field
-from typing import Optional
-
-
-class CorrectorDiverged(Exception):
-    """Newton corrector failed even after step halving."""
-
-
-class DegenerateTangent(Exception):
-    """Null tangent: singular point that is not a simple fold."""
+from dataclasses import dataclass
 
 
 class NoFoldFound(Exception):
     """The fold solve's brackets failed their sign checks, or its inner
     solve did not converge."""
-
-
-class NoBranchPoint(Exception):
-    """No branch root at the requested wavenumber (past the fold)."""
 
 
 def _eval_state(n: int, w: float, q: float):
@@ -78,194 +66,113 @@ class FoldPoint:
     residual: float
 
 
-@dataclass(frozen=True)
-class BranchSample:
-    """A point of the branch with its slope d(omega)/dk there."""
-
-    k: float
-    omega: float
-    slope: float
-
-
-def _hermite(a: BranchSample, b: BranchSample, k: float) -> float:
-    """Cubic Hermite of omega(k) through samples a and b and their slopes;
-    exactly b.omega at k = b.k, and an extrapolation past b."""
-    dk = b.k - a.k
-    t = (k - a.k) / dk
-    s = 1 - t
-    return (
-        (a.omega * (1 + 2 * t) + a.slope * dk * t) * s * s
-        + (b.omega * (3 - 2 * t) - b.slope * dk * s) * t * t
-    )
-
-
-class NoRootInInterval(Exception):
-    """The safeguarded bracket contains no sign change."""
-
-
 def _newton_done(step: float, prev: float) -> bool:
-    """Stopping test of the fold's inner secant, the branch polish and
-    `_safeguarded_newton`, on the size of the last update and the one before
-    it: below 1e-14, or below 1e-9 and no longer halving.  A converging
-    Newton at least halves its update; one that stops halving is moving by
-    rounding noise, which from n of about 100 on lies above 1e-14."""
+    """Stopping test of the fold's inner secant, `BranchCurve.omega_at` and
+    the exact solvers' Newton, on the size of the last update and the one
+    before it: below 1e-14, or below 1e-9 and no longer halving.  A
+    converging Newton at least halves its update; one that stops halving is
+    moving by rounding noise, which from n of about 100 on lies above 1e-14."""
     return step < 1e-14 or (step < 1e-9 and step > 0.5 * prev)
-
-
-def _safeguarded_newton(fg, lo, hi, x0):
-    """Newton iteration that falls back to bisection on a sign-change
-    bracket, stopped by `_newton_done`.  ``fg(x)`` returns the value and
-    the slope at x from one evaluation."""
-    flo, fhi = fg(lo)[0], fg(hi)[0]
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0:
-        raise NoRootInInterval(
-            f"no sign change on [{lo:.6g}, {hi:.6g}] (f = {flo:.3g}, {fhi:.3g})"
-        )
-    x = min(max(x0, lo), hi)
-    prev = math.inf
-    for _ in range(100):
-        fx, d = fg(x)
-        if fx == 0.0:
-            return x
-        if fx * flo < 0:
-            hi = x
-        else:
-            lo, flo = x, fx
-        x_new = x - fx / d if d != 0 else math.nan
-        if not (lo < x_new < hi):
-            x_new = 0.5 * (lo + hi)
-        step = abs(x_new - x)
-        if _newton_done(step, prev):
-            return x_new
-        x, prev = x_new, step
-    return x
-
-
-@dataclass
-class BranchCurve:
-    """Arc of the R = 0 root branch from the origin up to its fold.
-
-    The samples rise strictly in k, each with the branch's slope there;
-    the fold lies past the last one.
-    """
-
-    n: int
-    samples: list = field(default_factory=list)
-    fold: Optional[FoldPoint] = None
-
-    def omega_at(self, k: float) -> float:
-        """Branch value at wavenumber k, for 0 <= k < k_c.
-
-        Up to the last sample: Newton polish seeded on the cubic Hermite
-        through the two samples that bracket k, stopped by `_newton_done` and
-        accepted only with a normalised residual within _RESIDUAL_TOL.
-        Between that sample and the fold: the root of R(., k^2) bracketed
-        by omega_c and the last sample's omega, seeded on the square-root
-        law of the branch near its fold; below k_c the two roots merging at
-        the fold straddle omega_c, so the branch root is the only one in the
-        bracket, and where rounding hides the sign change (k within rounding
-        of k_c) the root is omega_c.  At k_c itself the branch root has
-        merged with its partner into a double root, and the branch has
-        ended.
-        """
-        last = self.samples[-1]
-        past_samples = k > last.k + 1e-12
-        if past_samples and (self.fold is None or k >= self.fold.k_c):
-            raise NoBranchPoint(f"n={self.n} branch does not reach k={k}")
-        if k == 0:
-            return 0.0
-        q = k * k
-        if past_samples:
-            k_c, lo = self.fold.k_c, self.fold.omega_c
-            seed = lo + (last.omega - lo) * math.sqrt((k_c - k) / (k_c - last.k))
-            try:
-                return _safeguarded_newton(
-                    lambda w: _eval_state(self.n, w, q)[:2], lo, last.omega, seed
-                )
-            except NoRootInInterval:
-                return lo
-        i = bisect.bisect_left(self.samples, k, key=lambda s: s.k)
-        if i == len(self.samples):
-            w = last.omega
-        else:
-            w = _hermite(self.samples[i - 1], self.samples[i], k)
-        prev = math.inf
-        for _ in range(50):
-            if not w > -1:
-                break
-            st = _eval_state(self.n, w, q)
-            if st[1] == 0:
-                break
-            step = st[0] / st[1]
-            w -= step
-            if _newton_done(abs(step), prev):
-                if _normalized_residual(st[0], st[1]) <= _RESIDUAL_TOL:
-                    return w
-                break
-            prev = abs(step)
-        raise NoBranchPoint(f"Newton polish failed at k={k} for n={self.n}")
 
 
 _RESIDUAL_TOL = 1e-10
 
-# pseudo-arclength continuation: initial, smallest and largest step, budget
-_STEP = 0.01
-_STEP_MIN = 1e-4
-_STEP_MAX = 0.05
-_MAX_ARCLENGTH = 4.0
+
+def _normalized_residual(R: float, Rw: float) -> float:
+    """|R| scaled by |R_w| where that exceeds 1: an estimate of the distance
+    to the root."""
+    return abs(R) / max(1.0, abs(Rw))
 
 
-def _normalized_residual(R: float, Rw: float, Rk: float = 0.0) -> float:
-    """|R| scaled by the local gradient where that exceeds 1: an estimate of
-    the distance to the zero set."""
-    return abs(R) / max(1.0, math.hypot(Rw, Rk))
+def _hermite(a: tuple, b: tuple, t: float) -> float:
+    """Cubic Hermite through the samples a and b, each (t, omega,
+    d(omega)/dt), at t: exactly b's omega at b's t."""
+    dt = b[0] - a[0]
+    x = (t - a[0]) / dt
+    y = 1 - x
+    return (a[1] * (1 + 2 * x) + a[2] * dt * x) * y * y + (
+        b[1] * (3 - 2 * x) - b[2] * dt * y
+    ) * x * x
 
 
-def _tangent(st, k: float, prev=None):
-    """Unit tangent (dk/ds, dw/ds) of the implicit curve R(w, k^2) = 0,
-    from the state (R, R_w, R_q) at wavenumber k."""
-    tk, tw = st[1], -(st[2] * 2 * k)
-    norm = math.hypot(tk, tw)
-    if norm < 1e-300:
-        raise DegenerateTangent(f"null tangent at k = {k}")
-    tk, tw = tk / norm, tw / norm
-    if (tk if prev is None else tk * prev[0] + tw * prev[1]) < 0:
-        tk, tw = -tk, -tw
-    return tk, tw
+@dataclass(frozen=True)
+class BranchCurve:
+    """The order-n root branch of R from the origin up to its fold, as
+    ``BranchCurve(n, find_fold(n))``."""
 
+    n: int
+    fold: FoldPoint
 
-def _correct(n: int, pred, t):
-    """Newton on {R = 0, t . (v - pred) = 0} from the predictor ``pred``.
+    def omega_at(self, ks) -> list:
+        """Branch value at every wavenumber of ``ks``, in the order given.
 
-    Returns ((k, w), updates, state), or None when the iteration fails.
-    The last evaluation only confirms convergence, so ``updates`` counts the
-    Newton updates before it; ``state`` is that last evaluation, within
-    1e-10 of (k, w), from which the caller takes the tangent.
-    """
-    (k0, w0), (tk, tw) = pred, t
-    k, w = pred
-    for iters in range(1, 26):
-        if not w > -1:
-            # outside the fraction's domain: a failed step, as a singular one
-            return None
-        R, Rw, Rq = _eval_state(n, w, k * k)
-        Rk = Rq * 2 * k
-        g = tk * (k - k0) + tw * (w - w0)
-        # Cramer's rule for [[Rk, Rw], [tk, tw]] (dk, dw) = -(R, g)
-        det = Rk * tw - Rw * tk
-        if det == 0 or not math.isfinite(det):
-            return None
-        dk = (Rw * g - R * tw) / det
-        dw = (R * tk - Rk * g) / det
-        k += dk
-        w += dw
-        if _normalized_residual(R, Rw, Rk) < _RESIDUAL_TOL and max(abs(dk), abs(dw)) < 1e-10:
-            return (k, w), iters - 1, (R, Rw, Rq)
-    return None
+        NaN for k >= k_c, where the branch has ended: at k_c itself its
+        root has merged with its partner into a double root.  0.0 where
+        k^2 is 0.  Otherwise the root of R(., k^2) on (u k - 1, 0], u =
+        (1 + omega_c) / k_c.  There R = k / k_c - 1 < 0 at the lower end,
+        the minimiser of R, and R = q / K_1 > 0 at 0, and R rises in
+        between, so the root is unique and the ends need no evaluation.
+
+        Newton from a seed, with bisection wherever an iterate leaves the
+        bracket that the iterates narrow, stopped by `_newton_done` (or,
+        within rounding of the fold, by a bracket narrower than 1e-15) and
+        accepted only with a normalised residual within _RESIDUAL_TOL;
+        ArithmeticError where it is not.  The first two roots are seeded at
+        -k^2, every later one on the cubic Hermite through the two previous
+        roots in t = sqrt(1 - k / k_c), in which the branch is analytic
+        through its fold.  Each root's slope comes from its last
+        evaluation: d(omega)/dk = -2k R_q / R_w, and dk/dt = -2 k_c t.
+        """
+        n, k_c = self.n, self.fold.k_c
+        u = (1 + self.fold.omega_c) / k_c
+        out = []
+        roots = []  # the last two roots, as (t, omega, d(omega)/dt)
+        for k in ks:
+            k = float(k)
+            if k < 0:
+                raise ValueError(f"k = {k} is negative")
+            q = k * k
+            if not k < k_c:
+                out.append(math.nan)
+                continue
+            if q == 0:
+                out.append(0.0)
+                continue
+            t = math.sqrt(1 - k / k_c)
+            lo, hi = u * k - 1, 0.0
+            w = _hermite(*roots, t) if len(roots) == 2 else -q
+            prev = math.inf
+            for _ in range(100):
+                if not lo < w < hi:
+                    w = 0.5 * (lo + hi)
+                R, Rw, Rq = _eval_state(n, w, q)
+                if R < 0:
+                    lo = w
+                else:
+                    hi = w
+                if hi - lo < 1e-15:
+                    # within rounding of the fold, where the sign of R is
+                    # noise and Newton's update is not small
+                    break
+                step = R / Rw if Rw > 0 else math.inf
+                w -= step
+                if _newton_done(abs(step), prev):
+                    break
+                prev = abs(step)
+            else:
+                raise ArithmeticError(f"branch root of n={n} at k={k} did not converge")
+            residual = _normalized_residual(R, Rw)
+            if not residual <= _RESIDUAL_TOL:
+                raise ArithmeticError(
+                    f"branch root of n={n} at k={k}: normalised residual "
+                    f"{residual:.3g} above {_RESIDUAL_TOL}"
+                )
+            out.append(w)
+            if roots and roots[-1][0] == t:
+                roots.pop()
+            if Rw > 0:
+                roots = roots[-1:] + [(t, w, 4 * k * k_c * t * Rq / Rw)]
+        return out
 
 
 # the fold lies below k* = sqrt(pi/2), where the exact Gaussian branch
@@ -339,75 +246,8 @@ def _fold(n: int, k: float, s: float) -> FoldPoint:
     return FoldPoint(k_f, s_f - 1, residual)
 
 
-def trace_branch(n: int) -> BranchCurve:
-    """Trace the physical root branch by pseudo-arclength continuation.
-
-    Predictor: the cubic Hermite through the last two samples and their
-    unit tangents, parametrised by arclength with the chord between them
-    standing for it (Euler on the first step).  Corrector: Newton
-    on {R = 0, orthogonality to the tangent}; the next tangent comes from
-    the corrector's last evaluation.  The step doubles after at most three
-    Newton updates and halves after more than eight, between 1e-4 and
-    0.05.  The trace ends at the first step over which dk/ds turns
-    negative, and the fold is solved for from its last sample.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-
-    u = (0.0, 0.0)  # (k, omega)
-    t = _tangent(_eval_state(n, 0.0, 0.0), 0.0)
-    samples = [BranchSample(0.0, 0.0, t[1] / t[0])]
-    curve = BranchCurve(n, samples)
-    # u + s t + s^2 a2 + s^3 a3: the cubic through the last two samples
-    a2 = a3 = (0.0, 0.0)
-    h = _STEP
-    arclength = 0.0
-
-    while arclength < _MAX_ARCLENGTH:
-        for _halving in range(7):
-            pred = (
-                u[0] + h * (t[0] + h * (a2[0] + h * a3[0])),
-                u[1] + h * (t[1] + h * (a2[1] + h * a3[1])),
-            )
-            corrected = _correct(n, pred, t)
-            if corrected is not None:
-                break
-            h = max(h / 2, _STEP_MIN)
-        else:
-            raise CorrectorDiverged(
-                f"corrector failed near (k, w) = ({u[0]:.4f}, {u[1]:.4f}) for n={n}"
-            )
-        v, updates, st = corrected
-
-        t_new = _tangent(st, v[0], prev=t)
-        if t_new[0] <= 0:
-            # the step passed the fold, or ended on it, where the slope is
-            # infinite; the last sample lies below it
-            curve.fold = _fold(n, u[0], 1 + u[1])
-            break
-        # the chord is at least h > 0: the corrector moves orthogonally to t
-        chord = math.hypot(v[0] - u[0], v[1] - u[1])
-        ck, cw = (t_new[0] - t[0]) / chord, (t_new[1] - t[1]) / chord
-        # Hermite conditions: (u, t) at s = -chord, (v, t_new) at s = 0
-        ek = (t_new[0] - (v[0] - u[0]) / chord) / chord
-        ew = (t_new[1] - (v[1] - u[1]) / chord) / chord
-        a2 = (3 * ek - ck, 3 * ew - cw)
-        a3 = ((2 * ek - ck) / chord, (2 * ew - cw) / chord)
-        arclength += chord
-        u, t = v, t_new
-        samples.append(BranchSample(*u, t[1] / t[0]))
-
-        # adapt on corrector effort
-        if updates <= 3:
-            h = min(h * 2, _STEP_MAX)
-        elif updates > 8:
-            h = max(h / 2, _STEP_MIN)
-
-    return curve
-
-
 def find_fold(n: int) -> FoldPoint:
-    """Fold of the order-n branch, where R = R_w = 0, without a trace.
+    """Fold of the order-n branch, where R = R_w = 0.
 
     The seed k = 1/4 lies below every fold (k_c(1) = 1/2 is the lowest), and
     s = 1/2 above the minimiser u/4 <= 1/4 of R(., 1/16).

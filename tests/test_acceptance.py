@@ -26,7 +26,7 @@ from attractor_kit.ce import (
 )
 from attractor_kit.cli import main as cli_main
 from attractor_kit.dispersion import gaussian_resolvent, solve_exact_gaussian
-from attractor_kit.spectral import find_fold, trace_branch
+from attractor_kit.spectral import BranchCurve, find_fold
 
 
 ACCEPTANCE_REPORT_LINES = []  # echoed by conftest after capture ends
@@ -176,8 +176,8 @@ def test_criterion_06_branch_convergence(exact_grid):
     grid = [k for k in ks if 0 < k <= 0.4 + 1e-12]
     devs = []
     for n in (2, 5, 10, 20, 50):
-        curve = trace_branch(n)
-        devs.append(max(abs(curve.omega_at(k) - exact[k]) for k in grid))
+        values = BranchCurve(n, find_fold(n)).omega_at(grid)
+        devs.append(max(abs(w - exact[k]) for k, w in zip(grid, values)))
     ok = all(b < a for a, b in zip(devs, devs[1:]))
     assert report(6, "branch convergence in truncation order", ok,
                   "devs " + ", ".join(f"{d:.2e}" for d in devs))

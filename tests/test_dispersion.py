@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from attractor_kit import spectral
 from attractor_kit.ce import WeightModel, ce_coefficients
 from attractor_kit.dispersion import (
     _CF_MIN,
@@ -290,6 +291,24 @@ def test_compare_branch_ends_at_fold(table):
     assert math.isnan(col[i])
     assert not table["physical_n50"][i]
     assert not math.isnan(col[table["k"].index(0.8)])
+
+
+def test_compare_raises_where_a_branch_root_fails(monkeypatch):
+    # an empty branch cell means k >= k_c and nothing else.  Stand-in: R
+    # pushed 1e-6 away from 0 at k = 0.3 alone, where no fold solve
+    # evaluates, so no iterate there meets the residual tolerance, and the
+    # comparison raises rather than leave the cell empty
+    real = spectral._eval_state
+
+    def stand_in(n, w, q):
+        R, Rw, Rq = real(n, w, q)
+        if q == 0.3 * 0.3:
+            R += math.copysign(1e-6, R)
+        return R, Rw, Rq
+
+    monkeypatch.setattr(spectral, "_eval_state", stand_in)
+    with pytest.raises(ArithmeticError, match="n=20 at k=0.3: normalised residual 1e-06"):
+        compare_methods([0.2, 0.3], (20,), 14, 14)
 
 
 def test_compare_deviation_columns(table):

@@ -11,14 +11,12 @@ from attractor_kit import spectral
 from attractor_kit.cli import N_LIST_MAX
 from attractor_kit.dispersion import K_GRID_MAX, solve_exact_gaussian
 from attractor_kit.spectral import (
-    NoBranchPoint,
+    BranchCurve,
     NoFoldFound,
-    _correct,
     _eval_state,
     _fold,
     _normalized_residual,
     find_fold,
-    trace_branch,
 )
 
 
@@ -260,54 +258,56 @@ def test_eval_state_numpy_scalars_give_plain_floats():
         assert all(type(v) is float for v in got)
 
 
-# --- branch tracing -----------------------------------------------------------
+# --- branch values ------------------------------------------------------------
+
+def branch(n):
+    return BranchCurve(n, find_fold(n))
+
 
 @pytest.fixture(scope="module")
 def branch_1():
-    return trace_branch(1)
+    return branch(1)
 
 
 @pytest.fixture(scope="module")
 def branch_50():
-    return trace_branch(50)
-
-
-def test_branch_starts_at_origin(branch_1):
-    first = branch_1.samples[0]
-    assert (first.k, first.omega) == (0.0, 0.0)
-
-
-def test_branch_n1_closed_form(branch_1):
-    # P_1 = 0: w = (-1 + sqrt(1 - 4 k^2)) / 2
-    assert branch_1.omega_at(0.3) == pytest.approx(-0.1, abs=1e-12)
-    for k in (0.05, 0.2, 0.45):
-        expected = (-1 + math.sqrt(1 - 4 * k * k)) / 2
-        assert branch_1.omega_at(k) == pytest.approx(expected, abs=1e-10)
-
-
-def test_branch_n1_small_k_diffusion_slope(branch_1):
-    k = 0.02
-    assert branch_1.omega_at(k) == pytest.approx(-k * k, abs=1e-6)
-
-
-def test_branch_samples_satisfy_residual(branch_50):
-    for s in branch_50.samples:
-        st = _eval_state(50, s.omega, s.k**2)
-        assert _normalized_residual(st[0], st[1], st[2] * 2 * s.k) < 1e-10
-    # the chord of a continuation step is at least its predictor step h,
-    # since the corrector moves orthogonally to the tangent: the step grows
-    # to its largest
-    chords = [
-        math.hypot(b.k - a.k, b.omega - a.omega)
-        for a, b in zip(branch_50.samples, branch_50.samples[1:])
-    ]
-    assert max(chords) >= spectral._STEP_MAX - 1e-12
+    return branch(50)
 
 
 # the README grid, and every 7th point of the CI grid with step 0.001, as the
 # CLI spells them
 README_GRID = [0.01 * i for i in range(121)]
 FINE_GRID = [0.001 * i for i in range(0, 1201, 7)]
+
+
+def test_branch_starts_at_origin(branch_1):
+    # 1e-200 squares to 0 in floats: its value is the k = 0 value
+    assert branch_1.omega_at([0.0, 1e-200]) == [0.0, 0.0]
+
+
+def test_branch_n1_closed_form(branch_1):
+    # P_1 = 0: w = (-1 + sqrt(1 - 4 k^2)) / 2
+    ks = [0.3, 0.05, 0.2, 0.45]
+    values = branch_1.omega_at(ks)
+    assert values[0] == pytest.approx(-0.1, abs=1e-12)
+    for k, w in zip(ks, values):
+        assert w == pytest.approx((-1 + math.sqrt(1 - 4 * k * k)) / 2, abs=1e-10)
+
+
+def test_branch_n1_small_k_diffusion_slope(branch_1):
+    k = 0.02
+    assert branch_1.omega_at([k])[0] == pytest.approx(-k * k, abs=1e-6)
+
+
+def test_branch_samples_satisfy_residual(branch_50):
+    # every value of the README grid below the fold is a root of R well
+    # within the acceptance tolerance of 1e-10
+    k_c = branch_50.fold.k_c
+    values = branch_50.omega_at(README_GRID)
+    for k, w in zip(README_GRID, values):
+        if k < k_c:
+            R, Rw, _ = _eval_state(50, w, k * k)
+            assert _normalized_residual(R, Rw) < 1e-14, (k, w)
 
 
 @pytest.mark.parametrize("n", [1, 2, 20, 50, 200, 400])
@@ -317,12 +317,10 @@ def test_branch_values_match_high_precision_oracle(n):
     # The normalised recurrence's Newton left up to 3.8e-14 at n = 50,
     # k = 1.03 and 2.2e-13 at n = 200, k = 1.12
     grid = FINE_GRID if n >= 200 else README_GRID
-    curve = trace_branch(n)
+    curve = branch(n)
     errors = {}
-    for k in grid:
-        try:
-            w = curve.omega_at(k)
-        except NoBranchPoint:
+    for k, w in zip(grid, curve.omega_at(grid)):
+        if math.isnan(w):
             assert k >= curve.fold.k_c
             continue
         errors[k] = abs(w - branch_root(n, w, k))
@@ -331,13 +329,67 @@ def test_branch_values_match_high_precision_oracle(n):
     assert errors[worst] <= 2e-15, (worst, errors[worst])
 
 
+@pytest.mark.parametrize("n", [1, 2, 20, 50])
+def test_branch_values_independent_of_grid_order(n):
+    # each root seeds the next, so the grid's order changes every seed but
+    # the first; in rising, falling and shuffled order every value stays
+    # within 2e-15 of the 50-digit oracle, and the empty cells are exactly
+    # the k >= k_c, k = k_c(1) = 1/2 among them
+    curve = branch(n)
+    k_c = curve.fold.k_c
+    assert (0.5 in README_GRID) and (n > 1 or k_c == 0.5)
+    shuffled = random.Random(n).sample(README_GRID, len(README_GRID))
+    for grid in (README_GRID, README_GRID[::-1], shuffled):
+        values = curve.omega_at(grid)
+        empty = {k for k, w in zip(grid, values) if math.isnan(w)}
+        assert empty == {k for k in grid if k >= k_c}
+        for k, w in zip(grid, values):
+            if not math.isnan(w):
+                assert abs(w - branch_root(n, w, k)) <= 2e-15, (k, w)
+
+
+def _fraction_Rw(n, w, q):
+    """R_w of the depth-2n fraction at numpy arrays w and q, by the
+    operations of `_eval_state` in its order: element by element the same
+    floats."""
+    s = w + 1.0
+    K, Ks = s, np.ones_like(s)
+    c = 2.0 * n - 1.0
+    while c > 1.0:
+        inv = 1.0 / K
+        t = c * q / K
+        K, Ks = s + t, 1.0 - t * Ks * inv
+        c -= 1.0
+    inv = 1.0 / K
+    t = q / K
+    return 1.0 - t * Ks * inv
+
+
+def test_R_rises_on_the_branch_bracket():
+    # omega_at evaluates neither end of its bracket (u k - 1, 0]: R is
+    # k/k_c - 1 < 0 at the minimiser u k - 1 and q/K_1 > 0 at 0, and R_w > 0
+    # in between makes the root in it unique.  Checked at 49 k below each
+    # fold and 199 w across the bracket, 0 included
+    for n in (1, 2, 3, 5, 10, 50, 200, 400, 1000):
+        fp = find_fold(n)
+        u = (1 + fp.omega_c) / fp.k_c
+        k = fp.k_c * np.arange(1, 50)[:, None] / 50
+        lo = u * k - 1
+        w = lo - lo * np.arange(1, 200) / 199
+        q = np.broadcast_to(k * k, w.shape)
+        Rw = _fraction_Rw(n, w, q)
+        assert (Rw > 0).all(), n
+        for i, j in ((0, 0), (24, 100), (48, 0), (48, 198)):
+            assert Rw[i, j] == _eval_state(n, w[i, j], q[i, j])[1]
+
+
 @pytest.mark.parametrize("n", [2, 50])
 def test_branch_keeps_relative_accuracy_at_small_k(n):
     # w = -k^2 + k^4 + O(k^6) for n >= 2.  R = w + q/K_1 keeps the relative
     # accuracy of w = -1e-12; K_0 - 1 would round it at 1e-16 absolute, 1e-4
     # of w
     k = 1e-6
-    assert trace_branch(n).omega_at(k) == pytest.approx(-k * k + k**4, rel=1e-15, abs=0)
+    assert branch(n).omega_at([k])[0] == pytest.approx(-k * k + k**4, rel=1e-15, abs=0)
 
 
 def test_branch_convergence_law():
@@ -349,48 +401,57 @@ def test_branch_convergence_law():
     for k, orders in ((0.6, (25, 50, 100)), (0.9, (50, 100, 200, 400))):
         exact = solve_exact_gaussian(k).omega
         rate = 2 * math.sqrt(2) * (1 + exact) / k
-        errors = [abs(trace_branch(n).omega_at(k) - exact) for n in orders]
+        errors = [abs(branch(n).omega_at([k])[0] - exact) for n in orders]
         for n1, n2, e1, e2 in zip(orders, orders[1:], errors, errors[1:]):
             predicted = rate * (math.sqrt(n2) - math.sqrt(n1))
             assert math.log(e1 / e2) == pytest.approx(predicted, rel=0.02), (k, n1, n2)
 
 
 def test_branch_excludes_kinetic_root(branch_50):
-    assert all(s.omega > -1.0 for s in branch_50.samples)
+    values = [w for w in branch_50.omega_at(README_GRID) if not math.isnan(w)]
+    assert all(w > branch_50.fold.omega_c > -1.0 for w in values)
 
 
 def test_branch_n50_tracks_exact_dispersion(branch_50):
-    for k in [0.1 * i for i in range(1, 9)]:
-        exact = solve_exact_gaussian(k).omega
-        assert abs(branch_50.omega_at(k) - exact) < 2e-3
+    ks = [0.1 * i for i in range(1, 9)]
+    for k, w in zip(ks, branch_50.omega_at(ks)):
+        assert abs(w - solve_exact_gaussian(k).omega) < 2e-3
 
 
 def test_branch_no_point_past_fold(branch_1):
-    with pytest.raises(NoBranchPoint):
-        branch_1.omega_at(0.7)
+    assert math.isnan(branch_1.omega_at([0.7])[0])
 
 
-def test_branch_reaches_fold_past_last_sample(branch_1):
-    # the last continuation sample lies at k = 0.4998 < k_c = 1/2;
-    # the branch itself reaches the fold
-    last = branch_1.samples[-1].k
-    for k in (0.4999, 0.499999):
-        assert k > last
-        expected = (-1 + math.sqrt(1 - 4 * k * k)) / 2
-        assert branch_1.omega_at(k) == pytest.approx(expected, abs=1e-10)
-    # at k_c the root is the double root -1/2, shared with the kinetic partner
-    for k in (branch_1.fold.k_c, branch_1.fold.k_c + 1e-9):
-        with pytest.raises(NoBranchPoint):
-            branch_1.omega_at(k)
+def test_branch_n1_reaches_fold(branch_1):
+    # at k_c = 1/2 the root is the double root -1/2, shared with the kinetic
+    # partner, and the branch has ended
+    ks = [0.4999, 0.499999, 0.5, 0.5 + 1e-9]
+    values = branch_1.omega_at(ks)
+    for k, w in zip(ks[:2], values):
+        assert w == pytest.approx((-1 + math.sqrt(1 - 4 * k * k)) / 2, abs=1e-10)
+    assert all(math.isnan(w) for w in values[2:])
 
 
-def test_branch_n2_between_last_sample_and_fold():
-    curve = trace_branch(2)
-    last, k_c = curve.samples[-1].k, curve.fold.k_c
-    # inside the gap (about 5e-4 wide) wherever the trace ends its samples
-    for k in (last + 0.1 * (k_c - last), last + 0.7 * (k_c - last)):
-        assert last < k < k_c
-        w = curve.omega_at(k)
+@pytest.mark.parametrize("n", [1, 215, 400])
+def test_branch_value_one_float_below_the_fold(n):
+    # at the last float below k_c the root lies about 1e-8 above omega_c
+    # (k_c - k ~ 1e-16 and the branch is omega_c + O(sqrt(k_c - k))), where
+    # the sign of R is rounding noise and Newton's update stays large; the
+    # solve stops when its bracket is narrower than 1e-15.  At n = 215 and
+    # 400 a solve stopped by the size of the update alone ran out of
+    # iterations
+    curve = branch(n)
+    k_c, omega_c = curve.fold.k_c, curve.fold.omega_c
+    w, at_fold = curve.omega_at([math.nextafter(k_c, 0), k_c])
+    assert omega_c - 1e-15 <= w < omega_c + 1e-7
+    assert math.isnan(at_fold)
+
+
+def test_branch_n2_just_below_fold():
+    curve = branch(2)
+    k_c = curve.fold.k_c
+    ks = [k_c - 5e-4, k_c - 1e-6]
+    for k, w in zip(ks, curve.omega_at(ks)):
         q = k * k
         quartic = [1, 3, 3 + 6 * q, 1 + 7 * q, q * (1 + 3 * q)]
         # a root of the explicit P_2 (Newton distance), and the physical one:
@@ -399,14 +460,12 @@ def test_branch_n2_between_last_sample_and_fold():
         assert abs(newton_dist) < 1e-12
         real = [r.real for r in np.roots(quartic) if abs(r.imag) < 1e-9]
         assert w == pytest.approx(max(real), abs=1e-9)
-    with pytest.raises(NoBranchPoint):
-        curve.omega_at(curve.fold.k_c + 1e-9)
+    assert math.isnan(curve.omega_at([k_c + 1e-9])[0])
 
 
-def test_branch_n50_between_last_sample_and_fold(branch_50):
-    last = branch_50.samples[-1].k
-    assert last < 1.03 < branch_50.fold.k_c
-    w = branch_50.omega_at(1.03)
+def test_branch_n50_just_below_fold(branch_50):
+    assert 1.03 < branch_50.fold.k_c
+    w = branch_50.omega_at([1.03])[0]
     assert branch_50.fold.omega_c < w < -0.5
     st = _eval_state(50, w, 1.03**2)
     assert _normalized_residual(st[0], st[1]) < 1e-12
@@ -425,84 +484,107 @@ def _record_eval_state(monkeypatch):
 
 
 def test_omega_at_one_recurrence_per_newton_iterate(branch_50, monkeypatch):
-    # past the last sample, Newton reads P and P_w at each iterate from one
-    # evaluation of the recurrence.  Seeded at the bracket's midpoint with a
-    # 1e-15 stop it took 12 evaluations here; seeded on the square-root law
-    # of the fold and stopped at the rounding floor it takes 7, two of them
-    # the bracket's ends
-    assert branch_50.samples[-1].k < 1.03
+    # Newton reads R and R_w at each iterate from one evaluation, and every
+    # iterate lies inside the bracket: its ends are never evaluated.  At
+    # k = 1.03, 7e-4 below the fold, the seed -k^2 lies below the bracket,
+    # so the first iterate is its midpoint
+    fp = branch_50.fold
+    lo = (1 + fp.omega_c) / fp.k_c * 1.03 - 1
     calls = _record_eval_state(monkeypatch)
-    branch_50.omega_at(1.03)
+    branch_50.omega_at([1.03])
+    assert calls[0][0] == 0.5 * lo
     assert 3 <= len(calls) <= 8
     assert all(a != b for a, b in zip(calls, calls[1:]))
+    assert all(lo < w < 0 for w, _ in calls)
 
 
-def test_omega_at_seeds_on_the_hermite_cubic(branch_50, monkeypatch):
-    # Newton polish starts on the cubic through the two samples that
-    # bracket k with their slopes; at a sample's own k, at that sample
-    samples = branch_50.samples
-    mids = [0.5 * (a.k + b.k) for a, b in zip(samples, samples[1:])]
-    mids += [0.5 * samples[-1].k * (1 + i / 97) for i in range(97)]
+def _hermite_basis(a, b, t):
+    """The cubic Hermite through (t, omega, d(omega)/dt) samples a and b,
+    in the local coordinate x of the basis functions."""
+    dt, x = b[0] - a[0], (t - a[0]) / (b[0] - a[0])
+    return (
+        (2 * x**3 - 3 * x**2 + 1) * a[1]
+        + (x**3 - 2 * x**2 + x) * dt * a[2]
+        + (-2 * x**3 + 3 * x**2) * b[1]
+        + (x**3 - x**2) * dt * b[2]
+    )
+
+
+def _first_iterates(calls):
+    """The first w of each run of evaluations at one q: the seed of each
+    root, for a grid with no k twice in a row."""
+    return [w for i, (w, q) in enumerate(calls) if i == 0 or q != calls[i - 1][1]]
+
+
+def test_omega_at_seeds_on_the_hermite_cubic(branch_1, monkeypatch):
+    # n = 1 in t = sqrt(1 - 2k): k = (1 - t^2)/2, the branch is
+    # w = (-1 + t sqrt(2 - t^2))/2 and dw/dt = (1 - t^2)/sqrt(2 - t^2).
+    # The first two roots are seeded at -k^2; each later one on the cubic
+    # Hermite in t through the two roots before it
+    def sample(k):
+        t = math.sqrt(1 - 2 * k)
+        return t, (-1 + t * math.sqrt(2 - t * t)) / 2, (1 - t * t) / math.sqrt(2 - t * t)
+
+    ks = [0.1, 0.3, 0.45, 0.2, 0.35]
     calls = _record_eval_state(monkeypatch)
-    for s in samples[1:]:
-        calls.clear()
-        branch_50.omega_at(s.k)
-        assert calls[0] == (s.omega, s.k * s.k)
-    for k in mids:
-        calls.clear()
-        branch_50.omega_at(k)
-        b = next(s for s in samples if s.k >= k)
-        a = samples[samples.index(b) - 1]
-        # the Hermite basis on [a.k, b.k], in the local coordinate x
-        dk, x = b.k - a.k, (k - a.k) / (b.k - a.k)
-        cubic = (
-            (2 * x**3 - 3 * x**2 + 1) * a.omega
-            + (x**3 - 2 * x**2 + x) * dk * a.slope
-            + (-2 * x**3 + 3 * x**2) * b.omega
-            + (x**3 - x**2) * dk * b.slope
-        )
-        assert calls[0][1] == k * k
-        assert calls[0][0] == pytest.approx(cubic, rel=0, abs=1e-15)
+    branch_1.omega_at(ks)
+    seeds = _first_iterates(calls)
+    assert len(seeds) == len(ks)
+    assert seeds[:2] == [-0.1 * 0.1, -0.3 * 0.3]
+    for i in range(2, len(ks)):
+        want = _hermite_basis(sample(ks[i - 2]), sample(ks[i - 1]), sample(ks[i])[0])
+        assert seeds[i] == pytest.approx(want, rel=0, abs=1e-13)
+    # a k twice in a row replaces its own root, so that the cubic through
+    # the last two never has a zero width
+    values = branch_1.omega_at([0.3, 0.3, 0.2])
+    assert values[1] == pytest.approx(values[0], rel=0, abs=1e-16)
+    assert values[2] == pytest.approx(sample(0.2)[1], rel=0, abs=1e-15)
 
 
-def test_branch_sample_slopes_match_closed_forms(branch_1):
-    # n = 1: w = (-1 + sqrt(1 - 4k^2)) / 2, so dw/dk = -2k / sqrt(1 - 4k^2)
-    assert branch_1.samples[0].slope == 0
-    for s in branch_1.samples[1:]:
-        expected = -2 * s.k / math.sqrt(1 - 4 * s.k**2)
-        assert s.slope == pytest.approx(expected, rel=1e-8)
-    # n = 2: the implicit derivative of the explicit quartic of
-    # test_fold_n2_closed_form, dw/dk = -2k P_q / P_w
-    for s in trace_branch(2).samples[1:]:
-        w, q = s.omega, s.k**2
+def test_branch_sample_slopes_match_closed_forms(monkeypatch):
+    # each root carries its slope from its last evaluation: for n = 2,
+    # dw/dk = -2k P_q / P_w from the explicit quartic of
+    # test_fold_n2_closed_form, and dw/dt = -2 k_c t dw/dk; the seed of a
+    # third root shows the slopes of the two before it
+    curve = branch(2)
+    k_c = curve.fold.k_c
+    ks = [0.2, 0.5, 0.6]
+    values = curve.omega_at(ks)
+
+    def sample(k, w):
+        q, t = k * k, math.sqrt(1 - k / k_c)
         P_w = 4 * w**3 + 9 * w**2 + 2 * (3 + 6 * q) * w + 1 + 7 * q
         P_q = 6 * w**2 + 7 * w + 1 + 6 * q
-        assert s.slope == pytest.approx(-2 * s.k * P_q / P_w, rel=1e-8)
+        return t, w, -2 * k_c * t * (-2 * k * P_q / P_w)
+
+    calls = _record_eval_state(monkeypatch)
+    curve.omega_at(ks)
+    seed = _first_iterates(calls)[2]
+    a, b = sample(ks[0], values[0]), sample(ks[1], values[1])
+    assert seed == pytest.approx(_hermite_basis(a, b, math.sqrt(1 - ks[2] / k_c)), rel=0, abs=1e-13)
 
 
 def test_omega_at_recurrence_budget_on_readme_grid(branch_50, monkeypatch):
-    # the README grid's k = 0.01..1.03 below k_c(50) = 1.0307: a polish
-    # seeded on the chord between samples took 409 recurrences, one seeded
-    # on the Hermite cubic takes 260
-    ks = [i / 100 for i in range(1, 121) if i / 100 < branch_50.fold.k_c]
-    assert len(ks) == 103
+    # the README grid's 103 wavenumbers k = 0.01..1.03 below k_c(50) =
+    # 1.0307 take 220 recurrences, about two per root, each seeded on the
+    # two roots before it
     calls = _record_eval_state(monkeypatch)
-    for k in ks:
-        branch_50.omega_at(k)
-    assert len(calls) <= 280
+    values = branch_50.omega_at(README_GRID)
+    assert sum(not math.isnan(w) for w in values) == 104
+    assert len(calls) <= 240
 
 
 def test_omega_at_n400_below_fold_matches_eigenvalues():
-    # at n = 400 rounding keeps the polish's update above 1e-14, so a stop
+    # at n = 400 rounding keeps the Newton update above 1e-14, so a stop
     # at 1e-14 alone ran out of iterations here and reported no branch
     # point below k_c = 1.1528.  Independent oracle: the branch value is an
     # eigenvalue of -(D + ik J_2n), D = diag(0, 1, ..., 1); the similarity
     # diag(i^j) makes that matrix real, with ik J_2n -> k (L - L^T), L the
     # lower off-diagonal sqrt(j), which eigvals handles four times faster.
     n, k = 400, 1.104
-    curve = trace_branch(n)
+    curve = branch(n)
     assert k < curve.fold.k_c
-    w = curve.omega_at(k)
+    w = curve.omega_at([k])[0]
     off = k * np.sqrt(np.arange(1, 2 * n))
     D = np.diag([0.0] + [1.0] * (2 * n - 1))
     ev = np.linalg.eigvals(-(D + np.diag(off, -1) - np.diag(off, 1)))
@@ -512,29 +594,31 @@ def test_omega_at_n400_below_fold_matches_eigenvalues():
     assert real[-2] < curve.fold.omega_c < w
 
 
-def test_trace_input_validation():
+def test_branch_input_validation(branch_1):
     with pytest.raises(ValueError):
-        trace_branch(0)
+        find_fold(0)
+    with pytest.raises(ValueError):
+        branch_1.omega_at([0.1, -0.1])
 
 
 def test_branch_convergence_to_attractor():
     # max deviation over k <= 0.4 decreases with truncation order
     ks = [0.05 * i for i in range(1, 9)]
-    exact = {k: solve_exact_gaussian(k).omega for k in ks}
+    exact = [solve_exact_gaussian(k).omega for k in ks]
     devs = []
     for n in (2, 5, 10, 20, 50):
-        curve = trace_branch(n)
-        devs.append(max(abs(curve.omega_at(k) - exact[k]) for k in ks))
+        values = branch(n).omega_at(ks)
+        devs.append(max(abs(w - e) for w, e in zip(values, exact)))
     assert all(b < a for a, b in zip(devs, devs[1:]))
 
 
 # --- folds ---------------------------------------------------------------------
 
-def test_fold_n1_exact(branch_1):
+def test_fold_n1_exact():
     # exactly: a k_c one ulp above 1/2 would give the README grid a branch
     # value at k = 0.50, the fold's double root
-    for fp in (find_fold(1), branch_1.fold):
-        assert (fp.k_c, fp.omega_c) == (0.5, -0.5)
+    fp = find_fold(1)
+    assert (fp.k_c, fp.omega_c) == (0.5, -0.5)
 
 
 def test_fold_n2_closed_form():
@@ -621,19 +705,6 @@ def test_folds_match_high_precision_oracle(n):
     assert abs(fp.omega_c - omega_c) <= 1e-12
 
 
-def test_singular_newton_systems():
-    # n = 1 at the origin: R_k = 2k R_q = 0, so with t = (0, 1) the corrector
-    # system [[R_k, R_w], [t_k, t_w]] has det = -t_k = 0
-    assert _correct(1, (0.0, 0.0), (0.0, 1.0)) is None
-
-
-def test_iterates_outside_the_fraction_fail_without_dividing():
-    # at w = -1 the fraction's K_{2n-1} = 1 + w is zero: a corrector iterate
-    # there is a failed step, and the fold solve never evaluates there
-    assert _correct(5, (0.5, -1.0), (1.0, 0.0)) is None
-    assert _correct(5, (0.5, -1.5), (1.0, 0.0)) is None
-
-
 def test_fold_checks_its_brackets(monkeypatch):
     # a seed past the fold: M(k) >= 0 at the outer bracket's lower end
     with pytest.raises(NoFoldFound, match="not below the fold"):
@@ -672,11 +743,3 @@ def test_fold_newton_stops_at_rounding_floor(n, monkeypatch):
     fp = find_fold(n)
     assert fp.residual <= 1e-10
     assert len(calls) <= 12
-
-
-def test_fold_attached_to_trace():
-    # the trace seeds the same solve at its last sample
-    for n in (1, 2, 20, 50, 200):
-        traced, direct = trace_branch(n).fold, find_fold(n)
-        assert abs(traced.k_c - direct.k_c) <= 1e-12
-        assert abs(traced.omega_c - direct.omega_c) <= 1e-12
