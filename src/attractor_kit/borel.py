@@ -7,16 +7,14 @@ self-consistent term by term (int e^{-t} t^n dt = n!).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
 import numpy as np
-from numpy.polynomial.laguerre import laggauss
-from numpy.polynomial.legendre import leggauss
 
+from . import _gauss_rules
 from .ce import CECoefficients
 
 # residues below this are Froissart doublets (pole cancelled by a nearby
@@ -122,33 +120,16 @@ def pade(series: Sequence[float], L: int, M: int) -> PadeApproximant:
     if M > 0:
         poles = np.roots(den[::-1])
         dden = np.polyder(den[::-1])
-        residues = np.array(
-            [
-                np.polyval(num[::-1], p) / np.polyval(dden, p)
-                for p in poles
-            ]
-        )
+        residues = np.polyval(num[::-1], poles) / np.polyval(dden, poles)
     else:
         poles = np.zeros(0, dtype=complex)
         residues = np.zeros(0, dtype=complex)
     return PadeApproximant(num, den, poles, residues)
 
 
-# Gauss-Laguerre nodes of the Laplace integral
-_LAGUERRE_NODES = 80
-
-
-@functools.cache
-def _laguerre_rule():
-    # built on first use: laggauss(80) costs a few ms that import need not pay
-    return laggauss(_LAGUERRE_NODES)
-
-
-def _contour_distance(pole: complex, support: float) -> float:
-    """Distance of a pole from the Laplace contour [0, support]."""
-    if 0 < pole.real < support:
-        return abs(pole.imag)
-    return min(abs(pole), abs(pole - support))
+# the 80-node Gauss-Laguerre rule of the Laplace integral
+_LAGUERRE_T = np.array(_gauss_rules.LAGUERRE_NODES)
+_LAGUERRE_W = np.array(_gauss_rules.LAGUERRE_WEIGHTS)
 
 
 def laplace_resum(p: PadeApproximant, x):
@@ -166,27 +147,28 @@ def laplace_resum(p: PadeApproximant, x):
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(xs <= 0):
         raise ValueError("x must be positive")
-    t, w = _laguerre_rule()
-    t_max = float(t[-1])
-    poles = [complex(z) for z in p.physical_poles]
+    t, w = _LAGUERRE_T, _LAGUERRE_W
+    # distance of each genuine pole (columns) from each x's contour
+    # [0, x t_max] (rows): |Im| above the segment, else the nearer end
+    poles = p.physical_poles
+    support = (xs * t[-1])[:, None]
+    over = (0 < poles.real) & (poles.real < support)
+    dist = np.where(over, np.abs(poles.imag),
+                    np.minimum(np.abs(poles), np.abs(poles - support)))
+    d = dist.min(axis=1, initial=math.inf)
     out = np.empty(len(xs))
-    regular = []
-    for i, v in enumerate(xs.tolist()):
-        d, pole = min(
-            ((_contour_distance(z, v * t_max), z) for z in poles),
-            key=lambda e: e[0], default=(math.inf, None),
+    obstructed = d < _CONTOUR_TOL
+    if scalar and obstructed[0]:
+        pole = complex(poles[np.argmin(dist[0])])
+        raise PoleOnContour(
+            f"Pade pole at sigma = {pole:.6g} obstructs the Laplace contour"
         )
-        if d < _CONTOUR_TOL:
-            if scalar:
-                raise PoleOnContour(
-                    f"Pade pole at sigma = {pole:.6g} obstructs the Laplace contour"
-                )
-            out[i] = math.nan
-        elif d < 1e-3 * max(v, 1.0):
-            out[i] = _graded_laplace(p, v)
-        else:
-            regular.append(i)
-    if regular:
+    out[obstructed] = math.nan
+    near = ~obstructed & (d < 1e-3 * np.maximum(xs, 1.0))
+    for i in np.flatnonzero(near).tolist():
+        out[i] = _graded_laplace(p, float(xs[i]))
+    regular = ~(obstructed | near)
+    if regular.any():
         out[regular] = np.sum(w * p(xs[regular, None] * t).real, axis=1)
     return float(out[0]) if scalar else out
 
@@ -194,11 +176,12 @@ def laplace_resum(p: PadeApproximant, x):
 # the graded rule integrates u in [0, 40]: the e^{-40} tail is below double
 # precision for bounded p
 _GRADED_U_MAX = 40.0
-# Gauss-Legendre nodes per panel, and the width ratio of neighbouring panels
-# around a pole.  The worst panel is the central one, with the pole a
+# 20 Gauss-Legendre nodes per panel, and the width ratio of neighbouring
+# panels around a pole.  The worst panel is the central one, with the pole a
 # half-width above its midpoint; its error is about (1 + sqrt(2))^(-2 nodes)
 # ~ 5e-16 of the integrand's scale there
-_GRADED_NODES = 20
+_LEGENDRE_T = np.array(_gauss_rules.LEGENDRE_NODES)
+_LEGENDRE_W = np.array(_gauss_rules.LEGENDRE_WEIGHTS)
 _GRADED_RATIO = 3.0
 # e^{-u} changes on a unit scale, so the panels away from poles double in
 # width from [0, 1]
@@ -223,7 +206,7 @@ def _graded_laplace(p: PadeApproximant, x: float) -> float:
             edges.update((c - h, c + h))
             h *= _GRADED_RATIO
     e = np.array(sorted(v for v in edges if 0.0 <= v <= _GRADED_U_MAX))
-    t, w = leggauss(_GRADED_NODES)
+    t, w = _LEGENDRE_T, _LEGENDRE_W
     mid = 0.5 * (e[1:] + e[:-1])[:, None]
     half = 0.5 * (e[1:] - e[:-1])[:, None]
     u = (mid + half * t).ravel()

@@ -34,9 +34,11 @@ from .spectral import NoFoldFound, find_fold
 EXIT_CONFIG = 2
 EXIT_COMPUTE = 3
 
-# largest truncation order `folds` and `dispersion` accept: a sweep of
-# find_fold over every n up to it found a fold each time, with k_c rising
-N_LIST_MAX = 400
+# largest truncation order each command accepts in --n-list.  For `folds`,
+# a sweep of find_fold over every n up to it found a fold each time, with
+# k_c rising.  `dispersion` costs about two fraction evaluations of depth
+# 2n per grid point and order, so its bound stays lower
+N_LIST_MAX = {"dispersion": 400, "folds": 3200}
 
 # largest --n-max `ce-coeffs` and `borel` accept, and largest coefficient
 # count L + M + 1 that --pade may ask for: a custom weight still runs the
@@ -284,10 +286,10 @@ def validate(args) -> None:
         raise ValueError(f"--out {args.out}: no such directory")
     if not 1 <= getattr(args, "n_max", 1) <= N_MAX_MAX:
         raise ValueError(f"--n-max must be in 1..{N_MAX_MAX}")
-    if hasattr(args, "n_list") and (
-        not args.n_list or min(args.n_list) < 1 or max(args.n_list) > N_LIST_MAX
-    ):
-        raise ValueError(f"--n-list entries must be in 1..{N_LIST_MAX}")
+    if hasattr(args, "n_list"):
+        bound = N_LIST_MAX[args.command]
+        if not args.n_list or min(args.n_list) < 1 or max(args.n_list) > bound:
+            raise ValueError(f"--n-list entries must be in 1..{bound}")
     if hasattr(args, "pade"):
         if args.pade[0] < 0 or args.pade[1] < 0:
             raise ValueError("--pade orders must be non-negative")

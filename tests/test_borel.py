@@ -5,6 +5,13 @@ import mpmath
 import numpy as np
 import pytest
 
+from attractor_kit import borel
+from attractor_kit._gauss_rules import (
+    LAGUERRE_NODES,
+    LAGUERRE_WEIGHTS,
+    LEGENDRE_NODES,
+    LEGENDRE_WEIGHTS,
+)
 from attractor_kit.borel import (
     PadeApproximant,
     PoleOnContour,
@@ -157,7 +164,7 @@ def laplace_oracle(p, x, split):
 
 
 def gauss_laguerre(p, x):
-    t, w = np.polynomial.laguerre.laggauss(80)
+    t, w = np.array(LAGUERRE_NODES), np.array(LAGUERRE_WEIGHTS)
     return float(np.sum(w * p(x * t).real))
 
 
@@ -196,7 +203,7 @@ def test_laplace_resum_requires_positive_x(gaussian_30):
 def test_laplace_resum_grid_equals_one_point_calls(gaussian_30):
     # the README grid's x = k^2: one Gauss-Laguerre sum over the whole grid
     # gives the one-point values bit for bit, and those are the sum over the
-    # 80 nodes of one x
+    # 80 stored nodes of one x
     r = resum_dispersion(gaussian_30, 14, 14)
     p = r.approximant
     ks = [i / 100 for i in range(121)]
@@ -204,12 +211,31 @@ def test_laplace_resum_grid_equals_one_point_calls(gaussian_30):
     grid = laplace_resum(p, xs)
     assert isinstance(grid, np.ndarray)
     assert grid.tolist() == [laplace_resum(p, x) for x in xs]
-    t, w = np.polynomial.laguerre.laggauss(80)
+    t, w = np.array(LAGUERRE_NODES), np.array(LAGUERRE_WEIGHTS)
     assert grid.tolist() == [float(np.sum(w * p(x * t))) for x in xs]
     assert r(ks).tolist() == [0.0] + grid.tolist() == [r(k) for k in ks]
 
 
-def test_laplace_resum_grid_mixes_regular_near_and_obstructed_x():
+def reference_class(poles, x):
+    """Class of x by the one-x-at-a-time rule: the nearest genuine pole's
+    distance from the contour [0, x t_max] picks NaN, the graded rule or the
+    shared Gauss-Laguerre sum.  Returns the class and that pole."""
+    support = x * LAGUERRE_NODES[-1]
+
+    def distance(pole):
+        if 0 < pole.real < support:
+            return abs(pole.imag)
+        return min(abs(pole), abs(pole - support))
+
+    d, pole = min(((distance(z), z) for z in poles), key=lambda e: e[0])
+    if d < 1e-8:
+        return "nan", pole
+    if d < 1e-3 * max(x, 1.0):
+        return "graded", pole
+    return "regular", pole
+
+
+def test_laplace_resum_grid_mixes_regular_near_and_obstructed_x(monkeypatch):
     # 1/(sigma - s1) + 1/(sigma - s2): s1 is the near-contour pole of
     # test_laplace_resum_pole_near_contour_vs_mpmath, s2 a genuine pole on
     # the positive axis as in test_laplace_resum_detects_positive_axis_pole,
@@ -235,6 +261,90 @@ def test_laplace_resum_grid_mixes_regular_near_and_obstructed_x():
     oracle = laplace_oracle(p, near, s1.real / near)
     assert abs(gauss_laguerre(p, near) - oracle) > 1e-3
     assert abs(grid[2] - oracle) <= 1e-8
+
+    # a dense sweep across every threshold of both poles: the contour end
+    # x t_max within 1e-3 of s1 (graded), within 1e-3 of s2 (graded) and
+    # within 1e-8 of it (NaN), and past s2.  s2 alone shows its own graded
+    # threshold, which s1 hides in the pair; a pole just left of 0 obstructs
+    # every contour from its start
+    t_max = LAGUERRE_NODES[-1]
+    ends = [
+        (s1.real - math.sqrt(1e-6 - s1.imag**2), 1e-7),
+        (s1.real, 1e-7),
+        (s2 - 1e-3, 1e-5),
+        (s2 - 1e-8, 1e-10),
+        (s2, 1e-10),
+    ]
+    sweep = set()
+    for end, h in ends:
+        for i in range(-20, 21):
+            sweep.add((end + i * h) / t_max)
+        x = end / t_max
+        sweep.update((np.nextafter(x, 0.0), x, np.nextafter(x, 1.0)))
+    sweep = sorted(float(x) for x in sweep)
+    graded_xs = []
+    graded = borel._graded_laplace
+    monkeypatch.setattr(
+        borel, "_graded_laplace", lambda q, x: graded_xs.append(x) or graded(q, x)
+    )
+    seen = set()
+    for approximant in (p, single_pole(s2, 1.0), single_pole(-2e-9, 1.0)):
+        poles = [complex(z) for z in approximant.physical_poles]
+        expected = [reference_class(poles, x) for x in sweep]
+        graded_xs.clear()
+        grid = laplace_resum(approximant, sweep)
+        assert graded_xs == [x for x, (c, _) in zip(sweep, expected) if c == "graded"]
+        for x, value, (c, pole) in zip(sweep, grid.tolist(), expected):
+            seen.add(c)
+            if c == "nan":
+                assert math.isnan(value)
+                with pytest.raises(PoleOnContour) as exc:
+                    laplace_resum(approximant, x)
+                assert str(exc.value) == (
+                    f"Pade pole at sigma = {pole:.6g} obstructs the Laplace contour"
+                )
+            else:
+                assert value == laplace_resum(approximant, x)
+    assert seen == {"nan", "graded", "regular"}
+
+
+# --- stored quadrature rules -------------------------------------------------
+
+def dyadic(values):
+    """Integers m_i and one power of two d with values[i] = m_i / d exactly."""
+    ratios = [Fr(v) for v in values]
+    d = max(r.denominator for r in ratios)
+    return [r.numerator * (d // r.denominator) for r in ratios], d
+
+
+def test_stored_laguerre_rule_integrates_monomials():
+    # 80 nodes integrate t^j e^{-t} over [0, inf), which is j!, exactly
+    # through j = 159; the sums of the stored floats are taken exactly
+    t, t_den = dyadic(LAGUERRE_NODES)
+    w, w_den = dyadic(LAGUERRE_WEIGHTS)
+    for j in range(160):
+        s = Fr(sum(wi * ti**j for ti, wi in zip(t, w)), w_den * t_den**j)
+        assert abs(s / math.factorial(j) - 1) <= 1e-12
+
+
+def test_stored_legendre_rule_integrates_monomials():
+    # 20 nodes integrate u^j over [-1, 1] exactly through j = 39
+    for j in range(40):
+        s = sum(Fr(w) * Fr(u) ** j for u, w in zip(LEGENDRE_NODES, LEGENDRE_WEIGHTS))
+        assert abs(s - (Fr(2, j + 1) if j % 2 == 0 else 0)) <= 1e-14
+
+
+def test_stored_rules_match_numpy():
+    # not bit for bit: another LAPACK may round the eigenvalues differently
+    from numpy.polynomial.laguerre import laggauss
+    from numpy.polynomial.legendre import leggauss
+
+    for stored, built in (
+        ((LAGUERRE_NODES, LAGUERRE_WEIGHTS), laggauss(80)),
+        ((LEGENDRE_NODES, LEGENDRE_WEIGHTS), leggauss(20)),
+    ):
+        for a, b in zip(stored, built):
+            np.testing.assert_allclose(a, b, rtol=1e-14, atol=0)
 
 
 # --- resummed dispersion -----------------------------------------------------

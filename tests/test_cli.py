@@ -165,9 +165,27 @@ def test_folds_table(tmp_path):
 
 
 def test_folds_rejects_zero(tmp_path):
-    for n_list in ("0", "401"):
+    for n_list in ("0", str(cli.N_LIST_MAX["folds"] + 1)):
         code, _ = run(tmp_path, "folds", "--n-list", n_list)
         assert code == 2
+
+
+def test_folds_accepts_its_own_bound(tmp_path):
+    # folds reaches further than dispersion: one find_fold per order
+    bound = cli.N_LIST_MAX["folds"]
+    assert bound > cli.N_LIST_MAX["dispersion"]
+    code, out = run(tmp_path, "folds", "--n-list", str(bound))
+    assert code == 0
+    _, rows = read_csv(out)
+    assert rows[0][0] == str(bound)
+    assert float(rows[0][1]) < math.sqrt(math.pi / 2)
+    assert float(rows[0][3]) <= 1e-10
+
+
+def test_dispersion_rejects_order_past_its_bound(tmp_path):
+    n = str(cli.N_LIST_MAX["dispersion"] + 1)
+    code, _ = run(tmp_path, "dispersion", "--k-max", "0.1", "--n-list", n)
+    assert code == 2
 
 
 # the folds output for these orders, byte for byte: any change in the last
@@ -359,21 +377,27 @@ def test_json_config_echo_roundtrip(tmp_path):
     assert cfg["weight"] == "gaussian"
 
 
-def test_cli_import_loads_no_scipy():
+def test_cli_import_loads_no_scipy(tmp_path):
     # a fresh interpreter: every CLI run pays this import before any work.
-    # The modules a first command would otherwise load lazily (numpy's
-    # Gauss-Laguerre rule, gettext's locale) come with the import instead
+    # gettext's locale, which a first command would otherwise load lazily,
+    # comes with the import.  The Gauss rules of the Laplace sums are
+    # stored, so not even a dispersion run loads numpy.polynomial
     src = str(Path(attractor_kit.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    argv = ["dispersion", "--k-min", "0", "--k-max", "1.2", "--k-step", "0.01",
+            "--n-list", "1,2,20,50", "--out", str(tmp_path / "readme.csv")]
     probe = (
         "import sys, json, attractor_kit.cli; "
-        "print(json.dumps(sorted(sys.modules)))"
+        "imported = sorted(sys.modules); "
+        f"code = attractor_kit.cli.main({argv!r}); "
+        "print(json.dumps([imported, code, sorted(sys.modules)]))"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
         check=True, timeout=120,
     )
-    modules = json.loads(out.stdout)
+    modules, code, after_run = json.loads(out.stdout)
     assert [m for m in modules if m.split(".")[0] == "scipy"] == []
-    assert "numpy.polynomial.laguerre" in modules
     assert "locale" in modules
+    assert code == 0
+    assert [m for m in after_run if m.startswith("numpy.polynomial")] == []

@@ -118,12 +118,13 @@ def test_eval_P_no_overflow_at_large_order():
     # 0 < q/K_1 <= q/(1 + w) of w, with the sign of the unscaled recurrence
     # in mpmath
     q = K_GRID_MAX**2
+    n = N_LIST_MAX["dispersion"]
     for w in (-0.99, -0.5, 0.0):
-        state = _eval_state(N_LIST_MAX, w, q)
+        state = _eval_state(n, w, q)
         assert all(math.isfinite(v) for v in state)
         assert w < state[0] <= w + q / (1 + w)
         with mpmath.workdps(30):
-            P = mp_state(N_LIST_MAX, w, mpmath.mpf(K_GRID_MAX) ** 2)[0]
+            P = mp_state(n, w, mpmath.mpf(K_GRID_MAX) ** 2)[0]
             assert abs(P) > mpmath.mpf(10) ** 1000
             assert mpmath.sign(P) == math.copysign(1, state[0])
 
