@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 from .borel import ce_truncation_eval, resum_dispersion
 from .ce import WeightKind, WeightModel, build_source_series, ce_coefficients
-from .spectral import BranchCurve, _newton_done, find_fold
+from .spectral import BranchCurve, _bracketed_newton, find_fold
 
 
 # largest wavenumber of a comparison grid; it stays below k* = sqrt(pi/2)
@@ -28,13 +28,13 @@ class SeriesDivergent(Exception):
 
 
 class NoRootInInterval(Exception):
-    """The safeguarded bracket contains no sign change."""
+    """The exact solver's condition has the same sign at both ends of its
+    bracket, so the interval holds no hydrodynamic root."""
 
 
-def _safeguarded_newton(fg, lo, hi, x0):
-    """Newton iteration that falls back to bisection on a sign-change
-    bracket, stopped by `_newton_done`.  ``fg(x)`` returns the value and
-    the slope at x from one evaluation."""
+def _root_on(fg, lo, hi, x0):
+    """Root of fg on [lo, hi] by `_bracketed_newton` from x0, once fg's signs
+    at the ends pass; each caller's fg is positive at hi = 0, so they rise."""
     flo, fhi = fg(lo)[0], fg(hi)[0]
     if flo == 0.0:
         return lo
@@ -44,24 +44,7 @@ def _safeguarded_newton(fg, lo, hi, x0):
         raise NoRootInInterval(
             f"no sign change on [{lo:.6g}, {hi:.6g}] (f = {flo:.3g}, {fhi:.3g})"
         )
-    x = min(max(x0, lo), hi)
-    prev = math.inf
-    for _ in range(100):
-        fx, d = fg(x)
-        if fx == 0.0:
-            return x
-        if fx * flo < 0:
-            hi = x
-        else:
-            lo, flo = x, fx
-        x_new = x - fx / d if d != 0 else math.nan
-        if not (lo < x_new < hi):
-            x_new = 0.5 * (lo + hi)
-        step = abs(x_new - x)
-        if _newton_done(step, prev):
-            return x_new
-        x, prev = x_new, step
-    return x
+    return _bracketed_newton(fg, lo, hi, x0)[0]
 
 
 @dataclass(frozen=True)
@@ -134,7 +117,7 @@ def solve_exact_gaussian(k: float) -> DispersionSample:
         return r, 1 - dI_dA * 2 * (1 + w) / (k * k)
 
     x0 = -k * k + k**4 if k <= 0.5 else -0.2
-    w = _safeguarded_newton(fg, -1 + 1e-9, 0.0, x0)
+    w = _root_on(fg, -1 + 1e-9, 0.0, x0)
     return DispersionSample(k, w, abs(fg(w)[0]))
 
 
@@ -201,7 +184,7 @@ def solve_exact_bounded(k: float, w: WeightModel) -> DispersionSample:
     # the bracket stops where x reaches 1, at 1 + om = k
     lo = max(-1 + 1e-6, k - 1 + 1e-7)
     try:
-        root = _safeguarded_newton(fg, lo, 0.0, -k * k / 3)
+        root = _root_on(fg, lo, 0.0, -k * k / 3)
     except NoRootInInterval as exc:
         raise SeriesDivergent(
             f"root at k = {k:.6g} lies outside the moment series' "

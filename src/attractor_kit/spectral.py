@@ -67,12 +67,40 @@ class FoldPoint:
 
 
 def _newton_done(step: float, prev: float) -> bool:
-    """Stopping test of the fold's inner secant, `BranchCurve.omega_at` and
-    the exact solvers' Newton, on the size of the last update and the one
-    before it: below 1e-14, or below 1e-9 and no longer halving.  A
-    converging Newton at least halves its update; one that stops halving is
-    moving by rounding noise, which from n of about 100 on lies above 1e-14."""
+    """Stopping test of the fold's inner secant and of `_bracketed_newton`,
+    on the size of the last update and the one before it: below 1e-14, or
+    below 1e-9 and no longer halving.  A converging Newton at least halves
+    its update; one that stops halving is moving by rounding noise, which
+    from n of about 100 on lies above 1e-14."""
     return step < 1e-14 or (step < 1e-9 and step > 0.5 * prev)
+
+
+def _bracketed_newton(fg, lo: float, hi: float, x: float) -> tuple:
+    """Root of fg in (lo, hi], where fg(lo) < 0 <= fg(hi), from the seed x,
+    and fg's tuple (value, slope, ...) at the last iterate evaluated.
+
+    Newton, with bisection wherever the seed or an iterate leaves the
+    bracket that the iterates narrow, or the slope is not positive.  It
+    stops by `_newton_done`, or once the bracket is narrower than 1e-15
+    relative to the iterate: within rounding of a double root, as at a fold,
+    the sign of fg is noise and Newton's update is not small, while a root
+    far below 1 keeps its relative accuracy.  ArithmeticError after 100
+    iterations.
+    """
+    prev = math.inf
+    for _ in range(100):
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+        st = fg(x)
+        lo, hi = (x, hi) if st[0] < 0 else (lo, x)
+        if hi - lo < 1e-15 * abs(x):
+            return x, st
+        step = st[0] / st[1] if st[1] > 0 else math.inf
+        x -= step
+        if _newton_done(abs(step), prev):
+            return x, st
+        prev = abs(step)
+    raise ArithmeticError(f"Newton did not converge on ({lo:.17g}, {hi:.17g}]")
 
 
 _RESIDUAL_TOL = 1e-10
@@ -113,11 +141,11 @@ class BranchCurve:
         the minimiser of R, and R = q / K_1 > 0 at 0, and R rises in
         between, so the root is unique and the ends need no evaluation.
 
-        Newton from a seed, with bisection wherever an iterate leaves the
-        bracket that the iterates narrow, stopped by `_newton_done` (or,
-        within rounding of the fold, by a bracket narrower than 1e-15) and
-        accepted only with a normalised residual within _RESIDUAL_TOL;
-        ArithmeticError where it is not.  The first two roots are seeded at
+        One `_bracketed_newton` per k, whose width stop is relative to the
+        iterate, so a root at small k, far below 1, keeps its relative
+        accuracy; the root is accepted only with a normalised residual
+        within _RESIDUAL_TOL, and ArithmeticError where it is not or Newton
+        does not converge.  The first two roots are seeded at
         -k^2, every later one on the cubic Hermite through the two previous
         roots in t = sqrt(1 - k / k_c), in which the branch is analytic
         through its fold.  Each root's slope comes from its last
@@ -139,28 +167,10 @@ class BranchCurve:
                 out.append(0.0)
                 continue
             t = math.sqrt(1 - k / k_c)
-            lo, hi = u * k - 1, 0.0
-            w = _hermite(*roots, t) if len(roots) == 2 else -q
-            prev = math.inf
-            for _ in range(100):
-                if not lo < w < hi:
-                    w = 0.5 * (lo + hi)
-                R, Rw, Rq = _eval_state(n, w, q)
-                if R < 0:
-                    lo = w
-                else:
-                    hi = w
-                if hi - lo < 1e-15:
-                    # within rounding of the fold, where the sign of R is
-                    # noise and Newton's update is not small
-                    break
-                step = R / Rw if Rw > 0 else math.inf
-                w -= step
-                if _newton_done(abs(step), prev):
-                    break
-                prev = abs(step)
-            else:
-                raise ArithmeticError(f"branch root of n={n} at k={k} did not converge")
+            seed = _hermite(*roots, t) if len(roots) == 2 else -q
+            w, (R, Rw, Rq) = _bracketed_newton(
+                lambda w: _eval_state(n, w, q), u * k - 1, 0.0, seed
+            )
             residual = _normalized_residual(R, Rw)
             if not residual <= _RESIDUAL_TOL:
                 raise ArithmeticError(

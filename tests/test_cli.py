@@ -343,6 +343,20 @@ def test_out_in_missing_directory_is_config_error(tmp_path, monkeypatch, capsys)
     assert not out.parent.exists()
 
 
+def test_out_file_takes_the_umask_mode(tmp_path):
+    # the output is written to a temporary file and renamed into place; it
+    # gets the mode open(path, "w") would give a new file, both where it
+    # creates the file and where it replaces one
+    old = os.umask(0o022)
+    try:
+        for _ in range(2):
+            code, out = run(tmp_path, "folds", "--n-list", "1", name="perm.csv")
+            assert code == 0
+            assert out.stat().st_mode & 0o777 == 0o644
+    finally:
+        os.umask(old)
+
+
 def test_repeated_runs_are_byte_identical(tmp_path):
     argv = ["dispersion", "--k-min", "0", "--k-max", "0.3", "--k-step", "0.1",
             "--n-list", "1,2"]

@@ -250,6 +250,20 @@ def test_bounded_custom_matches_closed_form():
             solve_exact_bounded(k, w)
 
 
+def test_bounded_custom_seed_below_bracket():
+    # mu_2m = r^2m, r^2 = 1/4, is the two-point weight at v = +-r, whose
+    # condition is w = -r^2 k^2 / ((1+w)^2 + r^2 k^2).  From k = (sqrt(21) -
+    # 3)/2 ~ 0.7913 on, the seed -k^2/3 lies below the bracket's lower end
+    # k - 1 + 1e-7, and the solve starts by bisecting the bracket
+    w = WeightModel.bounded_custom([Fr(1, 4) ** m for m in range(1, 61)])
+    for k in (0.79, 0.795, 0.7995):
+        s = solve_exact_bounded(k, w)
+        with mpmath.workdps(40):
+            q = mpmath.mpf(k) ** 2 / 4
+            ref = mpmath.findroot(lambda om: om + q / ((1 + om) ** 2 + q), s.omega)
+        assert abs(s.omega - ref) <= 1e-15
+
+
 def test_bounded_custom_refuses_k_from_one():
     # x = k^2/(1+w)^2 >= 1 on the whole hydrodynamic interval
     w = WeightModel.bounded_custom([Fr(1, 2 * m + 1) for m in range(1, 61)])

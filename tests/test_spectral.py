@@ -391,6 +391,15 @@ def test_branch_keeps_relative_accuracy_at_small_k(n):
     # of w
     k = 1e-6
     assert branch(n).omega_at([k])[0] == pytest.approx(-k * k + k**4, rel=1e-15, abs=0)
+    # Newton's width stop is relative to the iterate: an absolute 1e-15 fired
+    # as soon as the iterates straddled a root far below it, 155 % off at
+    # k = 9e-16 for n = 2 and 2.9e-5 off at k = 9e-10 for n = 50.  Each grid
+    # is one call, so from its third k on the seeds come from the Hermite
+    for h in (1e-16, 1e-10):
+        ks = [i * h for i in range(11)]
+        for k, w in zip(ks, branch(n).omega_at(ks)):
+            exact = solve_exact_gaussian(k).omega
+            assert abs(w - exact) <= 1e-15 * abs(exact), (k, w, exact)
 
 
 def test_branch_convergence_law():
@@ -438,7 +447,8 @@ def test_branch_value_one_float_below_the_fold(n):
     # at the last float below k_c the root lies about 1e-8 above omega_c
     # (k_c - k ~ 1e-16 and the branch is omega_c + O(sqrt(k_c - k))), where
     # the sign of R is rounding noise and Newton's update stays large; the
-    # solve stops when its bracket is narrower than 1e-15.  At n = 215 and
+    # solve stops when its bracket is narrower than 1e-15 relative to the
+    # iterate.  At n = 215 and
     # 400 a solve stopped by the size of the update alone ran out of
     # iterations
     curve = branch(n)
