@@ -65,10 +65,6 @@ def _fmt_float(x) -> str:
     return "%.17g" % float(x)
 
 
-def _fmt_exact(x: Fraction) -> str:
-    return str(x)  # Fraction renders as "p/q" or "p"
-
-
 def _log10_abs(a: Fraction) -> float:
     """log10|a| for a nonzero rational, also where |a| leaves the float range."""
     try:
@@ -158,7 +154,7 @@ def cmd_ce_coeffs(args) -> int:
         rows.append(
             [
                 str(n),
-                _fmt_exact(a),
+                str(a),
                 _fmt_float(_log10_abs(a) if a != 0 else math.nan),
                 _fmt_float(r),
                 _fmt_float(r / (2 * (n + 1)) if not math.isnan(r) else r),
@@ -209,7 +205,7 @@ def cmd_borel(args) -> int:
     columns = ["row_type", "index", "b_n_exact", "re", "im", "abs_residue", "note"]
     rows = []
     for n, bn in enumerate(b, 1):
-        rows.append(["coeff", str(n), _fmt_exact(bn), "", "", "", ""])
+        rows.append(["coeff", str(n), str(bn), "", "", "", ""])
     for p, r, genuine in zip(approx.poles, approx.residues, approx.physical):
         rows.append(
             [

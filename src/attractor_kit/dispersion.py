@@ -1,8 +1,9 @@
 """Exact dispersion relation omega(k) of the BGK hydrodynamic branch.
 
 The Gaussian case solves (w+1) = I(A), A = (1+w)^2/k^2, where I is the
-velocity-space resolvent averaged over the Maxwellian; the bounded-support
-case solves the analogous condition on [-1, 1].  These solvers are the
+velocity-space resolvent averaged over the Maxwellian: from u = sqrt(A/2) = 2
+on, R(w, k^2) = 0 for the spectral branches' R (see `_resolvent`).  The
+bounded-support case solves the analogous condition on [-1, 1].  Both are the
 ground truth the resummation and the spectral branches are checked against.
 """
 
@@ -14,7 +15,7 @@ from typing import Iterable, Sequence
 
 from .borel import ce_truncation_eval, resum_dispersion
 from .ce import WeightKind, WeightModel, build_source_series, ce_coefficients
-from .spectral import BranchCurve, _bracketed_newton, find_fold
+from .spectral import BranchCurve, _bracketed_newton, _eval_state, find_fold
 
 
 # largest wavenumber of a comparison grid; it stays below k* = sqrt(pi/2)
@@ -55,9 +56,14 @@ class DispersionSample:
 
 
 # below this u the resolvent comes from exp(u^2) erfc(u); from it on, from
-# Laplace's continued fraction, with _CF_TERMS + 240/u^2 terms
+# the spectral fraction, with room for _CF_TERMS + 240/u^2 Laplace terms
 _CF_MIN = 2.0
 _CF_TERMS = 12
+
+
+def _cf_depth(inv_u2: float) -> int:
+    """Order n whose 2n - 1 levels hold those terms, at 1/u^2 = inv_u2."""
+    return (_CF_TERMS + int(240.0 * inv_u2)) // 2 + 1
 
 
 def _resolvent(A: float) -> tuple:
@@ -65,14 +71,11 @@ def _resolvent(A: float) -> tuple:
     and u = sqrt(A/2).
 
     Below u = _CF_MIN: erfcx(u) = exp(u^2) erfc(u) from the C library, and
-    dI/du = sqrt(pi) (1 + 2u^2) erfcx(u) - 2u, from
-    erfcx'(u) = 2u erfcx(u) - 2/sqrt(pi).  From it on, Laplace's continued
-    fraction K_n = u + (n/2)/K_{n+1} gives erfcx(u) = 1/(sqrt(pi) K_1)
-    (Cody, Math. Comp. 23 (1969) 631), and with it, without cancellation,
-    I = u/K_1, 1 - I = 1/(2 K_1 K_2) and dI/du = 1/(K_1 K_2 K_3).  The
-    fraction, evaluated bottom-up, has an error falling like
-    exp(-2u sqrt(2N)) in its term count N, and 12 + 240/u^2 terms reach
-    double precision for every u >= 2.
+    dI/du = sqrt(pi) (1 + 2u^2) erfcx(u) - 2u.  From it on, the spectral R,
+    whose fraction is Laplace's for erfcx (Cody, Math. Comp. 23 (1969) 631):
+    R + 1 = (1+w)/I is homogeneous of degree 1 in (1+w, k), so at w = 0 and
+    q = 1/A, I = 1/(1 + R), 1 - I = R/(1 + R) and dI/dA = R_q/(A (1 + R))^2,
+    free of cancellation.  12 + 240/u^2 Laplace terms reach double precision.
     """
     u = math.sqrt(A / 2.0)
     if u < _CF_MIN:
@@ -80,10 +83,8 @@ def _resolvent(A: float) -> tuple:
         I = math.sqrt(math.pi) * u * e
         dI_du = math.sqrt(math.pi) * (e + 2 * u * u * e) - 2 * u
         return I, 1.0 - I, dI_du / (4 * u)
-    k3 = k2 = k1 = u
-    for n in range(_CF_TERMS + int(240.0 / (u * u)), 0, -1):
-        k3, k2, k1 = k2, k1, u + 0.5 * n / k1
-    return u / k1, 0.5 / (k1 * k2), 1.0 / (4 * u * k1 * k2 * k3)
+    R, _, R_q = _eval_state(_cf_depth(1.0 / (u * u)), 0.0, 1.0 / A)
+    return 1.0 / (1.0 + R), R / (1.0 + R), R_q / (A * (1.0 + R)) ** 2
 
 
 def gaussian_resolvent(A: float) -> float:
@@ -100,23 +101,26 @@ def solve_exact_gaussian(k: float) -> DispersionSample:
     """Root of (w+1) - I((1+w)^2/k^2) on the hydrodynamic interval (-1, 0].
 
     Starts from the 4th-order gradient estimate -k^2 + k^4 for small k.
-    Once 1 - I < 1/2 the residual is w + (1 - I), which keeps the root's
-    relative accuracy where w is far smaller than 1.  The kinetic eigenvalue
-    w = -1 is excluded by construction.  At k = 0, and where k^2 underflows
-    to 0, the root -k^2 + O(k^4) is 0.
+    From u = _CF_MIN on, the residual is R(w, k^2), recorded as |R|, and A,
+    which overflows where k^2 is subnormal, is never formed.  Below, once
+    1 - I < 1/2, it is w + (1 - I), for relative accuracy where |w| << 1.
+    The kinetic eigenvalue w = -1 is excluded; where k^2 is 0, so is the root.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
-    if k * k == 0:
+    q = k * k
+    if q == 0:
         return DispersionSample(k, 0.0, 0.0)
 
     def fg(w):
-        A = (1 + w) ** 2 / (k * k)
-        I, one_minus_I, dI_dA = _resolvent(A)
-        r = w + one_minus_I if one_minus_I < 0.5 else (w + 1) - I
-        return r, 1 - dI_dA * 2 * (1 + w) / (k * k)
+        s = 1 + w
+        if s * s >= 2 * _CF_MIN**2 * q:
+            return _eval_state(_cf_depth(2 * q / (s * s)), w, q)[:2]
+        I, one_minus_I, dI_dA = _resolvent(s**2 / q)
+        r = w + one_minus_I if one_minus_I < 0.5 else s - I
+        return r, 1 - dI_dA * 2 * s / q
 
-    x0 = -k * k + k**4 if k <= 0.5 else -0.2
+    x0 = -q + k**4 if k <= 0.5 else -0.2
     w = _root_on(fg, -1 + 1e-9, 0.0, x0)
     return DispersionSample(k, w, abs(fg(w)[0]))
 

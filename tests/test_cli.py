@@ -285,6 +285,21 @@ def test_dispersion_k_squared_underflow(tmp_path):
         assert float(rows[1][header.index(name)]) < 0
 
 
+def test_dispersion_k_squared_subnormal(tmp_path):
+    # k^2 = 1e-316 is subnormal and (1 + w)^2 / k^2 overflows, yet the exact
+    # root is -k^2 to the last bit, as the n = 2 branch value is
+    code, out = run(
+        tmp_path, "dispersion", "--k-min", "1e-158", "--k-max", "1e-158",
+        "--n-list", "2",
+    )
+    assert code == 0
+    header, rows = read_csv(out)
+    row = dict(zip(header, rows[0]))
+    assert len(rows) == 1 and float(row["omega_exact"]) < 0
+    assert row["omega_exact"] == row["omega_branch_n2"]
+    assert row["dev_branch_n2"] == row["dev_resummed"] == "0"
+
+
 def test_dispersion_rejects_bad_grid(tmp_path):
     code, _ = run(tmp_path, "dispersion", "--k-min", "0.5", "--k-max", "0.1")
     assert code == 2

@@ -13,6 +13,7 @@ from attractor_kit.dispersion import (
     K_GRID_MAX,
     NoRootInInterval,
     SeriesDivergent,
+    _cf_depth,
     _resolvent,
     compare_methods,
     gaussian_resolvent,
@@ -111,6 +112,10 @@ def test_exact_gaussian_small_k():
     # where k^2 underflows to 0, so does the root -k^2 + O(k^4)
     tiny = solve_exact_gaussian(1e-200)
     assert (tiny.omega, tiny.residual) == (0.0, 0.0)
+    # where k^2 is subnormal, (1 + w)^2 / k^2 overflows: the root is -k^2,
+    # its k^4 term far below the smallest subnormal
+    for k in (1e-155, 7.5e-155, 1e-158, 1e-161):
+        assert solve_exact_gaussian(k).omega == -(k * k)
     # bisection oracle on the same condition
     from scipy.optimize import brentq
 
@@ -124,12 +129,59 @@ def test_exact_gaussian_small_k():
 
 
 def test_exact_gaussian_relative_accuracy_at_small_k():
-    # the first 8 terms of the gradient expansion leave a relative error
-    # below 1e-20 for k <= 1e-2, far under the solver's rounding
-    a = [float(c) for c in ce_coefficients(WeightModel.gaussian(), 8).values]
-    for k in (1e-10, 1e-8, 1e-6, 1e-4, 1e-2):
-        ref = sum(c * k ** (2 * n) for n, c in enumerate(a, 1))
-        assert abs(solve_exact_gaussian(k).omega - ref) <= 1e-14 * abs(ref)
+    # 12 exact terms of the gradient expansion leave a relative error below
+    # 1e-30 for k <= 1e-2, far under the solver's rounding
+    a = ce_coefficients(WeightModel.gaussian(), 12).values
+    with mpmath.workdps(50):
+        for e in range(-12, -1):
+            q = mpmath.mpf(10.0**e) ** 2
+            ref = sum(mpmath.mpf(c.numerator) / c.denominator * q**n for n, c in enumerate(a, 1))
+            w = solve_exact_gaussian(10.0**e).omega
+            assert abs(w - ref) <= 5e-16 * abs(ref), (e, w)
+
+
+def mp_gaussian_root(k, w0):
+    """Root of (1 + w) - sqrt(pi) u exp(u^2) erfc(u), u = (1 + w)/(k sqrt(2)),
+    from w0 at the working precision, and u there."""
+    k = mpmath.mpf(k)
+
+    def condition(w):
+        u = (1 + w) / (k * mpmath.sqrt(2))
+        return (1 + w) - mpmath.sqrt(mpmath.pi) * u * mpmath.exp(u * u) * mpmath.erfc(u)
+
+    w = mpmath.findroot(condition, mpmath.mpf(w0))
+    return w, (1 + w) / (k * mpmath.sqrt(2))
+
+
+def test_exact_gaussian_matches_high_precision_roots():
+    # 50-digit roots on k = 0.05..1.2; where u >= 2 at the root the residual
+    # is the spectral fraction's R, elsewhere the one of exp(u^2) erfc(u)
+    worst = {True: 0.0, False: 0.0}
+    with mpmath.workdps(50):
+        for i in range(1, 25):
+            k = 0.05 * i
+            w = solve_exact_gaussian(k).omega
+            ref, u = mp_gaussian_root(k, w)
+            worst[u >= 2] = max(worst[u >= 2], float(abs(w - ref) / abs(ref)))
+    assert worst[True] <= 5e-16
+    assert worst[False] <= 1e-14
+
+
+def test_exact_root_is_the_branch_root_at_the_solvers_depth():
+    # where u >= 2 at the root, the exact solver finds the root of the
+    # order-n spectral R: the order-n branch value at the same k, with n
+    # the depth the solver sums there; u falls to 2 at k = 0.32009
+    folds = {}
+    for k in np.geomspace(1e-10, 0.32, 144):
+        k = float(k)
+        w = solve_exact_gaussian(k).omega
+        assert (1 + w) ** 2 >= 8 * k * k
+        n = _cf_depth(2 * k * k / (1 + w) ** 2)
+        if n not in folds:
+            folds[n] = spectral.find_fold(n)
+        (branch,) = spectral.BranchCurve(n, folds[n]).omega_at([k])
+        assert abs(branch - w) <= 1e-15 * abs(w), (k, n, branch, w)
+    assert min(folds) == 7 and max(folds) >= 30
 
 
 def test_exact_gaussian_leading_diffusion():
