@@ -36,11 +36,10 @@ class PoleOnContour(Exception):
 def borel_transform(c: Union[CECoefficients, Sequence[Fraction]]) -> tuple:
     """The exact Fractions b_n = c_n / n!, n = 1..N.
 
-    Accepts either a CECoefficients bundle or any bare coefficient
-    sequence (c_1, c_2, ...).  The transform's Taylor series around the
-    origin is 0, b_1, ..., b_N.
+    ``c`` is a CECoefficients bundle or any sequence (c_1, c_2, ...).  The
+    transform's Taylor series around the origin is 0, b_1, ..., b_N.
     """
-    values = c.values if isinstance(c, CECoefficients) else tuple(c)
+    values = tuple(c)
     if not values:
         raise ValueError("need at least one coefficient")
     return tuple(Fraction(a) / math.factorial(n) for n, a in enumerate(values, 1))

@@ -21,7 +21,7 @@ import tempfile
 from fractions import Fraction
 
 from . import __version__
-from .borel import borel_transform, pade
+from .borel import borel_transform, resum_dispersion
 from .ce import (
     InvalidWeight,
     WeightModel,
@@ -197,15 +197,12 @@ def cmd_folds(args) -> int:
 
 def cmd_borel(args) -> int:
     L, M = args.pade
-    n_coeffs = max(args.n_max, L + M + 1)
-    coeffs = ce_coefficients(args.weight_model, n_coeffs)
-    b = borel_transform(coeffs)
-    approx = pade([0.0] + [float(v) for v in b[: L + M]], L, M)
+    coeffs = ce_coefficients(args.weight_model, max(args.n_max, L + M + 1))
+    approx = resum_dispersion(coeffs, L, M).approximant
 
     columns = ["row_type", "index", "b_n_exact", "re", "im", "abs_residue", "note"]
-    rows = []
-    for n, bn in enumerate(b, 1):
-        rows.append(["coeff", str(n), str(bn), "", "", "", ""])
+    rows = [["coeff", str(n), str(bn), "", "", "", ""]
+            for n, bn in enumerate(borel_transform(coeffs), 1)]
     for p, r, genuine in zip(approx.poles, approx.residues, approx.physical):
         rows.append(
             [
@@ -293,6 +290,8 @@ def validate(args) -> None:
     if hasattr(args, "pade"):
         if args.pade[0] < 0 or args.pade[1] < 0:
             raise ValueError("--pade orders must be non-negative")
+        if args.pade[0] == 0 < args.pade[1]:  # [0/M]'s Toeplitz diagonal is c_0
+            raise ValueError("--pade 0 M needs M = 0: as c_0 = 0, no [0/M] approximant exists")
         if sum(args.pade) + 1 > N_MAX_MAX:
             raise ValueError(f"--pade L M needs L + M + 1 <= {N_MAX_MAX} coefficients")
     if hasattr(args, "k_step"):

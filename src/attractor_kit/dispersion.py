@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 from .borel import ce_truncation_eval, resum_dispersion
 from .ce import WeightKind, WeightModel, build_source_series, ce_coefficients
-from .spectral import BranchCurve, _bracketed_newton, _eval_state, find_fold
+from .spectral import _K_STAR, BranchCurve, _bracketed_newton, _eval_state, find_fold
 
 
 # largest wavenumber of a comparison grid; it stays below k* = sqrt(pi/2)
@@ -34,16 +34,14 @@ class NoRootInInterval(Exception):
 
 
 def _root_on(fg, lo, hi, x0):
-    """Root of fg on [lo, hi] by `_bracketed_newton` from x0, once fg's signs
-    at the ends pass; each caller's fg is positive at hi = 0, so they rise."""
-    flo, fhi = fg(lo)[0], fg(hi)[0]
+    """Root of fg on [lo, hi] by `_bracketed_newton` from x0, once fg's sign
+    at lo passes; each caller's fg is positive at hi = 0, left unevaluated."""
+    flo = fg(lo)[0]
     if flo == 0.0:
         return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0:
+    if flo > 0:
         raise NoRootInInterval(
-            f"no sign change on [{lo:.6g}, {hi:.6g}] (f = {flo:.3g}, {fhi:.3g})"
+            f"no sign change on [{lo:.6g}, {hi:.6g}] (f = {flo:.3g} at the lower end)"
         )
     return _bracketed_newton(fg, lo, hi, x0)[0]
 
@@ -92,7 +90,7 @@ def gaussian_resolvent(A: float) -> float:
 
     Closed form of the Maxwellian average of A/(A + v^2), finite at large A.
     """
-    if A <= 0:
+    if not A > 0:
         raise ValueError("A must be positive")
     return _resolvent(A)[0]
 
@@ -106,8 +104,10 @@ def solve_exact_gaussian(k: float) -> DispersionSample:
     1 - I < 1/2, it is w + (1 - I), for relative accuracy where |w| << 1.
     The kinetic eigenvalue w = -1 is excluded; where k^2 is 0, so is the root.
     """
-    if k < 0:
+    if not k >= 0:
         raise ValueError("k must be non-negative")
+    if k >= _K_STAR:
+        raise NoRootInInterval(f"the root reaches w = -1 at k = {k:.6g} >= sqrt(pi/2)")
     q = k * k
     if q == 0:
         return DispersionSample(k, 0.0, 0.0)
@@ -156,7 +156,7 @@ def solve_exact_bounded(k: float, w: WeightModel) -> DispersionSample:
     """
     if not w.bounded:
         raise ValueError("use solve_exact_gaussian for the Gaussian weight")
-    if k < 0:
+    if not k >= 0:
         raise ValueError("k must be non-negative")
     if k * k == 0:
         return DispersionSample(k, 0.0, 0.0)
@@ -214,7 +214,7 @@ def compare_methods(
     Laplace contour; any other failure raises.
     """
     ks = [float(k) for k in k_grid]
-    if any(k < 0 or k > K_GRID_MAX + 1e-9 for k in ks):
+    if not all(0 <= k <= K_GRID_MAX + 1e-9 for k in ks):
         raise ValueError(f"grid must lie within [0, {K_GRID_MAX}]")
     branch_orders = tuple(branch_orders)
     # omega_ce4 reads a_2 and a_4 even where the approximant needs fewer

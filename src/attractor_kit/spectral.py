@@ -37,24 +37,25 @@ class NoFoldFound(Exception):
 def _eval_state(n: int, w: float, q: float):
     """(R, R_w, R_q) at (w, k^2 = q), for w > -1.
 
-    The fraction is summed from K_{2n-1} down to K_1 together with its
-    derivatives in s (which are those in w) and in q.  The inputs become
-    plain floats on entry, so numpy scalars do not slow every step down.
+    Summed from K_{2n-1} down to K_1 with K_s = dK_1/ds = dK_1/dw; K_1 is
+    homogeneous of degree 1 in (s, k), so R_q = (1 + s K_s/K_1)/(2 K_1).
+    Plain floats on entry, so numpy scalars do not slow every step down.
     """
     w, q = float(w), float(q)
     s = w + 1.0
-    K, Ks, Kq = s, 1.0, 0.0
+    K, Ks = s, 1.0
     c = 2.0 * n - 1.0  # j + 1 as a float, which multiplies faster than an int
     while c > 1.0:
         inv = 1.0 / K
         # c q / K, not c q * inv: one rounding fewer halves the worst error
         # of the branch values
         t = c * q / K
-        K, Ks, Kq = s + t, 1.0 - t * Ks * inv, (c - t * Kq) * inv
+        K, Ks = s + t, 1.0 - t * Ks * inv
         c -= 1.0
     inv = 1.0 / K
     t = q / K
-    return w + t, 1.0 - t * Ks * inv, (1.0 - t * Kq) * inv
+    # R_q from K_1 itself: 2q R_q = R + 1 - s R_w would cancel at small k
+    return w + t, 1.0 - t * Ks * inv, (1.0 + s * Ks * inv) / (2.0 * K)
 
 
 @dataclass(frozen=True)
@@ -157,8 +158,8 @@ class BranchCurve:
         roots = []  # the last two roots, as (t, omega, d(omega)/dt)
         for k in ks:
             k = float(k)
-            if k < 0:
-                raise ValueError(f"k = {k} is negative")
+            if not k >= 0:
+                raise ValueError(f"k = {k} is not a non-negative number")
             q = k * k
             if not k < k_c:
                 out.append(math.nan)

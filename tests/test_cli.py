@@ -345,6 +345,21 @@ def test_pade_order_bound_checked_before_coefficients(tmp_path, monkeypatch, cap
         cli.validate(args)
 
 
+@pytest.mark.parametrize("command", ["borel", "dispersion"])
+@pytest.mark.parametrize("M", [1, 3])
+def test_pade_zero_numerator_is_config_error(tmp_path, monkeypatch, capsys, command, M):
+    # the Borel series starts at c_0 = 0, so the [0/M] Toeplitz system is
+    # singular for every M >= 1: refused before any coefficient is computed
+    def fail(*args):
+        raise AssertionError("coefficients computed")
+
+    monkeypatch.setattr(cli, "ce_coefficients", fail)
+    monkeypatch.setattr(cli, "compare_methods", fail)
+    code, _ = run(tmp_path, command, "--pade", "0", str(M))
+    assert code == 2
+    assert "no [0/M] approximant" in capsys.readouterr().err
+
+
 # --- output handling ----------------------------------------------------------------
 
 def test_out_in_missing_directory_is_config_error(tmp_path, monkeypatch, capsys):

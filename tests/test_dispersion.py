@@ -213,6 +213,30 @@ def test_exact_gaussian_input_validation():
         solve_exact_gaussian(-0.1)
 
 
+@pytest.mark.parametrize("call, error, match", [
+    pytest.param(lambda: solve_exact_gaussian(math.nan), ValueError, "non-negative",
+                 id="gaussian-nan"),
+    pytest.param(lambda: solve_exact_gaussian(math.inf), NoRootInInterval, "sqrt",
+                 id="gaussian-inf"),
+    pytest.param(lambda: solve_exact_gaussian(1e154), NoRootInInterval, "sqrt",
+                 id="gaussian-1e154"),
+    pytest.param(lambda: gaussian_resolvent(math.nan), ValueError, "positive",
+                 id="resolvent-nan"),
+    pytest.param(lambda: solve_exact_bounded(math.nan, WeightModel.bounded_uniform()),
+                 ValueError, "non-negative", id="bounded-nan"),
+    pytest.param(lambda: compare_methods([math.nan], (1,), 2, 2), ValueError, "grid",
+                 id="compare-nan"),
+    pytest.param(lambda: spectral.BranchCurve(1, spectral.find_fold(1)).omega_at([math.nan]),
+                 ValueError, "non-negative", id="branch-nan"),
+])
+def test_nan_and_inf_wavenumbers_are_refused(call, error, match):
+    # NaN fails every comparison, so each check is written as the negated
+    # test of the valid range; where (1 + w)^2 / k^2 underflows, as for an
+    # infinite k, the root has long left (-1, 0]
+    with pytest.raises(error, match=match):
+        call()
+
+
 def test_exact_solvers_share_the_zero_sample():
     for s in (solve_exact_gaussian(0.0), solve_exact_bounded(0.0, WeightModel.bounded_uniform())):
         assert (s.k, s.omega, s.residual) == (0.0, 0.0, 0.0)
@@ -413,3 +437,7 @@ def test_exact_bracket_changes_sign_at_the_grid_edge():
         return (w + 1) - gaussian_resolvent((1 + w) ** 2 / (k * k))
 
     assert f(-1 + 1e-9) < 0 < f(0.0)
+    # `_root_on` does not evaluate the upper end: there the fraction half's
+    # R = q / K_1 stays positive also where k^2 is subnormal
+    q = 1e-161 * 1e-161
+    assert 0 < spectral._eval_state(_cf_depth(2 * q), 0.0, q)[0]

@@ -242,7 +242,9 @@ def test_eval_state_matches_exact_polynomial_derivatives(n):
     assert {key: c for key, c in wD1.items() if c} == P
     polys = (P, _differentiate(P, 0), _differentiate(P, 1),
              D1, _differentiate(D1, 0), _differentiate(D1, 1))
-    for a in (-6, -2, 4):  # w = a/8
+    # w = -7/8 puts s = 1/8 and q/s^2 up to 80, where 1 + s K_s/K_1 in R_q
+    # is smallest
+    for a in (-7, -6, -2, 4):  # w = a/8
         for b in (1, 6, 10):  # q = b/8
             p, pw, pq, d, dw, dq = (_evaluate_at_eighths(f, a, b) for f in polys)
             exact = (p / d, (pw * d - p * dw) / d**2, (pq * d - p * dq) / d**2)
