@@ -10,12 +10,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
 from . import _gauss_rules
-from .ce import CECoefficients
 
 # residues below this are Froissart doublets (pole cancelled by a nearby
 # zero); they carry no analytic information and are excluded from
@@ -33,11 +32,10 @@ class PoleOnContour(Exception):
     """A genuine Pade pole sits on the positive real axis: summability lost."""
 
 
-def borel_transform(c: Union[CECoefficients, Sequence[Fraction]]) -> tuple:
-    """The exact Fractions b_n = c_n / n!, n = 1..N.
-
-    ``c`` is a CECoefficients bundle or any sequence (c_1, c_2, ...).  The
-    transform's Taylor series around the origin is 0, b_1, ..., b_N.
+def borel_transform(c: Sequence[Fraction]) -> tuple:
+    """The exact Fractions b_n = c_n / n!, n = 1..N, of any sequence
+    (c_1, c_2, ...).  The transform's Taylor series around the origin is 0,
+    b_1, ..., b_N.
     """
     values = tuple(c)
     if not values:
@@ -91,11 +89,9 @@ def pade(series: Sequence[float], L: int, M: int) -> PadeApproximant:
     if M == 0:
         den = np.array([1.0])
     else:
-        A = np.zeros((M, M))
-        for m in range(M):
-            for j in range(M):
-                idx = L + m - j
-                A[m, j] = c[idx] if idx >= 0 else 0.0
+        # A[m, j] = c[L + m - j], and 0 where that index is negative
+        idx = L + np.subtract.outer(np.arange(M), np.arange(M))
+        A = np.where(idx >= 0, c[np.maximum(idx, 0)], 0.0)
         rhs = -c[L + 1 : L + M + 1]
         try:
             # high-order Toeplitz systems are routinely ill-conditioned;
@@ -214,9 +210,11 @@ def _graded_laplace(p: PadeApproximant, x: float) -> float:
 
 @dataclass(frozen=True)
 class ResummedDispersion:
-    """k -> omega evaluator built from Borel transform + Pade + Laplace."""
+    """k -> omega evaluator built from Borel transform + Pade + Laplace:
+    ``approximant`` of the exact Borel coefficients ``borel``."""
 
     approximant: PadeApproximant
+    borel: tuple
 
     def __call__(self, k):
         """omega at one k >= 0, or an array of omega at each of a sequence
@@ -233,7 +231,7 @@ class ResummedDispersion:
         return out
 
 
-def resum_dispersion(c: CECoefficients, L: int, M: int) -> ResummedDispersion:
+def resum_dispersion(c: Sequence[Fraction], L: int, M: int) -> ResummedDispersion:
     """Borel-Pade resummation of the gradient series omega(k) = sum a_{2n} k^{2n}.
 
     The [L/M] approximant is built from Taylor orders 0..L+M of the Borel
@@ -245,13 +243,11 @@ def resum_dispersion(c: CECoefficients, L: int, M: int) -> ResummedDispersion:
         raise ValueError(
             f"[{L}/{M}] needs {L + M} coefficients a_2..a_{2 * (L + M)}; got {len(c)}"
         )
-    return ResummedDispersion(pade([0.0] + [float(v) for v in b[: L + M]], L, M))
+    return ResummedDispersion(pade([0.0] + [float(v) for v in b[: L + M]], L, M), b)
 
 
-def ce_truncation_eval(c: CECoefficients, order: int, k: float) -> float:
-    """Partial sum of the gradient series through k^order."""
-    if order > 2 * len(c):
-        raise ValueError(f"order {order} exceeds available coefficients")
-    return float(
-        sum(float(a) * k ** (2 * n) for n, a in enumerate(c.values, 1) if 2 * n <= order)
-    )
+def ce_truncation_eval(c: Sequence[Fraction], order: int, k: float) -> float:
+    """Partial sum of the gradient series sum a_{2n} k^{2n} through k^order."""
+    if not 0 <= order <= 2 * len(c):
+        raise ValueError(f"order {order} is outside 0..{2 * len(c)}")
+    return float(sum(float(a) * k ** (2 * n) for n, a in enumerate(c[: order // 2], 1)))

@@ -110,7 +110,6 @@ class CECoefficients:
     """Exact coefficients a_{2n} of the inverted series w(k) = sum a_{2n} k^{2n}."""
 
     values: tuple
-    weight: WeightModel
 
     def __len__(self) -> int:
         return len(self.values)
@@ -226,7 +225,7 @@ def ce_coefficients(w: WeightModel, n_max: int) -> CECoefficients:
         values = _tangent_coefficients(n_max)
     else:
         values = _lagrange_kernel(build_source_series(w, n_max))
-    return CECoefficients(tuple(values), w)
+    return CECoefficients(tuple(values))
 
 
 def ratio_sequence(c: CECoefficients) -> list:

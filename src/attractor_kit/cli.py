@@ -21,7 +21,7 @@ import tempfile
 from fractions import Fraction
 
 from . import __version__
-from .borel import borel_transform, resum_dispersion
+from .borel import resum_dispersion
 from .ce import (
     InvalidWeight,
     WeightModel,
@@ -198,11 +198,12 @@ def cmd_folds(args) -> int:
 def cmd_borel(args) -> int:
     L, M = args.pade
     coeffs = ce_coefficients(args.weight_model, max(args.n_max, L + M + 1))
-    approx = resum_dispersion(coeffs, L, M).approximant
+    resum = resum_dispersion(coeffs, L, M)
+    approx = resum.approximant
 
     columns = ["row_type", "index", "b_n_exact", "re", "im", "abs_residue", "note"]
     rows = [["coeff", str(n), str(bn), "", "", "", ""]
-            for n, bn in enumerate(borel_transform(coeffs), 1)]
+            for n, bn in enumerate(resum.borel, 1)]
     for p, r, genuine in zip(approx.poles, approx.residues, approx.physical):
         rows.append(
             [

@@ -191,31 +191,32 @@ class BranchCurve:
 _K_STAR = math.sqrt(math.pi / 2)
 
 
-def _fold(n: int, k: float, s: float) -> FoldPoint:
-    """Fold of the order-n branch from a seed below it: k < k_c, and s =
-    1 + w above the minimiser of R(., k^2), as at a branch point before the
-    turn.
+def find_fold(n: int) -> FoldPoint:
+    """Fold of the order-n branch, where R = R_w = 0.
 
-    Inner solve: the minimiser of R(., k^2) on (0, 1] is the root of R_w,
-    bracketed by [k / (2 sqrt(n)), s]; the minimiser's s sqrt(n) / k rises
-    from 1 at n = 1 (2.13 at n = 3200).  Secant on s^2 R_w in y = s^2,
+    Inner solve, at k = 1/4: the minimiser of R(., k^2) on (0, 1] is the
+    root of R_w, bracketed by [k / (2 sqrt(n)), 1/2]; the minimiser's
+    s sqrt(n) / k rises from 1 at n = 1 (2.13 at n = 3200), and s = u k <=
+    1/4, as u = 1 at n = 1 and falls with n.  Secant on s^2 R_w in y = s^2,
     which is linear in y for n = 1, with bisection where the secant leaves
     the bracket.  It stops after a secant step by `_newton_done`, or on the
     bracket's width, and keeps the state of its last evaluation, within that
     step of the minimiser.
 
-    Outer solve: Newton on M(k) = min_s R(s, k^2), whose slope at the
-    minimiser, 2k R_q, is (M + 1)/k since R + 1 is homogeneous of degree 1
-    in (s, k).  M is linear in k, so the step k -> k / (1 + M) lands on k_c
-    and the minimiser, scaled with k, on the fold's.  One evaluation there
-    gives the residual max(|R|, |R_w|), and a last Newton step in k and
-    secant step in y that take up the first step's rounding.
+    Closed form in k: M(k) = min_s R(s, k^2) = k / k_c - 1 is linear in k,
+    since R + 1 is homogeneous of degree 1 in (s, k), so k_c = k / (1 + M)
+    for any k > 0 (1 + M = s + q/K_1 > 0), and the minimiser, scaled with
+    k, is the fold's.  One evaluation there gives the residual
+    max(|R|, |R_w|), and a last step of the closed form in k and secant step
+    in y that take up the first one's rounding.
 
     Raises NoFoldFound where R_w has the wrong sign at an end of the inner
-    bracket, or M at an end of the outer one, [k, sqrt(pi/2)] (for a linear
-    M the second end is k_c < sqrt(pi/2)), or the residual exceeds
+    bracket, or k_c is not below sqrt(pi/2), or the residual exceeds
     _RESIDUAL_TOL.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    k, s = 0.25, 0.5
     q = k * k
     (y0, f0), (y1, f1) = [(x * x, x * x * _eval_state(n, x - 1, q)[1])
                           for x in (k / (2 * math.sqrt(n)), s)]
@@ -241,10 +242,7 @@ def _fold(n: int, k: float, s: float) -> FoldPoint:
     else:
         raise NoFoldFound(f"the minimiser of R did not converge for n={n}")
     slope = (f1 - f0) / (y1 - y0)  # d(s^2 R_w)/dy, unchanged as s scales with k
-    M = st[0]
-    if not M < 0:
-        raise NoFoldFound(f"the seed k = {k:.6g} is not below the fold of n={n}")
-    k_c = k / (1 + M)
+    k_c = k / (1 + st[0])
     if not k_c < _K_STAR:
         raise NoFoldFound(f"the fold of n={n} is not below sqrt(pi/2)")
     s = math.sqrt(y) * k_c / k
@@ -255,14 +253,3 @@ def _fold(n: int, k: float, s: float) -> FoldPoint:
     k_f = k_c / (1 + R)
     s_f = math.sqrt(s * s * (1 - Rw / slope)) * k_f / k_c
     return FoldPoint(k_f, s_f - 1, residual)
-
-
-def find_fold(n: int) -> FoldPoint:
-    """Fold of the order-n branch, where R = R_w = 0.
-
-    The seed k = 1/4 lies below every fold (k_c(1) = 1/2 is the lowest), and
-    s = 1/2 above the minimiser u/4 <= 1/4 of R(., 1/16).
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return _fold(n, 0.25, 0.5)

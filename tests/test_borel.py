@@ -89,6 +89,29 @@ def test_pade_taylor_match_through_L_plus_M(gaussian_30):
     assert np.max(np.abs(conv)) < 1e-6 * max(abs(t) for t in taylor)
 
 
+def test_pade_recovers_rational_below_the_diagonal():
+    # [1/4] of 1/((1 - x/2)(1 - x/3)(1 - x/5)(1 - x/7)): with L < M - 1 the
+    # Toeplitz matrix holds zeros above its diagonal, where L + m - j < 0
+    roots = [2.0, 3.0, 5.0, 7.0]
+    den = np.polynomial.polynomial.polyfromroots(roots) / np.prod(roots)
+    series = [1.0]
+    for i in range(1, 6):  # den * series = 1, term by term
+        series.append(-sum(den[j] * series[i - j] for j in range(1, min(i, 4) + 1)))
+    p = pade(series, 1, 4)
+    assert np.allclose(p.den, den, rtol=0, atol=1e-12)
+    assert np.allclose(p.num, [1.0, 0.0], rtol=0, atol=1e-12)
+
+
+def test_borel_takes_any_sequence_of_coefficients(gaussian_30):
+    r = resum_dispersion(gaussian_30, 14, 14)
+    plain = resum_dispersion(list(gaussian_30.values), 14, 14)
+    assert plain.borel == r.borel == borel_transform(gaussian_30)
+    assert np.array_equal(plain.approximant.den, r.approximant.den)
+    for order in (0, 2, 4, 10):
+        assert (ce_truncation_eval(gaussian_30.values, order, 0.3)
+                == ce_truncation_eval(gaussian_30, order, 0.3))
+
+
 def test_pade_pole_count_and_sqrt_branch_cut():
     # genuine poles of [14/14] to 1/sqrt(1+2s) - 1 line the cut s <= -1/2
     mu = 1
@@ -390,3 +413,5 @@ def test_ce_truncations(gaussian_30):
 def test_ce_truncation_order_bound(gaussian_30):
     with pytest.raises(ValueError):
         ce_truncation_eval(gaussian_30, 62, 0.5)
+    with pytest.raises(ValueError):
+        ce_truncation_eval(gaussian_30, -2, 0.5)

@@ -141,7 +141,7 @@ def test_ratio_sequence_first_values():
 
 
 def test_ratio_sequence_rejects_zero_coefficient():
-    degenerate = CECoefficients((Fr(1), Fr(0), Fr(3)), WeightModel.gaussian())
+    degenerate = CECoefficients((Fr(1), Fr(0), Fr(3)))
     with pytest.raises(ZeroDivisionError):
         ratio_sequence(degenerate)
 
@@ -185,7 +185,7 @@ def test_radius_bounded_uniform_is_positive():
 
 def test_radius_geometric_input():
     vals = tuple(Fr(-1, 2) ** n for n in range(1, 13))
-    est = radius_estimate(CECoefficients(vals, WeightModel.gaussian()))
+    est = radius_estimate(CECoefficients(vals))
     assert est.radius == pytest.approx(2.0, rel=0.05)
 
 

@@ -320,6 +320,28 @@ def test_borel_pole_summary(tmp_path):
     assert float(summary[0][3]) == pytest.approx(-0.5, abs=0.02)
 
 
+@pytest.mark.parametrize("argv", [[], ["--n-max", "10"], ["--pade", "3", "2"]])
+def test_borel_builds_one_borel_transform(tmp_path, monkeypatch, argv):
+    # the coeff rows list the coefficients the approximant was built from,
+    # so one transform serves both; every binding of the function is counted
+    real, calls = attractor_kit.borel.borel_transform, []
+
+    def counted(c):
+        calls.append(len(c))
+        return real(c)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "attractor_kit" or name.startswith("attractor_kit."):
+            for bound, value in list(vars(mod).items()):
+                if value is real:
+                    monkeypatch.setattr(mod, bound, counted)
+    code, out = run(tmp_path, "borel", *argv)
+    assert code == 0
+    _, rows = read_csv(out)
+    coeff_rows = [r for r in rows if r[0] == "coeff"]
+    assert calls == [len(coeff_rows)]
+
+
 def test_borel_constant_approximant(tmp_path):
     code, out = run(tmp_path, "borel", "--n-max", "3", "--pade", "0", "0")
     assert code == 0

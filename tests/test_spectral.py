@@ -14,7 +14,6 @@ from attractor_kit.spectral import (
     BranchCurve,
     NoFoldFound,
     _eval_state,
-    _fold,
     _normalized_residual,
     find_fold,
 )
@@ -330,6 +329,44 @@ def test_branch_values_match_high_precision_oracle(n):
     assert len(errors) > len(grid) // 3
     worst = max(errors, key=errors.get)
     assert errors[worst] <= 2e-15, (worst, errors[worst])
+
+
+def rounding_bound(n, w, k):
+    """First-order bound on the rounding error of the branch value w at k:
+    the running error bound of R, summed in the order of `_eval_state`'s
+    operations, and the rounding of q = k*k through R_q, both over the
+    conditioning R_w of the root, plus the 1e-15 relative bracket width at
+    which `_bracketed_newton` stops.  For w in [-1, -1/2], s = 1 + w is exact,
+    and so is the last sum w + q/K_1 near its root (Sterbenz)."""
+    u = 2.0**-53
+    q = k * k
+    s = w + 1.0
+    K, rho = s, 0.0  # K_j and a bound on its relative error
+    c = 2.0 * n - 1.0
+    while c > 1.0:
+        t = c * q / K  # rounds c q and the quotient
+        K = s + t
+        rho = u + t / K * (2 * u + rho)
+        c -= 1.0
+    _, Rw, Rq = _eval_state(n, w, q)
+    return (q / K * (u + rho) + abs(Rq) * u * q) / Rw + 1e-15 * abs(w)
+
+
+def test_branch_values_near_the_fold_within_their_conditioning():
+    # the 2e-15 above holds away from the fold: the root's conditioning 1/R_w
+    # grows as (k_c - k)^(-1/2) towards it.  At n = 400 the 1e-4 grid's cell
+    # k = 1.1528, 6.5e-6 below k_c, has R_w = 0.019 and lies 3.6e-14 from
+    # the 50-digit root (P_n and R share their roots, as every K_j > 0)
+    n = 400
+    curve = branch(n)
+    k_c = curve.fold.k_c
+    # the CLI's cells of `--k-step 0.0001` from k = 1.1 on: each root is
+    # seeded from the two before it
+    grid = [0.0001 * i for i in range(11000, 12001)]
+    near = [(k, w) for k, w in zip(grid, curve.omega_at(grid)) if k_c - 1e-5 < k < k_c]
+    assert near
+    for k, w in near:
+        assert abs(w - branch_root(n, w, k)) <= rounding_bound(n, w, k), k
 
 
 @pytest.mark.parametrize("n", [1, 2, 20, 50])
@@ -719,21 +756,18 @@ def test_folds_match_high_precision_oracle(n):
 
 
 def test_fold_checks_its_brackets(monkeypatch):
-    # a seed past the fold: M(k) >= 0 at the outer bracket's lower end
-    with pytest.raises(NoFoldFound, match="not below the fold"):
-        _fold(1, 0.6, 0.9)
-    # an upper end s below the minimiser of R(., k^2), where R_w < 0
+    # R_w < 0 everywhere, so also at both ends of the inner bracket
+    monkeypatch.setattr(spectral, "_eval_state", lambda n, w, q: (w, -1.0, 0.0))
     with pytest.raises(NoFoldFound, match="does not change sign"):
-        _fold(50, 0.5, 0.05)
+        find_fold(50)
     # R = w + q / (10 s), with its minimiser at s = k / sqrt(10) and its fold
-    # at k_c = sqrt(10)/2, past sqrt(pi/2): M > 0 fails at the outer
-    # bracket's upper end
+    # at k_c = sqrt(10)/2, past sqrt(pi/2)
     monkeypatch.setattr(
         spectral, "_eval_state",
         lambda n, w, q: (w + q / (10 * (1 + w)), 1 - q / (10 * (1 + w) ** 2), 1 / (10 * (1 + w))),
     )
     with pytest.raises(NoFoldFound, match="not below sqrt"):
-        _fold(4, 0.5, 0.9)
+        find_fold(4)
 
 
 def test_find_fold_evaluation_budget(monkeypatch):
