@@ -128,8 +128,8 @@ _LAGUERRE_W = np.array(_gauss_rules.LAGUERRE_WEIGHTS)
 
 
 def laplace_resum(p: PadeApproximant, x):
-    """int_0^inf e^{-t} p(x t) dt by Gauss-Laguerre quadrature, at one x > 0
-    or at each of a sequence of them.
+    """int_0^inf e^{-t} p(x t) dt by Gauss-Laguerre quadrature, at one finite
+    x > 0 or at each of a sequence of them.
 
     With p approximating the Borel transform B(sigma) = sum (c_n/n!) sigma^n
     this reconstructs sum c_n x^n.  A genuine pole on the positive real axis
@@ -140,8 +140,8 @@ def laplace_resum(p: PadeApproximant, x):
     """
     scalar = np.ndim(x) == 0
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(xs <= 0):
-        raise ValueError("x must be positive")
+    if not np.all((0 < xs) & (xs < math.inf)):
+        raise ValueError("x must be positive and finite")
     t, w = _LAGUERRE_T, _LAGUERRE_W
     # distance of each genuine pole (columns) from each x's contour
     # [0, x t_max] (rows): |Im| above the segment, else the nearer end
@@ -217,11 +217,13 @@ class ResummedDispersion:
     borel: tuple
 
     def __call__(self, k):
-        """omega at one k >= 0, or an array of omega at each of a sequence
-        of them; 0 where k^2 is 0, also by underflow.  Where a pole
+        """omega at one finite k >= 0, or an array of omega at each of a
+        sequence of them; 0 where k^2 is 0, also by underflow.  Where a pole
         obstructs the Laplace contour a single k raises PoleOnContour and a
         sequence gives NaN."""
         ks = np.asarray(k, dtype=float)
+        if not np.all((0 <= ks) & (ks < math.inf)):
+            raise ValueError("k must be a finite non-negative number")
         q = ks * ks
         if q.ndim == 0:
             return laplace_resum(self.approximant, float(q)) if q else 0.0

@@ -10,10 +10,6 @@ import argparse
 import csv
 import io
 import json
-# argparse translates its messages through gettext, which imports locale
-# when the first parser is built; importing it here keeps that one-time
-# cost in start-up rather than in the first command
-import locale  # noqa: F401
 import math
 import os
 import sys
@@ -110,7 +106,7 @@ def _write_atomic(path: str, data: bytes) -> None:
         raise
 
 
-def emit(args, command: str, columns: list, rows: list, notes: list) -> None:
+def emit(args, columns: list, rows: list, notes: list) -> None:
     """Serialize one result table as CSV or JSON, atomically."""
     if args.format == "csv":
         buf = io.StringIO()
@@ -123,11 +119,11 @@ def emit(args, command: str, columns: list, rows: list, notes: list) -> None:
         data = buf.getvalue().encode("utf-8")
     else:
         payload = {
-            "command": command,
+            "command": args.command,
             "config": {
                 k: v
                 for k, v in sorted(vars(args).items())
-                if k not in ("func", "out")  # out path is not part of the result
+                if k != "out"  # the out path is not part of the result
                 and isinstance(v, (str, int, float, bool, list, type(None)))
             },
             "columns": columns,
@@ -144,7 +140,7 @@ def emit(args, command: str, columns: list, rows: list, notes: list) -> None:
         _write_atomic(args.out, data)
 
 
-def cmd_ce_coeffs(args) -> int:
+def cmd_ce_coeffs(args) -> tuple:
     coeffs = ce_coefficients(args.weight_model, args.n_max)
     ratios = ratio_sequence(coeffs) if len(coeffs) >= 2 else []
     columns = ["n", "a_2n", "abs_log10", "r_n", "r_n_over_2np1"]
@@ -160,8 +156,7 @@ def cmd_ce_coeffs(args) -> int:
                 _fmt_float(r / (2 * (n + 1)) if not math.isnan(r) else r),
             ]
         )
-    emit(args, "ce-coeffs", columns, rows, [])
-    return 0
+    return columns, rows, []
 
 
 def _grid_steps(args) -> float:
@@ -171,15 +166,14 @@ def _grid_steps(args) -> float:
     return (args.k_max - args.k_min) / args.k_step + 1e-9
 
 
-def cmd_dispersion(args) -> int:
+def cmd_dispersion(args) -> tuple:
     points = math.floor(_grid_steps(args)) + 1
     ks = [args.k_min + args.k_step * i for i in range(points)]
     table = compare_methods(ks, args.n_list, *args.pade)
-    emit(args, "dispersion", list(table), list(zip(*table.values())), [])
-    return 0
+    return list(table), list(zip(*table.values())), []
 
 
-def cmd_folds(args) -> int:
+def cmd_folds(args) -> tuple:
     columns = ["n", "k_c", "omega_c", "residual", "note"]
     rows, notes = [], []
     for n in args.n_list:
@@ -191,11 +185,10 @@ def cmd_folds(args) -> int:
             rows.append([str(n), math.nan, math.nan, math.nan, f"no fold: {exc}"])
         if note:
             notes.append(note)
-    emit(args, "folds", columns, rows, notes)
-    return 0
+    return columns, rows, notes
 
 
-def cmd_borel(args) -> int:
+def cmd_borel(args) -> tuple:
     L, M = args.pade
     coeffs = ce_coefficients(args.weight_model, max(args.n_max, L + M + 1))
     resum = resum_dispersion(coeffs, L, M)
@@ -229,8 +222,7 @@ def cmd_borel(args) -> int:
         flag = "strict" if strict else "obstructed"
         rows.append(["summary", "", "", "", "", "", f"summability: {flag}"])
         notes.append(f"summability: {flag}")
-    emit(args, "borel", columns, rows, notes)
-    return 0
+    return columns, rows, notes
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -261,22 +253,18 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", default="-", help="output path ('-' = stdout)")
 
-    p = sub.add_parser("ce-coeffs", help="exact coefficients a_2n and ratios")
-    common(p)
-    p.set_defaults(func=cmd_ce_coeffs)
-
-    p = sub.add_parser("dispersion", help="omega(k) by every method")
-    common(p, weight=False, nmax=False, pade_opt=True, grid=True, nlist=True)
-    p.set_defaults(func=cmd_dispersion)
-
-    p = sub.add_parser("folds", help="fold points k_c(n) of the branches")
-    common(p, weight=False, nmax=False, nlist=True)
-    p.set_defaults(func=cmd_folds)
-
-    p = sub.add_parser("borel", help="Borel coefficients and Pade poles")
-    common(p, pade_opt=True)
-    p.set_defaults(func=cmd_borel)
+    common(sub.add_parser("ce-coeffs", help="exact coefficients a_2n and ratios"))
+    common(sub.add_parser("dispersion", help="omega(k) by every method"),
+           weight=False, nmax=False, pade_opt=True, grid=True, nlist=True)
+    common(sub.add_parser("folds", help="fold points k_c(n) of the branches"),
+           weight=False, nmax=False, nlist=True)
+    common(sub.add_parser("borel", help="Borel coefficients and Pade poles"), pade_opt=True)
     return parser
+
+
+# built once, at import: every `main` in the process parses with it and
+# gets the same default objects, so no command may mutate one
+PARSER = build_parser()
 
 
 def validate(args) -> None:
@@ -310,18 +298,21 @@ def validate(args) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         validate(args)
     except (ValueError, InvalidWeight, OSError, argparse.ArgumentTypeError) as exc:
         print(f"attractor-kit: invalid configuration: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    # looked up at call time, so a rebinding of a cmd_* is the one that runs
+    command = {"ce-coeffs": cmd_ce_coeffs, "dispersion": cmd_dispersion,
+               "folds": cmd_folds, "borel": cmd_borel}[args.command]
     try:
-        return args.func(args)
+        emit(args, *command(args))
     except Exception as exc:
         print(f"attractor-kit: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
+    return 0
 
 
 if __name__ == "__main__":

@@ -382,6 +382,55 @@ def test_pade_zero_numerator_is_config_error(tmp_path, monkeypatch, capsys, comm
     assert "no [0/M] approximant" in capsys.readouterr().err
 
 
+# --- parsing and dispatch -----------------------------------------------------------
+
+def test_main_builds_no_parser(tmp_path, monkeypatch):
+    # the parser is built once, at import
+    def fail():
+        raise AssertionError("build_parser called")
+
+    monkeypatch.setattr(cli, "build_parser", fail)
+    code, out = run(tmp_path, "folds", "--n-list", "1,2")
+    assert code == 0
+    assert out.read_text() == "".join(FOLDS_PINNED.splitlines(keepends=True)[:3])
+
+
+def test_command_returns_its_table_and_writes_nothing(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    args = cli.build_parser().parse_args(["folds", "--n-list", "1,2", "--out", "folds.csv"])
+    cli.validate(args)
+    columns, rows, notes = cli.cmd_folds(args)
+    assert columns == ["n", "k_c", "omega_c", "residual", "note"]
+    assert [r[0] for r in rows] == ["1", "2"]
+    assert notes == [cli.FOLD_N1_NOTE]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_command_is_looked_up_when_main_runs(tmp_path, monkeypatch):
+    # a rebinding of cli.cmd_folds after import, as a tracer makes, is the
+    # function that runs, once per main
+    calls, real = [], cli.cmd_folds
+
+    def wrapped(args):
+        calls.append(args.n_list)
+        return real(args)
+
+    monkeypatch.setattr(cli, "cmd_folds", wrapped)
+    for n_list in ("1", "2,3"):
+        code, _ = run(tmp_path, "folds", "--n-list", n_list)
+        assert code == 0
+    assert calls == [[1], [2, 3]]
+
+
+def test_defaults_survive_an_earlier_run(tmp_path):
+    # every run in a process parses with one parser, which hands each the
+    # same default objects: no run may change them
+    _, first = run(tmp_path, "borel", "--pade", "3", "3", "--format", "json", name="a.json")
+    _, second = run(tmp_path, "borel", "--format", "json", name="b.json")
+    assert json.loads(first.read_text())["config"]["pade"] == [3, 3]
+    assert json.loads(second.read_text())["config"]["pade"] == [14, 14]
+
+
 # --- output handling ----------------------------------------------------------------
 
 def test_out_in_missing_directory_is_config_error(tmp_path, monkeypatch, capsys):
@@ -445,9 +494,9 @@ def test_json_config_echo_roundtrip(tmp_path):
 
 def test_cli_import_loads_no_scipy(tmp_path):
     # a fresh interpreter: every CLI run pays this import before any work.
-    # gettext's locale, which a first command would otherwise load lazily,
-    # comes with the import.  The Gauss rules of the Laplace sums are
-    # stored, so not even a dispersion run loads numpy.polynomial
+    # The import builds the parser, which loads argparse's gettext and
+    # locale.  The Gauss rules of the Laplace sums are stored, so not even a
+    # dispersion run loads numpy.polynomial
     src = str(Path(attractor_kit.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     argv = ["dispersion", "--k-min", "0", "--k-max", "1.2", "--k-step", "0.01",

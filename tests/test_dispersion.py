@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from attractor_kit import spectral
+from attractor_kit.borel import laplace_resum, resum_dispersion
 from attractor_kit.ce import WeightModel, ce_coefficients
 from attractor_kit.dispersion import (
     _CF_MIN,
@@ -213,6 +214,10 @@ def test_exact_gaussian_input_validation():
         solve_exact_gaussian(-0.1)
 
 
+def resummed():
+    return resum_dispersion(ce_coefficients(WeightModel.gaussian(), 29), 14, 14)
+
+
 @pytest.mark.parametrize("call, error, match", [
     pytest.param(lambda: solve_exact_gaussian(math.nan), ValueError, "non-negative",
                  id="gaussian-nan"),
@@ -228,6 +233,14 @@ def test_exact_gaussian_input_validation():
                  id="compare-nan"),
     pytest.param(lambda: spectral.BranchCurve(1, spectral.find_fold(1)).omega_at([math.nan]),
                  ValueError, "non-negative", id="branch-nan"),
+    pytest.param(lambda: resummed()(math.nan), ValueError, "finite non-negative",
+                 id="resummed-nan"),
+    pytest.param(lambda: resummed()(math.inf), ValueError, "finite non-negative",
+                 id="resummed-inf"),
+    pytest.param(lambda: resummed()([0.5, math.nan]), ValueError, "finite non-negative",
+                 id="resummed-grid-nan"),
+    pytest.param(lambda: laplace_resum(resummed().approximant, math.nan), ValueError,
+                 "positive and finite", id="laplace-nan"),
 ])
 def test_nan_and_inf_wavenumbers_are_refused(call, error, match):
     # NaN fails every comparison, so each check is written as the negated

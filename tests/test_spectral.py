@@ -369,6 +369,27 @@ def test_branch_values_near_the_fold_within_their_conditioning():
         assert abs(w - branch_root(n, w, k)) <= rounding_bound(n, w, k), k
 
 
+def test_single_point_values_within_rounding_of_grid_values():
+    # each root is seeded from the two before it, so a cell's last bits
+    # depend on the grid around it: at n = 400, 39 of the 116 cells of the
+    # 0.01 grid differ from omega_at([k]).  Away from the fold the two agree
+    # within 2.5e-15 relative (worst 2.3e-15, on the 1e-4 grid above
+    # k = 1.1); within 0.01 of it, within the rounding bound over R_w that
+    # each keeps from the root (worst 7 % of it)
+    n = 400
+    curve = branch(n)
+    k_c = curve.fold.k_c
+    for grid in (README_GRID, [0.0001 * i for i in range(11000, 12001)]):
+        for k, w in zip(grid, curve.omega_at(grid)):
+            (single,) = curve.omega_at([k])
+            if k >= k_c:
+                assert math.isnan(w) and math.isnan(single), k
+            elif k < k_c - 0.01:
+                assert abs(single - w) <= 2.5e-15 * abs(w), k
+            else:
+                assert abs(single - w) <= rounding_bound(n, w, k), k
+
+
 @pytest.mark.parametrize("n", [1, 2, 20, 50])
 def test_branch_values_independent_of_grid_order(n):
     # each root seeds the next, so the grid's order changes every seed but
