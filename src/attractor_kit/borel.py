@@ -112,13 +112,8 @@ def pade(series: Sequence[float], L: int, M: int) -> PadeApproximant:
         [sum(c[i - j] * den[j] for j in range(min(i, M) + 1)) for i in range(L + 1)]
     )
 
-    if M > 0:
-        poles = np.roots(den[::-1])
-        dden = np.polyder(den[::-1])
-        residues = np.polyval(num[::-1], poles) / np.polyval(dden, poles)
-    else:
-        poles = np.zeros(0, dtype=complex)
-        residues = np.zeros(0, dtype=complex)
+    poles = np.roots(den[::-1])
+    residues = np.polyval(num[::-1], poles) / np.polyval(np.polyder(den[::-1]), poles)
     return PadeApproximant(num, den, poles, residues)
 
 

@@ -11,17 +11,17 @@ from __future__ import annotations
 import enum
 import math
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Callable, Sequence
+from typing import Sequence
 
 
 class InsufficientData(Exception):
     """Not enough coefficients for the requested analysis."""
 
 
-class InvalidWeight(Exception):
+class InvalidWeight(ValueError):
     """Moment sequence violates the bounded-support invariants."""
 
 
@@ -41,29 +41,38 @@ class WeightKind(enum.Enum):
 
 @dataclass(frozen=True)
 class WeightModel:
-    """Even-moment sequence mu_{2m} of an equilibrium velocity distribution."""
+    """Even-moment sequence mu_{2m} of an equilibrium velocity distribution.
+
+    ``moments`` holds mu_2, mu_4, ... of a custom weight; the built-in
+    weights have closed forms and leave it empty.
+    """
 
     kind: WeightKind
-    _moments: Callable[[int], Fraction] = field(compare=False)
+    moments: tuple = ()
 
     def moment(self, m: int) -> Fraction:
         """mu_{2m}; mu_0 = 1 by normalization."""
         if m == 0:
             return Fraction(1)
-        return self._moments(m)
-
-    @property
-    def bounded(self) -> bool:
-        return self.kind is not WeightKind.GAUSSIAN
+        if self.kind is WeightKind.GAUSSIAN:
+            return Fraction(double_factorial(m))
+        if self.kind is WeightKind.BOUNDED_UNIFORM:
+            # W(v) = 1/2 on [-1, 1]
+            return Fraction(1, 2 * m + 1)
+        if m > len(self.moments):
+            raise InsufficientData(
+                f"custom weight supplies {len(self.moments)} moments; "
+                f"mu_{2 * m} requested"
+            )
+        return self.moments[m - 1]
 
     @classmethod
     def gaussian(cls) -> "WeightModel":
-        return cls(WeightKind.GAUSSIAN, lambda m: Fraction(double_factorial(m)))
+        return cls(WeightKind.GAUSSIAN)
 
     @classmethod
     def bounded_uniform(cls) -> "WeightModel":
-        # W(v) = 1/2 on [-1, 1]: mu_{2m} = 1/(2m+1)
-        return cls(WeightKind.BOUNDED_UNIFORM, lambda m: Fraction(1, 2 * m + 1))
+        return cls(WeightKind.BOUNDED_UNIFORM)
 
     @classmethod
     def bounded_custom(cls, moments: Sequence[Fraction]) -> "WeightModel":
@@ -72,7 +81,7 @@ class WeightModel:
         Bounded support on [-1, 1] forces 0 < mu_{2(m+1)} <= mu_{2m} <= 1;
         sequences violating this are rejected.
         """
-        mus = [Fraction(mu) for mu in moments]
+        mus = tuple(Fraction(mu) for mu in moments)
         prev = Fraction(1)
         for i, mu in enumerate(mus):
             if not (0 < mu <= 1):
@@ -83,16 +92,7 @@ class WeightModel:
                     f"> mu_{2 * i} = {prev}"
                 )
             prev = mu
-
-        def mom(m: int) -> Fraction:
-            if m > len(mus):
-                raise InsufficientData(
-                    f"custom weight supplies {len(mus)} moments; "
-                    f"mu_{2 * m} requested"
-                )
-            return mus[m - 1]
-
-        return cls(WeightKind.BOUNDED_CUSTOM, mom)
+        return cls(WeightKind.BOUNDED_CUSTOM, mus)
 
 
 def build_source_series(w: WeightModel, order: int) -> tuple:
@@ -229,17 +229,12 @@ def ce_coefficients(w: WeightModel, n_max: int) -> CECoefficients:
 
 
 def ratio_sequence(c: CECoefficients) -> list:
-    """Successive ratios r_n = |a_{2(n+1)} / a_{2n}| as floats, n = 1..N-1."""
+    """Successive ratios r_n = |a_{2(n+1)} / a_{2n}| as floats, n = 1..N-1,
+    and NaN where a_{2n} = 0 leaves r_n undefined."""
     if len(c) < 2:
         raise InsufficientData("need at least two coefficients for ratios")
-    out = []
-    for n in range(len(c) - 1):
-        if c.values[n] == 0:
-            raise ZeroDivisionError(
-                f"a_{2 * (n + 1)} = 0: degenerate weight model"
-            )
-        out.append(abs(float(c.values[n + 1] / c.values[n])))
-    return out
+    v = c.values
+    return [abs(float(b / a)) if a else math.nan for a, b in zip(v, v[1:])]
 
 
 @dataclass(frozen=True)
@@ -262,6 +257,10 @@ def radius_estimate(c: CECoefficients) -> RadiusEstimate:
     """
     if len(c) < 8:
         raise InsufficientData("radius extrapolation needs >= 8 coefficients")
+    if 0 in c.values:
+        raise ZeroDivisionError(
+            f"a_{2 * c.values.index(0) + 2} = 0: the ratio fit needs nonzero a_2n"
+        )
     ratios = ratio_sequence(c)
     m = max(len(ratios) // 3, 3)
     start = len(ratios) - m

@@ -18,12 +18,7 @@ from fractions import Fraction
 
 from . import __version__
 from .borel import resum_dispersion
-from .ce import (
-    InvalidWeight,
-    WeightModel,
-    ce_coefficients,
-    ratio_sequence,
-)
+from .ce import WeightModel, ce_coefficients, ratio_sequence
 from .dispersion import K_GRID_MAX, compare_methods
 from .spectral import NoFoldFound, find_fold
 
@@ -56,7 +51,7 @@ FOLD_N1_NOTE = (
 def _fmt_float(x) -> str:
     if isinstance(x, bool):
         return "1" if x else "0"
-    if x is None or (isinstance(x, float) and math.isnan(x)):
+    if isinstance(x, float) and math.isnan(x):
         return ""
     return "%.17g" % float(x)
 
@@ -83,7 +78,7 @@ def parse_weight(spec: str) -> WeightModel:
         except ZeroDivisionError as exc:
             raise ValueError(f"a moment in {path} has a zero denominator") from exc
         return WeightModel.bounded_custom(moments)
-    raise argparse.ArgumentTypeError(
+    raise ValueError(
         f"unknown weight {spec!r}; use gaussian, bounded-uniform, "
         "or bounded-custom=FILE"
     )
@@ -116,7 +111,7 @@ def emit(args, columns: list, rows: list, notes: list) -> None:
             writer.writerow(
                 [c if isinstance(c, str) else _fmt_float(c) for c in row]
             )
-        data = buf.getvalue().encode("utf-8")
+        text = buf.getvalue()
     else:
         payload = {
             "command": args.command,
@@ -133,27 +128,27 @@ def emit(args, columns: list, rows: list, notes: list) -> None:
             ],
             "notes": notes,
         }
-        data = (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if args.out == "-":
-        sys.stdout.write(data.decode("utf-8"))
+        sys.stdout.write(text)
     else:
-        _write_atomic(args.out, data)
+        _write_atomic(args.out, text.encode("utf-8"))
 
 
 def cmd_ce_coeffs(args) -> tuple:
     coeffs = ce_coefficients(args.weight_model, args.n_max)
-    ratios = ratio_sequence(coeffs) if len(coeffs) >= 2 else []
+    # r_n for n < N, and NaN past the last pair
+    ratios = (ratio_sequence(coeffs) if len(coeffs) >= 2 else []) + [math.nan]
     columns = ["n", "a_2n", "abs_log10", "r_n", "r_n_over_2np1"]
     rows = []
-    for n, a in enumerate(coeffs.values, 1):
-        r = ratios[n - 1] if n - 1 < len(ratios) else math.nan
+    for n, (a, r) in enumerate(zip(coeffs.values, ratios), 1):
         rows.append(
             [
                 str(n),
                 str(a),
                 _fmt_float(_log10_abs(a) if a != 0 else math.nan),
                 _fmt_float(r),
-                _fmt_float(r / (2 * (n + 1)) if not math.isnan(r) else r),
+                _fmt_float(r / (2 * (n + 1))),
             ]
         )
     return columns, rows, []
@@ -301,7 +296,7 @@ def main(argv=None) -> int:
     args = PARSER.parse_args(argv)
     try:
         validate(args)
-    except (ValueError, InvalidWeight, OSError, argparse.ArgumentTypeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"attractor-kit: invalid configuration: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     # looked up at call time, so a rebinding of a cmd_* is the one that runs

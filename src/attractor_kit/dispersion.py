@@ -125,10 +125,6 @@ def solve_exact_gaussian(k: float) -> DispersionSample:
     return DispersionSample(k, w, abs(fg(w)[0]))
 
 
-# terms of a custom weight's moment series that the exact solver sums
-_BOUNDED_SERIES_TERMS = 60
-
-
 def _bounded_series(coeffs: Sequence[float], x: float) -> tuple:
     """The moment series F(x) = sum_m coeffs[m-1] x^m and x F'(x).
 
@@ -154,7 +150,7 @@ def solve_exact_bounded(k: float, w: WeightModel) -> DispersionSample:
     bounds the truncation error, and a root where it exceeds 1e-15 is
     refused.  So is every k >= 1, where x >= 1 on all of (-1, 0].
     """
-    if not w.bounded:
+    if w.kind is WeightKind.GAUSSIAN:
         raise ValueError("use solve_exact_gaussian for the Gaussian weight")
     if not k >= 0:
         raise ValueError("k must be non-negative")
@@ -179,7 +175,8 @@ def solve_exact_bounded(k: float, w: WeightModel) -> DispersionSample:
         raise SeriesDivergent(
             f"x = k^2/(1+w)^2 >= 1 on all of (-1, 0] at k = {k:.6g}"
         )
-    coeffs = [float(c) for c in build_source_series(w, _BOUNDED_SERIES_TERMS)[1:]]
+    # every supplied moment; an empty list asks for mu_2 and is refused
+    coeffs = [float(c) for c in build_source_series(w, len(w.moments) or 1)[1:]]
 
     def fg(om):
         F, xdF = _bounded_series(coeffs, k * k / (1 + om) ** 2)

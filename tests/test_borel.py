@@ -78,6 +78,10 @@ def test_pade_constant():
     p = pade([3.5, 0.0, 0.0], 0, 0)
     assert p(17.0) == 3.5
     assert len(p.poles) == 0
+    # a degree-0 denominator has no roots, so none to take residues at
+    p = pade([0.0, 1.0, -2.0, 6.0], 3, 0)
+    assert p.num.tolist() == [0.0, 1.0, -2.0, 6.0]
+    assert p.poles.size == p.residues.size == 0
 
 
 def test_pade_taylor_match_through_L_plus_M(gaussian_30):

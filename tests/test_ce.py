@@ -1,3 +1,4 @@
+import functools
 import importlib.util
 import math
 import sys
@@ -141,9 +142,15 @@ def test_ratio_sequence_first_values():
 
 
 def test_ratio_sequence_rejects_zero_coefficient():
-    degenerate = CECoefficients((Fr(1), Fr(0), Fr(3)))
-    with pytest.raises(ZeroDivisionError):
-        ratio_sequence(degenerate)
+    # a_4 = 0 leaves r_2 undefined, not the weight degenerate
+    r = ratio_sequence(CECoefficients((Fr(1), Fr(0), Fr(3))))
+    assert r[0] == 0.0 and math.isnan(r[1])
+    # the three-point weight (delta(v+1) + 2 delta(v) + delta(v-1))/4 has
+    # mu_2m = 1/2 and a_4 = 0; the radius fit still refuses it
+    c = ce_coefficients(WeightModel.bounded_custom([Fr(1, 2)] * 40), 40)
+    assert c.values[:4] == (Fr(-1, 2), 0, Fr(1, 8), Fr(1, 8))
+    with pytest.raises(ZeroDivisionError, match="a_4 = 0"):
+        radius_estimate(c)
 
 
 def test_ratio_sequence_needs_two_values():
@@ -230,3 +237,24 @@ def test_custom_weight_reports_missing_moments():
     w = WeightModel.bounded_custom([Fr(1, 3)])
     with pytest.raises(InsufficientData):
         ce_coefficients(w, 2)
+
+
+def test_weight_is_its_moments():
+    third, fifth = (WeightModel.bounded_custom([Fr(1, m)]) for m in (3, 5))
+    assert third != fifth
+    assert hash(third) != hash(fifth)
+    assert third == WeightModel.bounded_custom([Fr(1, 3)])
+    assert WeightModel.gaussian() == WeightModel.gaussian()
+    assert WeightModel.gaussian() != WeightModel.bounded_uniform()
+    for w in (WeightModel.gaussian(), WeightModel.bounded_uniform(), third):
+        assert "function" not in repr(w)
+
+
+def test_cached_coefficients_tell_custom_weights_apart():
+    cached = functools.lru_cache(ce_coefficients)
+    assert cached(WeightModel.bounded_custom([Fr(1, 3)]), 1).values == (Fr(-1, 3),)
+    assert cached(WeightModel.bounded_custom([Fr(1, 5)]), 1).values == (Fr(-1, 5),)
+
+
+def test_invalid_weight_is_a_value_error():
+    assert issubclass(InvalidWeight, ValueError)

@@ -76,9 +76,13 @@ def test_ce_coeffs_n_max_bound(tmp_path, capsys):
     cli.validate(args)
 
 
-def test_ce_coeffs_rejects_unknown_weight(tmp_path):
+def test_ce_coeffs_rejects_unknown_weight(tmp_path, capsys):
     code, _ = run(tmp_path, "ce-coeffs", "--weight", "cauchy")
     assert code == 2
+    assert capsys.readouterr().err == (
+        "attractor-kit: invalid configuration: unknown weight 'cauchy'; "
+        "use gaussian, bounded-uniform, or bounded-custom=FILE\n"
+    )
 
 
 # --- custom weight file -----------------------------------------------------------
@@ -128,6 +132,21 @@ def test_bounded_custom_too_few_moments_is_compute_error(tmp_path):
         tmp_path, "ce-coeffs", "--weight", f"bounded-custom={mom}", "--n-max", "5"
     )
     assert code == 3
+
+
+def test_bounded_custom_vanishing_coefficient(tmp_path):
+    # mu_2m = 1/2 is (delta(v+1) + 2 delta(v) + delta(v-1))/4, with a_4 = 0:
+    # its row prints the zero and leaves the cells that divide by it empty
+    mom = tmp_path / "three_point.txt"
+    mom.write_text("1/2\n" * 10)
+    code, out = run(
+        tmp_path, "ce-coeffs", "--weight", f"bounded-custom={mom}", "--n-max", "10"
+    )
+    assert code == 0
+    _, rows = read_csv(out)
+    assert rows[0][1:] == ["-1/2", "-0.3010299956639812", "0", "0"]
+    assert rows[1] == ["2", "0", "", "", ""]
+    assert rows[2][3] == "1"
 
 
 def test_bounded_custom_zero_denominator_is_config_error(tmp_path, capsys):
@@ -320,7 +339,9 @@ def test_borel_pole_summary(tmp_path):
     assert float(summary[0][3]) == pytest.approx(-0.5, abs=0.02)
 
 
-@pytest.mark.parametrize("argv", [[], ["--n-max", "10"], ["--pade", "3", "2"]])
+@pytest.mark.parametrize(
+    "argv", [[], ["--n-max", "10"], ["--pade", "3", "2"], ["--pade", "3", "0"]]
+)
 def test_borel_builds_one_borel_transform(tmp_path, monkeypatch, argv):
     # the coeff rows list the coefficients the approximant was built from,
     # so one transform serves both; every binding of the function is counted

@@ -309,6 +309,18 @@ def test_bounded_custom_matches_uniform():
         assert s.omega == pytest.approx(ref.omega, abs=1e-9)
 
 
+def test_bounded_custom_sums_every_supplied_moment():
+    # 30 terms of the uniform weight's series give the 60-term root to the
+    # last bit at k = 0.3; at k = 0.6 their tail is 1e-12, and the root is
+    # refused rather than read past the list
+    w30, w60 = (WeightModel.bounded_custom([Fr(1, 2 * m + 1) for m in range(1, n + 1)])
+                for n in (30, 60))
+    assert solve_exact_bounded(0.3, w30) == solve_exact_bounded(0.3, w60)
+    solve_exact_bounded(0.6, w60)
+    with pytest.raises(SeriesDivergent, match="tail"):
+        solve_exact_bounded(0.6, w30)
+
+
 def test_bounded_custom_series_divergence():
     # at k = 0.9 the solved point has x = k^2/(1+w)^2 > 1, outside the
     # moment series' radius; the solver must flag it, not extrapolate
