@@ -16,6 +16,7 @@ from attractor_kit import (
     ratio_sequence,
     solve_exact_bounded,
 )
+from attractor_kit.ce import InsufficientData
 
 uniform = WeightModel.bounded_uniform()
 coeffs = ce_coefficients(uniform, 41)
@@ -51,3 +52,30 @@ custom = WeightModel.bounded_custom(moments)
 s = solve_exact_bounded(k, custom)
 print(f"\nCustom weight 3(1 - v^2)/4: omega({k}) = {s.omega:.10f} "
       f"(residual {s.residual:.1e})")
+
+# A custom weight is solved through its own Jacobi fraction, whose levels
+# come from the moments, so the root is found wherever it exists, also
+# where the moment series in k^2/(1+w)^2 diverges.  The three-point weight
+# (delta(v+1) + 2 delta(v) + delta(v-1))/4 has an exact two-level fraction
+# and a root at every k.
+three_point = WeightModel.bounded_custom([Fraction(1, 2)] * 20)
+print("\nThree-point weight, s = 1 + omega solves 2s^3 + 2s k^2 - 2s^2 - k^2 = 0:")
+for k in (2.0, 10.0):
+    omega = solve_exact_bounded(k, three_point).omega
+    s, q = Fraction(1 + omega), Fraction(k) ** 2  # the residual without rounding
+    print(f"  k = {k:>4}: omega = {omega:.14f}  (cubic residual "
+          f"{float(2 * s**3 + 2 * s * q - 2 * s * s - q):.1e})")
+
+# 60 uniform moments: the roots of 59 and 60 levels bracket k cot k - 1,
+# and the root is returned where they agree within 1e-15.
+uniform60 = WeightModel.bounded_custom([Fraction(1, 2 * m + 1) for m in range(1, 61)])
+k = 1.2
+print(f"\n60 uniform moments at k = {k}: omega = "
+      f"{solve_exact_bounded(k, uniform60).omega:.15f}, "
+      f"k cot k - 1 = {k / math.tan(k) - 1:.15f}")
+k = 1.5
+try:
+    solve_exact_bounded(k, uniform60)
+except InsufficientData as refusal:
+    print(f"at k = {k} the root is refused: {refusal}")
+    print(f"  (k cot k - 1 = {k / math.tan(k) - 1:.15f})")

@@ -3,29 +3,30 @@
 The Gaussian case solves (w+1) = I(A), A = (1+w)^2/k^2, where I is the
 velocity-space resolvent averaged over the Maxwellian: from u = sqrt(A/2) = 2
 on, R(w, k^2) = 0 for the spectral branches' R (see `_resolvent`).  The
-bounded-support case solves the analogous condition on [-1, 1].  Both are the
-ground truth the resummation and the spectral branches are checked against.
+bounded-support case solves the analogous condition on [-1, 1]: the uniform
+weight in closed form, a custom weight as R = 0 of its own Jacobi fraction,
+summed by the same `spectral._eval_state` as the Gaussian's, with levels
+from its moments.  These are the ground truth the resummation and the
+spectral branches are checked against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .borel import ce_truncation_eval, resum_dispersion
-from .ce import WeightKind, WeightModel, build_source_series, ce_coefficients
-from .spectral import _K_STAR, BranchCurve, _bracketed_newton, _eval_state, find_fold
+from .ce import InsufficientData, InvalidWeight, WeightKind, WeightModel, ce_coefficients
+from .spectral import (_K_STAR, BranchCurve, _bracketed_newton, _eval_state, _fold,
+                       _hermite_levels, find_fold)
 
 
 # largest wavenumber of a comparison grid; it stays below k* = sqrt(pi/2)
 # ~ 1.2533, where the exact Gaussian root reaches omega = -1 and the
 # hydrodynamic branch ends
 K_GRID_MAX = 1.2
-
-
-class SeriesDivergent(Exception):
-    """Moment series left its convergence region during the solve."""
 
 
 class NoRootInInterval(Exception):
@@ -81,7 +82,7 @@ def _resolvent(A: float) -> tuple:
         I = math.sqrt(math.pi) * u * e
         dI_du = math.sqrt(math.pi) * (e + 2 * u * u * e) - 2 * u
         return I, 1.0 - I, dI_du / (4 * u)
-    R, _, R_q = _eval_state(_cf_depth(1.0 / (u * u)), 0.0, 1.0 / A)
+    R, _, R_q = _eval_state(_hermite_levels(_cf_depth(1.0 / (u * u))), 0.0, 1.0 / A)
     return 1.0 / (1.0 + R), R / (1.0 + R), R_q / (A * (1.0 + R)) ** 2
 
 
@@ -115,7 +116,7 @@ def solve_exact_gaussian(k: float) -> DispersionSample:
     def fg(w):
         s = 1 + w
         if s * s >= 2 * _CF_MIN**2 * q:
-            return _eval_state(_cf_depth(2 * q / (s * s)), w, q)[:2]
+            return _eval_state(_hermite_levels(_cf_depth(2 * q / (s * s))), w, q)[:2]
         I, one_minus_I, dI_dA = _resolvent(s**2 / q)
         r = w + one_minus_I if one_minus_I < 0.5 else s - I
         return r, 1 - dI_dA * 2 * s / q
@@ -125,18 +126,59 @@ def solve_exact_gaussian(k: float) -> DispersionSample:
     return DispersionSample(k, w, abs(fg(w)[0]))
 
 
-def _bounded_series(coeffs: Sequence[float], x: float) -> tuple:
-    """The moment series F(x) = sum_m coeffs[m-1] x^m and x F'(x).
+def _jacobi_levels(moments: Sequence[Fraction]) -> list:
+    """The levels beta_1, beta_2, ... of a symmetric weight's Jacobi fraction,
+    <1/(s + ikv)> = 1/(s + beta_1 k^2/(s + beta_2 k^2/(s + ...))), in exact
+    Fractions from its moments mu_2, mu_4, ..., one level per moment.
 
-    ``coeffs`` are the float source-series coefficients (-1)^m mu_{2m},
-    built once per solve.
+    Chebyshev's algorithm (Gautschi, Orthogonal Polynomials: Computation and
+    Approximation, 2004, sec. 2.1.7), which gives the levels of Rutishauser's
+    qd scheme: row j holds <pi_j(v) v^(j+2i)>, i = 0, 1, ..., for the monic
+    orthogonal polynomials pi_j, and beta_j is the ratio of the first
+    entries of rows j and j - 1, so it divides only by products of earlier
+    levels.  A zero level ends the list where the weight has finite support
+    and its fraction is exact; its later moments must then give a zero row.
+    InvalidWeight at a negative level, or at a zero one that the later
+    moments contradict: no weight has those moments.
     """
-    F = xdF = 0.0
-    for m, c in enumerate(coeffs, start=1):
-        term = c * x**m
-        F += term
-        xdF += m * term
-    return F, xdF
+    prev, row = [0] * (len(moments) + 1), [Fraction(1), *moments]
+    levels = []
+    beta = 0
+    while len(row) > 1:
+        prev, row = row, [a - beta * b for a, b in zip(row[1:], prev[1:])]
+        beta = row[0] / prev[0]
+        if beta < 0 or beta == 0 and any(row):
+            raise InvalidWeight(
+                f"beta_{len(levels) + 1} = {beta}: no weight has these moments"
+            )
+        if beta == 0:
+            break
+        levels.append(beta)
+    return levels
+
+
+def _fraction_root(levels: tuple, k: float):
+    """The hydrodynamic root of R(., k^2) for the fraction of ``levels``, or
+    None past its fold.
+
+    An even level count is a Gauss rule with a node at v = 0: R -> -1 as
+    1 + w -> 0 and R = beta_1 q/K_1 > 0 at w = 0, so (-1, 0] brackets a root
+    at every k.  An odd count has no such node and R -> +infinity there; its
+    branch ends at the fold of `spectral._fold`, whose inner bracket starts
+    at s = 2^-30, below the minimiser of every rule with a positive node
+    above 2^-28, and below the fold the root lies between R's minimiser
+    u k - 1 and 0.  No level at all is the one-point rule at v = 0: R = w.
+    """
+    if not levels:
+        return 0.0
+    q = k * k
+    lo = -1.0
+    if len(levels) % 2:
+        fold = _fold(levels, 2.0**-30, f"the {len(levels)}-level fraction")
+        if not k < fold.k_c:
+            return None
+        lo = (1 + fold.omega_c) / fold.k_c * k - 1
+    return _bracketed_newton(lambda om: _eval_state(levels, om, q), lo, 0.0, -levels[0] * q)[0]
 
 
 def solve_exact_bounded(k: float, w: WeightModel) -> DispersionSample:
@@ -144,11 +186,19 @@ def solve_exact_bounded(k: float, w: WeightModel) -> DispersionSample:
 
     The uniform weight's condition arctan(k/(1+w)) = k (the imaginary part
     cancels by symmetry) has the root w = k cot k - 1, in (-1, 0) for
-    0 < k < pi/2.  Custom weights are solved through their moment series in
-    x = k^2/(1+w)^2, which alternates and, with non-increasing moments,
-    has terms that do not grow for x <= 1: the first omitted term then
-    bounds the truncation error, and a root where it exceeds 1e-15 is
-    refused.  So is every k >= 1, where x >= 1 on all of (-1, 0].
+    0 < k < pi/2.
+
+    A custom weight's condition is R = 0 of its Jacobi fraction, summed by
+    `spectral._eval_state` over the levels of every supplied moment.  Where
+    a level is 0 the fraction is exact and its root is returned, or
+    NoRootInInterval past the fold of an odd level count.  Otherwise the
+    roots of the last two level counts lie on either side of the weight's
+    root (the Pade bounds of a Stieltjes series: Baker & Graves-Morris, Pade
+    Approximants, 2nd ed. 1996, ch. 5), and the root is returned where they
+    agree within 1e-15.  Where they do not, InsufficientData gives the
+    interval between them, (-1, r] where the odd count is past its fold.
+    An empty moment list raises InsufficientData; moments that no weight
+    has, InvalidWeight.
     """
     if w.kind is WeightKind.GAUSSIAN:
         raise ValueError("use solve_exact_gaussian for the Gaussian weight")
@@ -171,32 +221,26 @@ def solve_exact_bounded(k: float, w: WeightModel) -> DispersionSample:
         root = num / math.sin(k)
         return DispersionSample(k, root, abs(math.atan(k / (1 + root)) - k))
 
-    if k >= 1:
-        raise SeriesDivergent(
-            f"x = k^2/(1+w)^2 >= 1 on all of (-1, 0] at k = {k:.6g}"
+    if not w.moments:
+        raise InsufficientData("custom weight supplies no moments; mu_2 requested")
+    levels = tuple(map(float, _jacobi_levels(w.moments)))
+    exact = len(levels) < len(w.moments)  # the levels ended at a zero
+    root = _fraction_root(levels, k)
+    other = root if exact else _fraction_root(levels[:-1], k)
+    if exact and root is None:
+        raise NoRootInInterval(
+            f"k = {k:.6g} is past the fold of the weight's {len(levels)}-level fraction"
         )
-    # every supplied moment; an empty list asks for mu_2 and is refused
-    coeffs = [float(c) for c in build_source_series(w, len(w.moments) or 1)[1:]]
-
-    def fg(om):
-        F, xdF = _bounded_series(coeffs, k * k / (1 + om) ** 2)
-        return om - F, 1 + 2 * xdF / (1 + om)
-
-    # the bracket stops where x reaches 1, at 1 + om = k
-    lo = max(-1 + 1e-6, k - 1 + 1e-7)
-    try:
-        root = _root_on(fg, lo, 0.0, -k * k / 3)
-    except NoRootInInterval as exc:
-        raise SeriesDivergent(
-            f"root at k = {k:.6g} lies outside the moment series' "
-            "convergence region"
-        ) from exc
-    tail = abs(coeffs[-1]) * (k * k / (1 + root) ** 2) ** (len(coeffs) + 1)
-    if tail > 1e-15:
-        raise SeriesDivergent(
-            f"moment series truncated at k = {k:.6g} with a tail up to {tail:.3g}"
-        )
-    return DispersionSample(k, root, abs(fg(root)[0]))
+    if root is None or other is None:
+        interval = f"(-1, {root if other is None else other!r}]"
+    elif abs(root - other) > 1e-15:
+        interval = "[{!r}, {!r}]".format(*sorted((root, other)))
+    else:
+        return DispersionSample(k, root, abs(_eval_state(levels, root, k * k)[0]))
+    raise InsufficientData(
+        f"{len(levels)} moments leave the root at k = {k:.6g} in {interval}: "
+        "the fraction's last two level counts disagree"
+    )
 
 
 def compare_methods(

@@ -5,18 +5,21 @@ ik J_2n), with D = diag(0, 1, ..., 1) and J_2n the Hermite Jacobi matrix
 (off-diagonals sqrt(j)).  With s = 1 + w and q = k^2 it factors as
 P_n = R K_1 K_2 ... K_{2n-1}, where
 
-    K_{2n-1} = s,   K_j = s + (j+1) q / K_{j+1},   R = w + q / K_1.
+    K_{2n-1} = s,   K_j = s + beta_{j+1} q / K_{j+1},   R = w + beta_1 q / K_1,
 
-This is the Hermite Jacobi fraction cut at depth 2n (Golub & Welsch, Math.
-Comp. 23 (1969) 221), or the BGK relation of the 2n-point Gauss-Hermite
-velocity set (Shan, Yuan & Chen, J. Fluid Mech. 550 (2006) 413).  For
-w > -1 every K_j >= s > 0, so R has the sign and the roots of P_n, and the
-fraction summed bottom-up needs no rescaling.  R is w + q/K_1 rather than
-K_0 - 1, so w keeps its relative accuracy at small k.
+with the Hermite levels beta_j = j.  This is the Hermite Jacobi fraction cut
+at depth 2n (Golub & Welsch, Math. Comp. 23 (1969) 221), or the BGK relation
+of the 2n-point Gauss-Hermite velocity set (Shan, Yuan & Chen, J. Fluid
+Mech. 550 (2006) 413).  Any symmetric weight has such a fraction, R + 1 =
+1/<1/(s + ikv)>, with its own levels: `_eval_state` sums it for any tuple
+of levels, and `dispersion` solves a custom weight with it.  For w > -1
+every K_j >= s > 0, so R has the sign and the roots of P_n, and the
+fraction summed bottom-up needs no rescaling.  R is w + beta_1 q/K_1 rather
+than K_0 - 1, so w keeps its relative accuracy at small k.
 
 The root branch of R through (k, w) = (0, 0) approximates the hydrodynamic
 dispersion relation and ends at a fold k_c(n), where R = R_w = 0.  R + 1 =
-s + q/K_1 is homogeneous of degree 1 in (s, k), so the minimiser of
+s + beta_1 q/K_1 is homogeneous of degree 1 in (s, k), so the minimiser of
 R(., k^2) is s = u k with u fixed by n, and M(k) = min_s R(s, k^2) =
 k / k_c - 1 is linear in k.  So once the fold is known, the branch value
 at every k < k_c is the root of R(., k^2) on (u k - 1, 0], a bracket
@@ -25,6 +28,7 @@ whose signs are known without evaluating its ends.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -34,28 +38,35 @@ class NoFoldFound(Exception):
     solve did not converge."""
 
 
-def _eval_state(n: int, w: float, q: float):
-    """(R, R_w, R_q) at (w, k^2 = q), for w > -1.
+@functools.lru_cache
+def _hermite_levels(n: int) -> tuple:
+    """The levels beta_j = j, j = 1..2n-1, of the order-n Hermite fraction,
+    as floats, which multiply faster than ints."""
+    return tuple(map(float, range(1, 2 * n)))
 
-    Summed from K_{2n-1} down to K_1 with K_s = dK_1/ds = dK_1/dw; K_1 is
-    homogeneous of degree 1 in (s, k), so R_q = (1 + s K_s/K_1)/(2 K_1).
+
+def _eval_state(levels: tuple, w: float, q: float):
+    """(R, R_w, R_q) at (w, k^2 = q), for w > -1, of the fraction whose
+    levels beta_1, beta_2, ... are ``levels``.
+
+    Summed from K_d = s down to K_1 with K_s = dK_1/ds = dK_1/dw; K_1 is
+    homogeneous of degree 1 in (s, k), so R_q = beta_1 (1 + s K_s/K_1)/(2 K_1).
     Plain floats on entry, so numpy scalars do not slow every step down.
     """
     w, q = float(w), float(q)
     s = w + 1.0
     K, Ks = s, 1.0
-    c = 2.0 * n - 1.0  # j + 1 as a float, which multiplies faster than an int
-    while c > 1.0:
+    for c in levels[:0:-1]:
         inv = 1.0 / K
         # c q / K, not c q * inv: one rounding fewer halves the worst error
         # of the branch values
         t = c * q / K
         K, Ks = s + t, 1.0 - t * Ks * inv
-        c -= 1.0
     inv = 1.0 / K
-    t = q / K
+    b = levels[0]
+    t = b * q / K
     # R_q from K_1 itself: 2q R_q = R + 1 - s R_w would cancel at small k
-    return w + t, 1.0 - t * Ks * inv, (1.0 + s * Ks * inv) / (2.0 * K)
+    return w + t, 1.0 - t * Ks * inv, b * (1.0 + s * Ks * inv) / (2.0 * K)
 
 
 @dataclass(frozen=True)
@@ -153,6 +164,7 @@ class BranchCurve:
         evaluation: d(omega)/dk = -2k R_q / R_w, and dk/dt = -2 k_c t.
         """
         n, k_c = self.n, self.fold.k_c
+        levels = _hermite_levels(n)
         u = (1 + self.fold.omega_c) / k_c
         out = []
         roots = []  # the last two roots, as (t, omega, d(omega)/dt)
@@ -170,7 +182,7 @@ class BranchCurve:
             t = math.sqrt(1 - k / k_c)
             seed = _hermite(*roots, t) if len(roots) == 2 else -q
             w, (R, Rw, Rq) = _bracketed_newton(
-                lambda w: _eval_state(n, w, q), u * k - 1, 0.0, seed
+                lambda w: _eval_state(levels, w, q), u * k - 1, 0.0, seed
             )
             residual = _normalized_residual(R, Rw)
             if not residual <= _RESIDUAL_TOL:
@@ -191,37 +203,37 @@ class BranchCurve:
 _K_STAR = math.sqrt(math.pi / 2)
 
 
-def find_fold(n: int) -> FoldPoint:
-    """Fold of the order-n branch, where R = R_w = 0.
+def _fold(levels: tuple, s_lo: float, name: str) -> FoldPoint:
+    """Fold of the fraction of ``levels``, where R = R_w = 0, for an odd
+    level count: a Gauss rule with no node at v = 0, whose R grows without
+    bound as s -> 0, so that R has a minimum in s.
 
     Inner solve, at k = 1/4: the minimiser of R(., k^2) on (0, 1] is the
-    root of R_w, bracketed by [k / (2 sqrt(n)), 1/2]; the minimiser's
-    s sqrt(n) / k rises from 1 at n = 1 (2.13 at n = 3200), and s = u k <=
-    1/4, as u = 1 at n = 1 and falls with n.  Secant on s^2 R_w in y = s^2,
-    which is linear in y for n = 1, with bisection where the secant leaves
-    the bracket.  It stops after a secant step by `_newton_done`, or on the
-    bracket's width, and keeps the state of its last evaluation, within that
-    step of the minimiser.
+    root of R_w, bracketed by [s_lo, 1/2].  There <1/(s + ikv)> = 1/(R + 1)
+    peaks in s, at an s/k between the rule's smallest and largest positive
+    nodes; s_lo is the caller's bound below it.  Secant on s^2 R_w in y = s^2,
+    which is linear in y for a single level, with bisection where the secant
+    leaves the bracket.  It stops after a secant step by `_newton_done`, or
+    on the bracket's width, and keeps the state of its last evaluation,
+    within that step of the minimiser.
 
     Closed form in k: M(k) = min_s R(s, k^2) = k / k_c - 1 is linear in k,
     since R + 1 is homogeneous of degree 1 in (s, k), so k_c = k / (1 + M)
-    for any k > 0 (1 + M = s + q/K_1 > 0), and the minimiser, scaled with
-    k, is the fold's.  One evaluation there gives the residual
+    for any k > 0 (1 + M = s + beta_1 q/K_1 > 0), and the minimiser, scaled
+    with k, is the fold's.  One evaluation there gives the residual
     max(|R|, |R_w|), and a last step of the closed form in k and secant step
     in y that take up the first one's rounding.
 
-    Raises NoFoldFound where R_w has the wrong sign at an end of the inner
-    bracket, or k_c is not below sqrt(pi/2), or the residual exceeds
+    Raises NoFoldFound, which names the fraction by ``name``, where R_w has
+    the wrong sign at an end of the inner bracket, or the residual exceeds
     _RESIDUAL_TOL.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
     k, s = 0.25, 0.5
     q = k * k
-    (y0, f0), (y1, f1) = [(x * x, x * x * _eval_state(n, x - 1, q)[1])
-                          for x in (k / (2 * math.sqrt(n)), s)]
+    (y0, f0), (y1, f1) = [(x * x, x * x * _eval_state(levels, x - 1, q)[1])
+                          for x in (s_lo, s)]
     if not f0 < 0 < f1:
-        raise NoFoldFound(f"R_w does not change sign on [{y0**0.5:.6g}, {s:.6g}] for n={n}")
+        raise NoFoldFound(f"R_w does not change sign on [{y0**0.5:.6g}, {s:.6g}] for {name}")
     lo, hi = y0, y1
     st = None  # the state at y1, once y1 is an iterate
     prev = math.inf
@@ -233,23 +245,36 @@ def find_fold(n: int) -> FoldPoint:
         step = abs(y - y1)
         if st is not None and (secant and _newton_done(step, prev) or hi - lo < 1e-15):
             break
-        st = _eval_state(n, math.sqrt(y) - 1, q)
+        st = _eval_state(levels, math.sqrt(y) - 1, q)
         f = y * st[1]
         if f == 0:
             break
         lo, hi = (y, hi) if f < 0 else (lo, y)
         y0, f0, y1, f1, prev = y1, f1, y, f, step
     else:
-        raise NoFoldFound(f"the minimiser of R did not converge for n={n}")
+        raise NoFoldFound(f"the minimiser of R did not converge for {name}")
     slope = (f1 - f0) / (y1 - y0)  # d(s^2 R_w)/dy, unchanged as s scales with k
     k_c = k / (1 + st[0])
-    if not k_c < _K_STAR:
-        raise NoFoldFound(f"the fold of n={n} is not below sqrt(pi/2)")
     s = math.sqrt(y) * k_c / k
-    R, Rw, _ = _eval_state(n, s - 1, k_c * k_c)
+    R, Rw, _ = _eval_state(levels, s - 1, k_c * k_c)
     residual = max(abs(R), abs(Rw))
     if not residual <= _RESIDUAL_TOL:
-        raise NoFoldFound(f"fold residual {residual:.3g} for n={n}")
+        raise NoFoldFound(f"fold residual {residual:.3g} for {name}")
     k_f = k_c / (1 + R)
     s_f = math.sqrt(s * s * (1 - Rw / slope)) * k_f / k_c
     return FoldPoint(k_f, s_f - 1, residual)
+
+
+def find_fold(n: int) -> FoldPoint:
+    """Fold of the order-n branch, where R = R_w = 0: `_fold` of the
+    Hermite levels, with the inner bracket [k / (2 sqrt(n)), 1/2] at k = 1/4.
+    The minimiser's s sqrt(n) / k rises from 1 at n = 1 (2.13 at n = 3200),
+    and s = u k <= 1/4, as u = 1 at n = 1 and falls with n.  Raises
+    NoFoldFound where `_fold` does, or k_c is not below sqrt(pi/2).
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    fold = _fold(_hermite_levels(n), 0.25 / (2 * math.sqrt(n)), f"n={n}")
+    if not fold.k_c < _K_STAR:
+        raise NoFoldFound(f"the fold of n={n} is not below sqrt(pi/2)")
+    return fold

@@ -241,6 +241,33 @@ def test_folds_at_largest_order_approach_gaussian_endpoint(tmp_path):
 
 # --- dispersion --------------------------------------------------------------------
 
+# the exact and branch cells of `dispersion --k-min 0.1 --k-max 1.1 --k-step
+# 0.2 --n-list 1,2,50,400`, as float.hex: the exact root from the spectral
+# fraction (k = 0.1, 0.3, where u = (1 + w)/(k sqrt 2) > 2) and from erfc (k
+# >= 0.5), and the branch values of four orders, the empty ones past their
+# folds left out
+DISPERSION_PINNED = {
+    "omega_exact": ["-0x1.4486b21f25508p-7", "-0x1.573ed7fd1acf0p-4", "-0x1.b66af029d11f9p-3",
+                    "-0x1.8a6b8ebc1709cp-2", "-0x1.2c906bd201522p-1", "-0x1.a051b3b65785ep-1"],
+    "omega_branch_n1": ["-0x1.4b0626492f6b5p-7", "-0x1.999999999999cp-4"],
+    "omega_branch_n2": ["-0x1.44888271d011ep-7", "-0x1.5a6bb5bd6a5cep-4", "-0x1.e8b3a9299e8eep-3"],
+    "omega_branch_n50": ["-0x1.4486b21f25508p-7", "-0x1.573ed7fd1acf0p-4", "-0x1.b66af029d4a5dp-3",
+                         "-0x1.8a6b98c9a7753p-2", "-0x1.2cc971994e98bp-1"],
+    "omega_branch_n400": ["-0x1.4486b21f25508p-7", "-0x1.573ed7fd1acf0p-4", "-0x1.b66af029d11f7p-3",
+                          "-0x1.8a6b8ebc1709fp-2", "-0x1.2c906bd23304bp-1", "-0x1.a07031abcde42p-1"],
+}
+
+
+def test_dispersion_cells_pinned(tmp_path):
+    code, out = run(tmp_path, "dispersion", "--k-min", "0.1", "--k-max", "1.1",
+                    "--k-step", "0.2", "--n-list", "1,2,50,400")
+    assert code == 0
+    header, rows = read_csv(out)
+    for name, pinned in DISPERSION_PINNED.items():
+        col = header.index(name)
+        assert [float(r[col]).hex() for r in rows if r[col]] == pinned, name
+
+
 def test_dispersion_table(tmp_path):
     code, out = run(
         tmp_path,

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction as Fr
 
 import mpmath
@@ -8,13 +9,13 @@ from scipy.integrate import quad
 
 from attractor_kit import spectral
 from attractor_kit.borel import laplace_resum, resum_dispersion
-from attractor_kit.ce import WeightModel, ce_coefficients
+from attractor_kit.ce import InsufficientData, InvalidWeight, WeightModel, ce_coefficients
 from attractor_kit.dispersion import (
     _CF_MIN,
     K_GRID_MAX,
     NoRootInInterval,
-    SeriesDivergent,
     _cf_depth,
+    _jacobi_levels,
     _resolvent,
     compare_methods,
     gaussian_resolvent,
@@ -309,32 +310,50 @@ def test_bounded_custom_matches_uniform():
         assert s.omega == pytest.approx(ref.omega, abs=1e-9)
 
 
+def uniform_moments(n):
+    return WeightModel.bounded_custom([Fr(1, 2 * m + 1) for m in range(1, n + 1)])
+
+
+def k_cot_k(k):
+    """The uniform weight's root k cot k - 1 at 40 digits."""
+    with mpmath.workdps(40):
+        return k / mpmath.tan(k) - 1
+
+
+def refused_interval(k, w):
+    """The root interval that the solver's refusal reports, as floats."""
+    with pytest.raises(InsufficientData, match="level counts disagree") as info:
+        solve_exact_bounded(k, w)
+    lo, hi = re.search(r"in [\[(](\S+), (\S+)\]", str(info.value)).groups()
+    return float(lo), float(hi)
+
+
 def test_bounded_custom_sums_every_supplied_moment():
-    # 30 terms of the uniform weight's series give the 60-term root to the
-    # last bit at k = 0.3; at k = 0.6 their tail is 1e-12, and the root is
-    # refused rather than read past the list
-    w30, w60 = (WeightModel.bounded_custom([Fr(1, 2 * m + 1) for m in range(1, n + 1)])
-                for n in (30, 60))
+    # 30 moments of the uniform weight give the 60-moment root to the last
+    # bit at k = 0.3, and both give k cot k - 1 at k = 0.6; at k = 1.2 the
+    # roots of 30 and 29 levels are 5.6e-10 apart, and the root is refused
+    # rather than read past the list, with an interval that holds it
+    w30, w60 = uniform_moments(30), uniform_moments(60)
     assert solve_exact_bounded(0.3, w30) == solve_exact_bounded(0.3, w60)
-    solve_exact_bounded(0.6, w60)
-    with pytest.raises(SeriesDivergent, match="tail"):
-        solve_exact_bounded(0.6, w30)
+    for w in (w30, w60):
+        assert abs(solve_exact_bounded(0.6, w).omega - k_cot_k(0.6)) <= 1e-16
+    lo, hi = refused_interval(1.2, w30)
+    assert lo <= k_cot_k(1.2) <= hi and hi - lo < 1e-9
 
 
-def test_bounded_custom_series_divergence():
-    # at k = 0.9 the solved point has x = k^2/(1+w)^2 > 1, outside the
-    # moment series' radius; the solver must flag it, not extrapolate
-    w = WeightModel.bounded_custom([Fr(1, 2 * m + 1) for m in range(1, 61)])
-    with pytest.raises(SeriesDivergent):
-        solve_exact_bounded(0.9, w)
+def test_bounded_custom_answers_past_the_moment_series_radius():
+    # at k = 0.9 the root has x = k^2/(1+w)^2 > 1, outside the radius of
+    # the moment series sum_m (-1)^m mu_2m x^m; the Jacobi fraction of the
+    # same 60 moments has no radius and gives k cot k - 1
+    s = solve_exact_bounded(0.9, uniform_moments(60))
+    assert abs(s.omega - k_cot_k(0.9)) <= 1e-16
 
 
 def test_bounded_custom_matches_closed_form():
     # mu_2m = 3/(2m+3) is the weight 3v^2/2 on [-1, 1], whose condition is
     # w = (3/x)(1 - arctan(sqrt(x))/sqrt(x)) - 1 with sqrt(x) = k/(1+w)
     w = WeightModel.bounded_custom([Fr(3, 2 * m + 3) for m in range(1, 61)])
-    for i in range(1, 12):
-        k = i / 20
+    for k in [i / 20 for i in range(1, 12)] + [0.60, 0.65]:
         s = solve_exact_bounded(k, w)
         with mpmath.workdps(40):
 
@@ -344,18 +363,20 @@ def test_bounded_custom_matches_closed_form():
 
             ref = mpmath.findroot(condition, s.omega)
         assert abs(s.omega - ref) <= 1e-15
-    # from k = 0.60 on, 60 moments leave the root unresolved: at 0.65 the
-    # truncated series has a spurious root at x < 1, the true one has x > 1
-    for k in (0.60, 0.65):
-        with pytest.raises(SeriesDivergent):
-            solve_exact_bounded(k, w)
+    # at k = 0.9 the weight's branch has ended: the 59 levels are past their
+    # fold, and the 60 levels, a rule with a light node at v = 0, have a
+    # spurious root 5.8e-5 above -1; the counts disagree, and the solver
+    # refuses
+    lo, hi = refused_interval(0.9, w)
+    assert lo == -1 and 0 < hi + 1 < 1e-4
 
 
 def test_bounded_custom_seed_below_bracket():
     # mu_2m = r^2m, r^2 = 1/4, is the two-point weight at v = +-r, whose
-    # condition is w = -r^2 k^2 / ((1+w)^2 + r^2 k^2).  From k = (sqrt(21) -
-    # 3)/2 ~ 0.7913 on, the seed -k^2/3 lies below the bracket's lower end
-    # k - 1 + 1e-7, and the solve starts by bisecting the bracket
+    # condition is w = -r^2 k^2 / ((1+w)^2 + r^2 k^2).  Its fraction has the
+    # one level r^2, and its root lies between R's minimiser r k - 1 and 0,
+    # where the seed -r^2 k^2 also lies; at these k, x = k^2/(1+w)^2 rises
+    # from 0.96 to 0.998, next to the moment series' radius 1
     w = WeightModel.bounded_custom([Fr(1, 4) ** m for m in range(1, 61)])
     for k in (0.79, 0.795, 0.7995):
         s = solve_exact_bounded(k, w)
@@ -365,12 +386,79 @@ def test_bounded_custom_seed_below_bracket():
         assert abs(s.omega - ref) <= 1e-15
 
 
-def test_bounded_custom_refuses_k_from_one():
-    # x = k^2/(1+w)^2 >= 1 on the whole hydrodynamic interval
-    w = WeightModel.bounded_custom([Fr(1, 2 * m + 1) for m in range(1, 61)])
+def test_bounded_custom_answers_k_from_one():
+    # x = k^2/(1+w)^2 >= 1 on the whole hydrodynamic interval, past the
+    # moment series' radius; the fraction of 60 moments gives k cot k - 1
     for k in (1.0, 1.2):
-        with pytest.raises(SeriesDivergent):
+        s = solve_exact_bounded(k, uniform_moments(60))
+        assert abs(s.omega - k_cot_k(k)) <= 1.1e-16
+
+
+def test_jacobi_levels_of_the_uniform_weight_are_legendre():
+    # the moments 1/(2m + 1) give Legendre's recurrence j^2/(4j^2 - 1)
+    levels = _jacobi_levels([Fr(1, 2 * m + 1) for m in range(1, 61)])
+    assert levels == [Fr(j * j, 4 * j * j - 1) for j in range(1, 61)]
+
+
+def test_jacobi_levels_stop_at_a_finite_support():
+    # the three-point weight (delta(v+1) + 2 delta(v) + delta(v-1))/4 is the
+    # three-point Gauss rule of itself: two levels, then beta_3 = 0
+    assert _jacobi_levels([Fr(1, 2)] * 20) == [Fr(1, 2), Fr(1, 2)]
+
+
+def test_bounded_custom_refuses_moments_no_weight_has():
+    # each mu lies in (0, 1] and the list does not rise, but mu_4 = mu_2
+    # puts every v^2 at 0 or 1, so mu_6 would be 1/2: beta_3 = -2/3.  A zero
+    # level ends the fraction only where the later moments agree with it
+    for moments, level in (([Fr(1, 2), Fr(1, 2), Fr(1, 3)], "beta_3 = -2/3"),
+                           ([Fr(1, 2)] * 3 + [Fr(1, 3)], "beta_3 = 0")):
+        w = WeightModel.bounded_custom(moments)
+        with pytest.raises(InvalidWeight, match=level):
+            solve_exact_bounded(0.5, w)
+
+
+def test_bounded_custom_needs_a_moment():
+    with pytest.raises(InsufficientData):
+        solve_exact_bounded(0.5, WeightModel.bounded_custom([]))
+
+
+def test_bounded_custom_three_point_cubic():
+    # the three-point weight's exact fraction, levels (1/2, 1/2), makes
+    # s = 1 + w solve 2s^3 + 2s k^2 - 2s^2 - k^2 = 0; it has a root at every
+    # k, and it tends to -1/2
+    w = WeightModel.bounded_custom([Fr(1, 2)] * 20)
+    for k, ref in ((0.5, -0.12256116687665), (0.99, -0.34909326909915),
+                   (2.0, -0.46682316506908), (10.0, -0.49874687505894)):
+        om = solve_exact_bounded(k, w).omega
+        s, q = Fr(1 + om), Fr(k) ** 2
+        assert abs(2 * s**3 + 2 * s * q - 2 * s**2 - q) <= 1e-14
+        assert om == pytest.approx(ref, abs=1e-14)
+
+
+def test_bounded_custom_two_point_closed_form():
+    # mu_2m = r^2m with r = 1/2 is the two-point weight at v = +-r: one
+    # level, no node at v = 0, and s = (1 + sqrt(1 - 4r^2 k^2))/2 up to
+    # its fold k = 1/(2r) = 1; from the fold on the root is refused
+    w = WeightModel.bounded_custom([Fr(1, 4) ** m for m in range(1, 21)])
+    for k in (0.5, 0.8, 0.9, 0.99, 0.999):
+        with mpmath.workdps(40):
+            ref = (mpmath.sqrt(1 - mpmath.mpf(k) ** 2) - 1) / 2
+        assert abs(solve_exact_bounded(k, w).omega - ref) <= 1e-15
+    for k in (1.0, 3.0):
+        with pytest.raises(NoRootInInterval, match="past the fold"):
             solve_exact_bounded(k, w)
+
+
+def test_bounded_custom_interval_holds_the_root():
+    # at k = 1.5, 1 + w = 0.106 nears the fraction's small nodes: the
+    # roots of 59 and 60 Legendre levels lie 1.7e-3 apart, on either side
+    # of k cot k - 1.  30 moments leave 29 levels past their fold, so the
+    # interval runs from -1 to the 30-level root
+    ref = k_cot_k(1.5)
+    for n in (60, 30):
+        lo, hi = refused_interval(1.5, uniform_moments(n))
+        assert lo < ref < hi
+    assert lo == -1
 
 
 def test_bounded_rejects_gaussian():
@@ -415,8 +503,8 @@ def test_compare_raises_where_a_branch_root_fails(monkeypatch):
     # comparison raises rather than leave the cell empty
     real = spectral._eval_state
 
-    def stand_in(n, w, q):
-        R, Rw, Rq = real(n, w, q)
+    def stand_in(levels, w, q):
+        R, Rw, Rq = real(levels, w, q)
         if q == 0.3 * 0.3:
             R += math.copysign(1e-6, R)
         return R, Rw, Rq
@@ -465,4 +553,4 @@ def test_exact_bracket_changes_sign_at_the_grid_edge():
     # `_root_on` does not evaluate the upper end: there the fraction half's
     # R = q / K_1 stays positive also where k^2 is subnormal
     q = 1e-161 * 1e-161
-    assert 0 < spectral._eval_state(_cf_depth(2 * q), 0.0, q)[0]
+    assert 0 < spectral._eval_state(spectral._hermite_levels(_cf_depth(2 * q)), 0.0, q)[0]

@@ -14,6 +14,7 @@ from attractor_kit.spectral import (
     BranchCurve,
     NoFoldFound,
     _eval_state,
+    _hermite_levels,
     _normalized_residual,
     find_fold,
 )
@@ -82,14 +83,14 @@ def branch_root(n, w, k):
 # --- _eval_state ---------------------------------------------------------------
 
 def test_eval_P1_vanishes_at_origin():
-    assert _eval_state(1, 0.0, 0.0)[0] == 0.0
+    assert _eval_state(_hermite_levels(1), 0.0, 0.0)[0] == 0.0
 
 
 def test_eval_P2_hand_value():
     # at (w, q) = (0, 0.01): K_3 = 1, K_2 = 1.03, K_1 = 1 + 0.02/1.03, and
     # R = 0.01/K_1 = 0.0103/1.05, so that R K_1 K_2 K_3 is the hand value
     # P_2 = [(1)^2 + 5*0.01]*0.01 - (0.0001)(2)(1)(1) = 0.0103
-    assert _eval_state(2, 0.0, 0.01)[0] == pytest.approx(0.0103 / 1.05, rel=1e-14, abs=0)
+    assert _eval_state(_hermite_levels(2), 0.0, 0.01)[0] == pytest.approx(0.0103 / 1.05, rel=1e-14, abs=0)
 
 
 def test_eval_matches_exact_rational_oracle_on_grid():
@@ -106,7 +107,7 @@ def test_eval_matches_exact_rational_oracle_on_grid():
                 R, K = exact_fraction(n, w, q)
                 assert min(K) > 0
                 assert _evaluate(P, Fr(w), Fr(q)) == R * math.prod(K)
-                value = _eval_state(n, w, q)[0]
+                value = _eval_state(_hermite_levels(n), w, q)[0]
                 assert abs(Fr(value) - R) <= Fr(1e-15) * (abs(Fr(w)) + abs(R - Fr(w)))
                 assert (value > 0) == (R > 0)
 
@@ -119,7 +120,7 @@ def test_eval_P_no_overflow_at_large_order():
     q = K_GRID_MAX**2
     n = N_LIST_MAX["dispersion"]
     for w in (-0.99, -0.5, 0.0):
-        state = _eval_state(n, w, q)
+        state = _eval_state(_hermite_levels(n), w, q)
         assert all(math.isfinite(v) for v in state)
         assert w < state[0] <= w + q / (1 + w)
         with mpmath.workdps(30):
@@ -133,7 +134,7 @@ def test_eval_P_no_underflow_where_the_state_decays():
     # (4j - 3) q < 1, so P_400 lies far below the float range; R is no
     # false zero and has P_400's sign
     for w in (-0.999, -1 + 1e-9):
-        state = _eval_state(400, w, 1e-4)
+        state = _eval_state(_hermite_levels(400), w, 1e-4)
         assert state[0] != 0 and all(math.isfinite(v) for v in state)
         with mpmath.workdps(30):
             P = mp_state(400, w, 1e-4)[0]
@@ -145,7 +146,7 @@ def test_eval_P_derivative_matches_difference_quotient():
     # R_w and R_q against exact difference quotients of the fraction over
     # Fractions, with a step of 1e-30 that leaves them exact to ~1e-29
     n, w, q, h = 12, -0.4, 0.3, Fr(1, 10**30)
-    R, Rw, Rq = _eval_state(n, w, q)
+    R, Rw, Rq = _eval_state(_hermite_levels(n), w, q)
     R0 = exact_fraction(n, w, q)[0]
     assert float(Fr(R) - R0) == pytest.approx(0, abs=1e-16)
     assert Rw == pytest.approx(float((exact_fraction(n, Fr(w) + h, q)[0] - R0) / h), rel=1e-14)
@@ -165,7 +166,7 @@ def test_sign_of_R_is_sign_of_P():
                 continue
             P = decimal_state(n, Decimal(w), Decimal(q))[0]
             assert P != 0
-            assert (_eval_state(n, w, q)[0] > 0) == (P > 0), (n, w, q)
+            assert (_eval_state(_hermite_levels(n), w, q)[0] > 0) == (P > 0), (n, w, q)
 
 
 def _integer_polynomial(n):
@@ -247,15 +248,15 @@ def test_eval_state_matches_exact_polynomial_derivatives(n):
         for b in (1, 6, 10):  # q = b/8
             p, pw, pq, d, dw, dq = (_evaluate_at_eighths(f, a, b) for f in polys)
             exact = (p / d, (pw * d - p * dw) / d**2, (pq * d - p * dq) / d**2)
-            state = _eval_state(n, a / 8, b / 8)
+            state = _eval_state(_hermite_levels(n), a / 8, b / 8)
             for got, want in zip(state, exact):
                 assert abs(Fr(got) - want) <= Fr(1e-13) * max(1, abs(want))
 
 
 def test_eval_state_numpy_scalars_give_plain_floats():
     for n, w, q in [(1, -0.3, 0.2), (7, -0.45, 0.61), (120, -0.8, 1.1)]:
-        ref = _eval_state(n, w, q)
-        got = _eval_state(n, np.float64(w), np.float64(q))
+        ref = _eval_state(_hermite_levels(n), w, q)
+        got = _eval_state(_hermite_levels(n), np.float64(w), np.float64(q))
         assert got == ref
         assert all(type(v) is float for v in got)
 
@@ -308,7 +309,7 @@ def test_branch_samples_satisfy_residual(branch_50):
     values = branch_50.omega_at(README_GRID)
     for k, w in zip(README_GRID, values):
         if k < k_c:
-            R, Rw, _ = _eval_state(50, w, k * k)
+            R, Rw, _ = _eval_state(_hermite_levels(50), w, k * k)
             assert _normalized_residual(R, Rw) < 1e-14, (k, w)
 
 
@@ -348,7 +349,7 @@ def rounding_bound(n, w, k):
         K = s + t
         rho = u + t / K * (2 * u + rho)
         c -= 1.0
-    _, Rw, Rq = _eval_state(n, w, q)
+    _, Rw, Rq = _eval_state(_hermite_levels(n), w, q)
     return (q / K * (u + rho) + abs(Rq) * u * q) / Rw + 1e-15 * abs(w)
 
 
@@ -441,7 +442,7 @@ def test_R_rises_on_the_branch_bracket():
         Rw = _fraction_Rw(n, w, q)
         assert (Rw > 0).all(), n
         for i, j in ((0, 0), (24, 100), (48, 0), (48, 198)):
-            assert Rw[i, j] == _eval_state(n, w[i, j], q[i, j])[1]
+            assert Rw[i, j] == _eval_state(_hermite_levels(n), w[i, j], q[i, j])[1]
 
 
 @pytest.mark.parametrize("n", [2, 50])
@@ -538,7 +539,7 @@ def test_branch_n50_just_below_fold(branch_50):
     assert 1.03 < branch_50.fold.k_c
     w = branch_50.omega_at([1.03])[0]
     assert branch_50.fold.omega_c < w < -0.5
-    st = _eval_state(50, w, 1.03**2)
+    st = _eval_state(_hermite_levels(50), w, 1.03**2)
     assert _normalized_residual(st[0], st[1]) < 1e-12
 
 
@@ -546,9 +547,9 @@ def _record_eval_state(monkeypatch):
     calls = []
     real = spectral._eval_state
 
-    def recorder(n, w, q):
+    def recorder(levels, w, q):
         calls.append((float(w), float(q)))
-        return real(n, w, q)
+        return real(levels, w, q)
 
     monkeypatch.setattr(spectral, "_eval_state", recorder)
     return calls
@@ -778,14 +779,14 @@ def test_folds_match_high_precision_oracle(n):
 
 def test_fold_checks_its_brackets(monkeypatch):
     # R_w < 0 everywhere, so also at both ends of the inner bracket
-    monkeypatch.setattr(spectral, "_eval_state", lambda n, w, q: (w, -1.0, 0.0))
+    monkeypatch.setattr(spectral, "_eval_state", lambda levels, w, q: (w, -1.0, 0.0))
     with pytest.raises(NoFoldFound, match="does not change sign"):
         find_fold(50)
     # R = w + q / (10 s), with its minimiser at s = k / sqrt(10) and its fold
     # at k_c = sqrt(10)/2, past sqrt(pi/2)
     monkeypatch.setattr(
         spectral, "_eval_state",
-        lambda n, w, q: (w + q / (10 * (1 + w)), 1 - q / (10 * (1 + w) ** 2), 1 / (10 * (1 + w))),
+        lambda levels, w, q: (w + q / (10 * (1 + w)), 1 - q / (10 * (1 + w) ** 2), 1 / (10 * (1 + w))),
     )
     with pytest.raises(NoFoldFound, match="not below sqrt"):
         find_fold(4)
