@@ -2,8 +2,10 @@
 
 The equilibrium velocity distribution enters only through its even moments
 mu_{2m}.  The Gaussian (unbounded velocities) gives mu_{2m} = (2m-1)!!, the
-uniform weight on [-1, 1] gives 1/(2m+1), and arbitrary bounded-support
-moment sequences are accepted after validation.
+uniform weight on [-1, 1] gives 1/(2m+1), and a custom list of moments is
+accepted only where some weight on [-1, 1] has them: building its
+`WeightModel` checks that, Chebyshev's algorithm among the checks, and
+keeps the exact Jacobi levels that the algorithm finds.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import enum
 import math
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 from typing import Sequence
@@ -39,16 +41,65 @@ class WeightKind(enum.Enum):
     BOUNDED_CUSTOM = "bounded-custom"
 
 
+def _jacobi_levels(moments: Sequence[Fraction]) -> list:
+    """The levels beta_1, beta_2, ... of a symmetric weight's Jacobi fraction,
+    <1/(s + ikv)> = 1/(s + beta_1 k^2/(s + beta_2 k^2/(s + ...))), in exact
+    Fractions from its moments mu_2, mu_4, ..., one level per moment.
+
+    Chebyshev's algorithm (Gautschi, Orthogonal Polynomials: Computation and
+    Approximation, 2004, sec. 2.1.7), which gives the levels of Rutishauser's
+    qd scheme: row j holds <pi_j(v) v^(j+2i)>, i = 0, 1, ..., for the monic
+    orthogonal polynomials pi_j, and beta_j is the ratio of the first
+    entries of rows j and j - 1, so it divides only by products of earlier
+    levels.  A zero level ends the list where the weight has finite support
+    and its fraction is exact; its later moments must then give a zero row.
+    InvalidWeight at a negative level, or at a zero one that the later
+    moments contradict: no weight has those moments.
+    """
+    prev, row = [0] * (len(moments) + 1), [Fraction(1), *moments]
+    levels = []
+    beta = 0
+    while len(row) > 1:
+        prev, row = row, [a - beta * b for a, b in zip(row[1:], prev[1:])]
+        beta = row[0] / prev[0]
+        if beta < 0 or beta == 0 and any(row):
+            raise InvalidWeight(
+                f"beta_{len(levels) + 1} = {beta}: no weight has these moments"
+            )
+        if beta == 0:
+            break
+        levels.append(beta)
+    return levels
+
+
 @dataclass(frozen=True)
 class WeightModel:
     """Even-moment sequence mu_{2m} of an equilibrium velocity distribution.
 
     ``moments`` holds mu_2, mu_4, ... of a custom weight; the built-in
-    weights have closed forms and leave it empty.
+    weights have closed forms and leave it empty.  ``levels`` holds their
+    exact Jacobi levels, which follow from them, so equality ignores it.
     """
 
     kind: WeightKind
     moments: tuple = ()
+    levels: tuple = field(default=(), init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # InvalidWeight where no weight on [-1, 1] has the moments: that
+        # support needs 0 < mu_{2(m+1)} <= mu_{2m} <= 1, and every weight
+        # needs the levels that `_jacobi_levels` checks
+        prev = Fraction(1)
+        for i, mu in enumerate(self.moments):
+            if not (0 < mu <= 1):
+                raise InvalidWeight(f"mu_{2 * (i + 1)} = {mu} outside (0, 1]")
+            if mu > prev:
+                raise InvalidWeight(
+                    f"moments must be non-increasing; mu_{2 * (i + 1)} = {mu} "
+                    f"> mu_{2 * i} = {prev}"
+                )
+            prev = mu
+        object.__setattr__(self, "levels", tuple(_jacobi_levels(self.moments)))
 
     def moment(self, m: int) -> Fraction:
         """mu_{2m}; mu_0 = 1 by normalization."""
@@ -76,23 +127,8 @@ class WeightModel:
 
     @classmethod
     def bounded_custom(cls, moments: Sequence[Fraction]) -> "WeightModel":
-        """Weight from an explicit sequence mu_2, mu_4, ...
-
-        Bounded support on [-1, 1] forces 0 < mu_{2(m+1)} <= mu_{2m} <= 1;
-        sequences violating this are rejected.
-        """
-        mus = tuple(Fraction(mu) for mu in moments)
-        prev = Fraction(1)
-        for i, mu in enumerate(mus):
-            if not (0 < mu <= 1):
-                raise InvalidWeight(f"mu_{2 * (i + 1)} = {mu} outside (0, 1]")
-            if mu > prev:
-                raise InvalidWeight(
-                    f"moments must be non-increasing; mu_{2 * (i + 1)} = {mu} "
-                    f"> mu_{2 * i} = {prev}"
-                )
-            prev = mu
-        return cls(WeightKind.BOUNDED_CUSTOM, mus)
+        """Weight from an explicit sequence mu_2, mu_4, ..., read as Fractions."""
+        return cls(WeightKind.BOUNDED_CUSTOM, tuple(map(Fraction, moments)))
 
 
 def build_source_series(w: WeightModel, order: int) -> tuple:

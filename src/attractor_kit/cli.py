@@ -13,7 +13,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 from fractions import Fraction
 
 from . import __version__
@@ -86,14 +85,13 @@ def parse_weight(spec: str) -> WeightModel:
 
 def _write_atomic(path: str, data: bytes) -> None:
     d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".attractor-kit-")
+    tmp = os.path.join(d, f".attractor-kit-{os.urandom(8).hex()}")
+    # created 0o666, as open(path, "w") creates a file, so the kernel applies
+    # the umask; O_EXCL never opens a file that is already there
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
-        # mkstemp creates the file 0600: give it the mode open(path, "w") would
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

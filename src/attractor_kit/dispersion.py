@@ -5,20 +5,19 @@ velocity-space resolvent averaged over the Maxwellian: from u = sqrt(A/2) = 2
 on, R(w, k^2) = 0 for the spectral branches' R (see `_resolvent`).  The
 bounded-support case solves the analogous condition on [-1, 1]: the uniform
 weight in closed form, a custom weight as R = 0 of its own Jacobi fraction,
-summed by the same `spectral._eval_state` as the Gaussian's, with levels
-from its moments.  These are the ground truth the resummation and the
-spectral branches are checked against.
+summed by the same `spectral._eval_state` as the Gaussian's, over the
+levels the weight keeps.  These are the ground truth the resummation and
+the spectral branches are checked against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .borel import ce_truncation_eval, resum_dispersion
-from .ce import InsufficientData, InvalidWeight, WeightKind, WeightModel, ce_coefficients
+from .ce import InsufficientData, WeightKind, WeightModel, ce_coefficients
 from .spectral import (_K_STAR, BranchCurve, _bracketed_newton, _eval_state, _fold,
                        _hermite_levels, find_fold)
 
@@ -126,37 +125,6 @@ def solve_exact_gaussian(k: float) -> DispersionSample:
     return DispersionSample(k, w, abs(fg(w)[0]))
 
 
-def _jacobi_levels(moments: Sequence[Fraction]) -> list:
-    """The levels beta_1, beta_2, ... of a symmetric weight's Jacobi fraction,
-    <1/(s + ikv)> = 1/(s + beta_1 k^2/(s + beta_2 k^2/(s + ...))), in exact
-    Fractions from its moments mu_2, mu_4, ..., one level per moment.
-
-    Chebyshev's algorithm (Gautschi, Orthogonal Polynomials: Computation and
-    Approximation, 2004, sec. 2.1.7), which gives the levels of Rutishauser's
-    qd scheme: row j holds <pi_j(v) v^(j+2i)>, i = 0, 1, ..., for the monic
-    orthogonal polynomials pi_j, and beta_j is the ratio of the first
-    entries of rows j and j - 1, so it divides only by products of earlier
-    levels.  A zero level ends the list where the weight has finite support
-    and its fraction is exact; its later moments must then give a zero row.
-    InvalidWeight at a negative level, or at a zero one that the later
-    moments contradict: no weight has those moments.
-    """
-    prev, row = [0] * (len(moments) + 1), [Fraction(1), *moments]
-    levels = []
-    beta = 0
-    while len(row) > 1:
-        prev, row = row, [a - beta * b for a, b in zip(row[1:], prev[1:])]
-        beta = row[0] / prev[0]
-        if beta < 0 or beta == 0 and any(row):
-            raise InvalidWeight(
-                f"beta_{len(levels) + 1} = {beta}: no weight has these moments"
-            )
-        if beta == 0:
-            break
-        levels.append(beta)
-    return levels
-
-
 def _fraction_root(levels: tuple, k: float):
     """The hydrodynamic root of R(., k^2) for the fraction of ``levels``, or
     None past its fold.
@@ -189,16 +157,15 @@ def solve_exact_bounded(k: float, w: WeightModel) -> DispersionSample:
     0 < k < pi/2.
 
     A custom weight's condition is R = 0 of its Jacobi fraction, summed by
-    `spectral._eval_state` over the levels of every supplied moment.  Where
+    `spectral._eval_state` over ``w.levels``, one per supplied moment.  Where
     a level is 0 the fraction is exact and its root is returned, or
     NoRootInInterval past the fold of an odd level count.  Otherwise the
     roots of the last two level counts lie on either side of the weight's
     root (the Pade bounds of a Stieltjes series: Baker & Graves-Morris, Pade
     Approximants, 2nd ed. 1996, ch. 5), and the root is returned where they
     agree within 1e-15.  Where they do not, InsufficientData gives the
-    interval between them, (-1, r] where the odd count is past its fold.
-    An empty moment list raises InsufficientData; moments that no weight
-    has, InvalidWeight.
+    interval between them, or, past the fold of the odd count, that any
+    root lies in (-1, r].  An empty moment list raises InsufficientData.
     """
     if w.kind is WeightKind.GAUSSIAN:
         raise ValueError("use solve_exact_gaussian for the Gaussian weight")
@@ -223,7 +190,7 @@ def solve_exact_bounded(k: float, w: WeightModel) -> DispersionSample:
 
     if not w.moments:
         raise InsufficientData("custom weight supplies no moments; mu_2 requested")
-    levels = tuple(map(float, _jacobi_levels(w.moments)))
+    levels = tuple(map(float, w.levels))
     exact = len(levels) < len(w.moments)  # the levels ended at a zero
     root = _fraction_root(levels, k)
     other = root if exact else _fraction_root(levels[:-1], k)
@@ -232,14 +199,13 @@ def solve_exact_bounded(k: float, w: WeightModel) -> DispersionSample:
             f"k = {k:.6g} is past the fold of the weight's {len(levels)}-level fraction"
         )
     if root is None or other is None:
-        interval = f"(-1, {root if other is None else other!r}]"
+        claim = f"any root at k = {k:.6g} in (-1, {root if other is None else other!r}]"
     elif abs(root - other) > 1e-15:
-        interval = "[{!r}, {!r}]".format(*sorted((root, other)))
+        claim = "the root at k = {:.6g} in [{!r}, {!r}]".format(k, *sorted((root, other)))
     else:
         return DispersionSample(k, root, abs(_eval_state(levels, root, k * k)[0]))
     raise InsufficientData(
-        f"{len(levels)} moments leave the root at k = {k:.6g} in {interval}: "
-        "the fraction's last two level counts disagree"
+        f"{len(levels)} moments leave {claim}: the fraction's last two level counts disagree"
     )
 
 

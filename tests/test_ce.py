@@ -11,6 +11,7 @@ from attractor_kit.ce import (
     CECoefficients,
     InsufficientData,
     InvalidWeight,
+    WeightKind,
     WeightModel,
     _lagrange_kernel,
     build_source_series,
@@ -231,6 +232,29 @@ def test_custom_weight_rejects_out_of_range():
         WeightModel.bounded_custom([Fr(3, 2)])
     with pytest.raises(InvalidWeight):
         WeightModel.bounded_custom([Fr(1, 3), Fr(0)])
+
+
+@pytest.mark.parametrize("build", [WeightModel.bounded_custom,
+                                   lambda mus: WeightModel(WeightKind.BOUNDED_CUSTOM, tuple(mus))],
+                         ids=["bounded_custom", "constructor"])
+def test_custom_weight_rejects_moments_no_weight_has(build):
+    # each mu lies in (0, 1] and the list does not rise, but mu_4 = mu_2
+    # puts every v^2 at 0 or 1, so mu_6 would be 1/2: beta_3 = -2/3.  A zero
+    # level ends the fraction only where the later moments agree with it
+    for moments, level in (([Fr(1, 2), Fr(1, 2), Fr(1, 3)], "beta_3 = -2/3"),
+                           ([Fr(1, 2)] * 3 + [Fr(1, 3)], "beta_3 = 0")):
+        with pytest.raises(InvalidWeight, match=level):
+            build(moments)
+
+
+def test_custom_weight_keeps_its_levels():
+    # the levels follow from the moments: equal moments give equal weights
+    # and hashes
+    w = WeightModel.bounded_custom([Fr(1, 2)] * 20)
+    assert w.levels == (Fr(1, 2), Fr(1, 2))
+    assert WeightModel.gaussian().levels == WeightModel.bounded_uniform().levels == ()
+    twin = WeightModel(WeightKind.BOUNDED_CUSTOM, tuple([Fr(1, 2)] * 20))
+    assert twin == w and hash(twin) == hash(w) and twin.levels == w.levels
 
 
 def test_custom_weight_reports_missing_moments():

@@ -125,6 +125,20 @@ def test_bounded_custom_file_invalid_moments(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["ce-coeffs", "borel"])
+def test_moments_no_weight_has_are_config_error(tmp_path, monkeypatch, capsys, command):
+    # mu_4 = mu_2 puts every v^2 at 0 or 1, so mu_6 must be 1/2 and no
+    # weight has 1/3; the file is refused while the weight is built, before
+    # any coefficient
+    mom = tmp_path / "moments.txt"
+    mom.write_text("1/2\n1/2\n1/3\n")
+    monkeypatch.setattr(cli, "ce_coefficients", None)
+    code, out = run(tmp_path, command, "--weight", f"bounded-custom={mom}", "--n-max", "3")
+    assert code == 2
+    assert "beta_3 = -2/3: no weight has these moments" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bounded_custom_too_few_moments_is_compute_error(tmp_path):
     mom = tmp_path / "moments.txt"
     mom.write_text("1/3\n")
@@ -504,6 +518,18 @@ def test_out_file_takes_the_umask_mode(tmp_path):
             assert out.stat().st_mode & 0o777 == 0o644
     finally:
         os.umask(old)
+
+
+def test_out_file_leaves_the_umask_alone(tmp_path, monkeypatch):
+    # os.umask sets the process umask to read it, so a file that another
+    # thread creates meanwhile would escape it; the output never needs it
+    def umask(mask):
+        raise AssertionError(f"os.umask({mask:#o}) called")
+
+    monkeypatch.setattr(os, "umask", umask)
+    code, out = run(tmp_path, "folds", "--n-list", "1", name="folds.csv")
+    assert code == 0 and out.read_text().startswith("n,k_c")
+    assert [p.name for p in tmp_path.iterdir()] == ["folds.csv"]
 
 
 def test_repeated_runs_are_byte_identical(tmp_path):

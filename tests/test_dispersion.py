@@ -7,15 +7,14 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from attractor_kit import spectral
+from attractor_kit import ce, spectral
 from attractor_kit.borel import laplace_resum, resum_dispersion
-from attractor_kit.ce import InsufficientData, InvalidWeight, WeightModel, ce_coefficients
+from attractor_kit.ce import InsufficientData, WeightModel, _jacobi_levels, ce_coefficients
 from attractor_kit.dispersion import (
     _CF_MIN,
     K_GRID_MAX,
     NoRootInInterval,
     _cf_depth,
-    _jacobi_levels,
     _resolvent,
     compare_methods,
     gaussian_resolvent,
@@ -369,6 +368,10 @@ def test_bounded_custom_matches_closed_form():
     # refuses
     lo, hi = refused_interval(0.9, w)
     assert lo == -1 and 0 < hi + 1 < 1e-4
+    # that root is not the weight's, so the refusal claims none
+    with pytest.raises(InsufficientData, match=re.escape(
+            "60 moments leave any root at k = 0.9 in (-1, -0.99994")):
+        solve_exact_bounded(0.9, w)
 
 
 def test_bounded_custom_seed_below_bracket():
@@ -406,15 +409,20 @@ def test_jacobi_levels_stop_at_a_finite_support():
     assert _jacobi_levels([Fr(1, 2)] * 20) == [Fr(1, 2), Fr(1, 2)]
 
 
-def test_bounded_custom_refuses_moments_no_weight_has():
-    # each mu lies in (0, 1] and the list does not rise, but mu_4 = mu_2
-    # puts every v^2 at 0 or 1, so mu_6 would be 1/2: beta_3 = -2/3.  A zero
-    # level ends the fraction only where the later moments agree with it
-    for moments, level in (([Fr(1, 2), Fr(1, 2), Fr(1, 3)], "beta_3 = -2/3"),
-                           ([Fr(1, 2)] * 3 + [Fr(1, 3)], "beta_3 = 0")):
-        w = WeightModel.bounded_custom(moments)
-        with pytest.raises(InvalidWeight, match=level):
-            solve_exact_bounded(0.5, w)
+def test_bounded_custom_reads_the_levels_of_its_weight(monkeypatch):
+    # the levels are found once, when the weight is built; every solve of
+    # that weight reads them
+    calls = []
+
+    def counted(moments):
+        calls.append(len(moments))
+        return _jacobi_levels(moments)
+
+    monkeypatch.setattr(ce, "_jacobi_levels", counted)
+    w = uniform_moments(60)
+    for k in (0.3, 0.6, 0.9):
+        assert abs(solve_exact_bounded(k, w).omega - k_cot_k(k)) <= 1e-16
+    assert calls == [60]
 
 
 def test_bounded_custom_needs_a_moment():
