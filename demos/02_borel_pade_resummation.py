@@ -11,9 +11,9 @@ from attractor_kit import (
     borel_transform,
     ce_coefficients,
     ce_truncation_eval,
-    pade,
     resum_dispersion,
     solve_exact_gaussian,
+    summability,
 )
 
 coeffs = ce_coefficients(WeightModel.gaussian(), 30)
@@ -23,16 +23,14 @@ print("Borel coefficients b_n = a_2n / n! (exact):")
 for n, bn in enumerate(b[:6], 1):
     print(f"  b_{n} = {bn}")
 
-approx = pade([0.0] + [float(v) for v in b[:28]], 14, 14)
-genuine = approx.physical_poles
-print(f"\n[14/14] Pade approximant of the Borel transform: "
-      f"{len(approx.poles)} poles, {len(genuine)} with non-negligible residue")
-nearest = min(genuine, key=abs)
-print(f"Nearest genuine pole: {nearest.real:+.6f}{nearest.imag:+.2e}j")
-print("All genuine poles sit on the negative real axis, so the Laplace")
-print("contour along [0, inf) is unobstructed and the sum is Borel regular.")
-
 omega = resum_dispersion(coeffs, 14, 14)
+approx = omega.approximant
+nearest, verdict = summability(approx)
+print(f"\n[14/14] Pade approximant of the Borel transform: {len(approx.poles)} poles, "
+      f"{len(approx.physical_poles)} with non-negligible residue")
+print(f"Nearest genuine pole: {nearest.real:+.6f}{nearest.imag:+.2e}j, summability: {verdict}")
+print('("strict": every genuine pole has Re < 0, off the Laplace contour [0, inf)).')
+
 print("\nResummed omega(k) against the exact solver and raw truncations:")
 print(f"  {'k':>4s}  {'exact':>12s}  {'resummed':>12s}  "
       f"{'CE order 2':>12s}  {'CE order 4':>12s}")

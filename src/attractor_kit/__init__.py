@@ -31,6 +31,7 @@ from .borel import (
     laplace_resum,
     pade,
     resum_dispersion,
+    summability,
 )
 from .spectral import (
     BranchCurve,

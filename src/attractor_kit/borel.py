@@ -18,7 +18,8 @@ from . import _gauss_rules
 
 # residues below this are Froissart doublets (pole cancelled by a nearby
 # zero); they carry no analytic information and are excluded from
-# contour checks and singularity diagnostics
+# contour checks and singularity diagnostics.  A residue that is not finite
+# shows no doublet, so its pole counts as genuine
 _SPURIOUS_RESIDUE = 1e-8
 
 _CONTOUR_TOL = 1e-8
@@ -61,7 +62,7 @@ class PadeApproximant:
     @property
     def physical(self) -> np.ndarray:
         """Mask of the genuine poles, those not flagged as Froissart doublets."""
-        return np.abs(self.residues) > _SPURIOUS_RESIDUE
+        return ~(np.abs(self.residues) <= _SPURIOUS_RESIDUE)
 
     @property
     def physical_poles(self) -> np.ndarray:
@@ -113,8 +114,20 @@ def pade(series: Sequence[float], L: int, M: int) -> PadeApproximant:
     )
 
     poles = np.roots(den[::-1])
-    residues = np.polyval(num[::-1], poles) / np.polyval(np.polyder(den[::-1]), poles)
+    # np.polyval can overflow at a far pole of a high order (see `physical`)
+    with np.errstate(over="ignore", invalid="ignore"):
+        residues = np.polyval(num[::-1], poles) / np.polyval(np.polyder(den[::-1]), poles)
     return PadeApproximant(num, den, poles, residues)
+
+
+def summability(p: PadeApproximant) -> tuple:
+    """The nearest genuine pole of ``p`` and the verdict "strict" when every
+    genuine pole has Re < 0, off the Laplace contour [0, inf), else
+    "obstructed"; (None, None) when no pole is genuine."""
+    poles = p.physical_poles
+    if not poles.size:
+        return None, None
+    return complex(min(poles, key=abs)), "strict" if np.all(poles.real < 0) else "obstructed"
 
 
 # the 80-node Gauss-Laguerre rule of the Laplace integral

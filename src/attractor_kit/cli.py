@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .borel import resum_dispersion
+from .borel import resum_dispersion, summability
 from .ce import WeightModel, ce_coefficients, ratio_sequence
 from .dispersion import K_GRID_MAX, compare_methods
 from .spectral import NoFoldFound, find_fold
@@ -202,20 +202,12 @@ def cmd_borel(args) -> tuple:
                 "" if genuine else "spurious",
             ]
         )
-    notes = []
-    physical = approx.physical_poles
-    if physical.size:
-        nearest = min(physical, key=abs)
-        dist = abs(nearest - (-0.5))
-        rows.append(
-            ["summary", "", "", _fmt_float(nearest.real), _fmt_float(nearest.imag),
-             "", f"nearest pole; |pole-(-1/2)| = {_fmt_float(dist)}"]
-        )
-        strict = all(p.real < 0 for p in physical)
-        flag = "strict" if strict else "obstructed"
-        rows.append(["summary", "", "", "", "", "", f"summability: {flag}"])
-        notes.append(f"summability: {flag}")
-    return columns, rows, notes
+    nearest, verdict = summability(approx)
+    if verdict:
+        rows.append(["summary", "", "", _fmt_float(nearest.real), _fmt_float(nearest.imag),
+                     "", f"nearest pole; |pole-(-1/2)| = {_fmt_float(abs(nearest + 0.5))}"])
+        rows.append(["summary", "", "", "", "", "", f"summability: {verdict}"])
+    return columns, rows, [f"summability: {verdict}"] if verdict else []
 
 
 def build_parser() -> argparse.ArgumentParser:

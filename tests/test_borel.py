@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction as Fr
 
 import mpmath
@@ -21,6 +22,7 @@ from attractor_kit.borel import (
     laplace_resum,
     pade,
     resum_dispersion,
+    summability,
 )
 from attractor_kit.ce import WeightModel, ce_coefficients
 from attractor_kit.dispersion import solve_exact_gaussian
@@ -139,6 +141,58 @@ def test_pade_singular_system_raises():
 def test_pade_rejects_short_input():
     with pytest.raises(ValueError):
         pade([1.0, 2.0], 1, 1)
+
+
+def test_pade_at_an_overflowing_order_warns_nothing():
+    # at [129/47] np.polyval overflows at a far pole of the Gaussian's Borel
+    # series; the residue is then not finite, and its pole counts as genuine
+    b = borel_transform(ce_coefficients(WeightModel.gaussian(), 176))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p = pade([0.0] + [float(v) for v in b], 129, 47)
+    assert p.physical[~np.isfinite(p.residues)].all()
+
+
+# --- Summability verdict ----------------------------------------------------
+
+def test_mis_coefficients_first_terms(mis_coefficients):
+    for c_eta, c_tau in ((1, 1), (1, 2), (3, Fr(1, 2)), (Fr(2, 7), 5)):
+        f = mis_coefficients(c_eta, c_tau, 2)
+        assert f == [Fr(4, 9) * c_eta, Fr(8, 27) * c_eta * c_tau]
+
+
+@pytest.mark.parametrize("c_tau", [1, 2])
+@pytest.mark.parametrize("order", [14, 20])
+def test_temporal_foil_is_not_borel_summable(mis_coefficients, c_tau, order):
+    # the Borel ratios of the MIS series tend to +2 C_tau/3 with one sign:
+    # its singularity sits on the Laplace contour, at sigma = 3/(2 C_tau)
+    f = mis_coefficients(1, c_tau, 60)
+    nearest, verdict = summability(resum_dispersion(f, order, order).approximant)
+    assert verdict == "obstructed"
+    if order == 20:
+        assert abs(nearest - 3 / (2 * c_tau)) <= 0.01 * 3 / (2 * c_tau)
+
+
+def test_gaussian_series_is_strictly_summable(gaussian_30):
+    nearest, verdict = summability(resum_dispersion(gaussian_30, 14, 14).approximant)
+    assert verdict == "strict"
+    assert nearest == pytest.approx(-0.5, abs=0.01)
+
+
+@pytest.mark.parametrize("residue", [math.nan, complex(math.nan, math.nan), math.inf])
+def test_summability_counts_a_nonfinite_residue_as_genuine(residue):
+    # an overflowed residue cannot show its pole to be a doublet
+    p = PadeApproximant(np.array([1.0]), np.array([1.0, 0.5, -0.5]),
+                        np.array([-1.0 + 0j, 2.0 + 0j]), np.array([1.0, residue]))
+    assert p.physical.all()
+    assert summability(p) == (-1.0, "obstructed")
+
+
+def test_summability_without_a_genuine_pole():
+    assert summability(pade([0.0, 1.0, 0.5], 2, 0)) == (None, None)
+    doublet = PadeApproximant(np.array([1.0]), np.array([1.0, 1.0]),
+                              np.array([-1.0 + 0j]), np.array([1e-12]))
+    assert summability(doublet) == (None, None)
 
 
 # --- Laplace resummation ----------------------------------------------------
