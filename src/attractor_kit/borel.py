@@ -69,9 +69,10 @@ class PadeApproximant:
         return self.poles[self.physical]
 
     def __call__(self, s):
-        num = np.polyval(self.num[::-1], s)
-        den = np.polyval(self.den[::-1], s)
-        return num / den
+        # np.polyval can overflow far out at a high order; laplace_resum
+        # turns a sum that is then not finite into NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.polyval(self.num[::-1], s) / np.polyval(self.den[::-1], s)
 
 
 def pade(series: Sequence[float], L: int, M: int) -> PadeApproximant:
@@ -144,7 +145,9 @@ def laplace_resum(p: PadeApproximant, x):
     (within the quadrature support of x) obstructs the contour: a single x
     raises PoleOnContour, and a sequence gives NaN there.  Poles near the
     contour switch that x to a Gauss-Legendre rule graded toward them.  The
-    other points of a sequence share one Gauss-Laguerre evaluation.
+    other points of a sequence share one Gauss-Laguerre evaluation.  Where
+    the sum is not finite, as where p overflows at the nodes of a high
+    order, the value is NaN.
     """
     scalar = np.ndim(x) == 0
     xs = np.atleast_1d(np.asarray(x, dtype=float))
@@ -173,6 +176,7 @@ def laplace_resum(p: PadeApproximant, x):
     regular = ~(obstructed | near)
     if regular.any():
         out[regular] = np.sum(w * p(xs[regular, None] * t).real, axis=1)
+    out[~np.isfinite(out)] = math.nan
     return float(out[0]) if scalar else out
 
 
@@ -228,7 +232,7 @@ class ResummedDispersion:
         """omega at one finite k >= 0, or an array of omega at each of a
         sequence of them; 0 where k^2 is 0, also by underflow.  Where a pole
         obstructs the Laplace contour a single k raises PoleOnContour and a
-        sequence gives NaN."""
+        sequence gives NaN; where the Laplace sum overflows it is NaN."""
         ks = np.asarray(k, dtype=float)
         if not np.all((0 <= ks) & (ks < math.inf)):
             raise ValueError("k must be a finite non-negative number")

@@ -47,12 +47,21 @@ FOLD_N1_NOTE = (
 )
 
 
-def _fmt_float(x) -> str:
-    if isinstance(x, bool):
-        return "1" if x else "0"
-    if isinstance(x, float) and math.isnan(x):
+def _csv_cell(c) -> str:
+    """A cell as CSV text; None and a non-finite float are empty."""
+    if c is None or isinstance(c, float) and not math.isfinite(c):
         return ""
-    return "%.17g" % float(x)
+    if isinstance(c, bool):
+        return "1" if c else "0"
+    return "%.17g" % c if isinstance(c, float) else str(c)
+
+
+def _json_cell(c):
+    """A cell as a JSON value: a Fraction as its string, and None and a
+    non-finite float as null."""
+    if isinstance(c, Fraction):
+        return str(c)
+    return None if isinstance(c, float) and not math.isfinite(c) else c
 
 
 def _log10_abs(a: Fraction) -> float:
@@ -105,10 +114,7 @@ def emit(args, columns: list, rows: list, notes: list) -> None:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow(
-                [c if isinstance(c, str) else _fmt_float(c) for c in row]
-            )
+        writer.writerows([_csv_cell(c) for c in row] for row in rows)
         text = buf.getvalue()
     else:
         payload = {
@@ -120,13 +126,10 @@ def emit(args, columns: list, rows: list, notes: list) -> None:
                 and isinstance(v, (str, int, float, bool, list, type(None)))
             },
             "columns": columns,
-            "rows": [
-                [None if isinstance(c, float) and math.isnan(c) else c for c in row]
-                for row in rows
-            ],
+            "rows": [[_json_cell(c) for c in row] for row in rows],
             "notes": notes,
         }
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if args.out == "-":
         sys.stdout.write(text)
     else:
@@ -138,17 +141,8 @@ def cmd_ce_coeffs(args) -> tuple:
     # r_n for n < N, and NaN past the last pair
     ratios = (ratio_sequence(coeffs) if len(coeffs) >= 2 else []) + [math.nan]
     columns = ["n", "a_2n", "abs_log10", "r_n", "r_n_over_2np1"]
-    rows = []
-    for n, (a, r) in enumerate(zip(coeffs.values, ratios), 1):
-        rows.append(
-            [
-                str(n),
-                str(a),
-                _fmt_float(_log10_abs(a) if a != 0 else math.nan),
-                _fmt_float(r),
-                _fmt_float(r / (2 * (n + 1))),
-            ]
-        )
+    rows = [[n, a, _log10_abs(a) if a else math.nan, r, r / (2 * (n + 1))]
+            for n, (a, r) in enumerate(zip(coeffs.values, ratios), 1)]
     return columns, rows, []
 
 
@@ -170,12 +164,12 @@ def cmd_folds(args) -> tuple:
     columns = ["n", "k_c", "omega_c", "residual", "note"]
     rows, notes = [], []
     for n in args.n_list:
-        note = FOLD_N1_NOTE if n == 1 else ""
+        note = FOLD_N1_NOTE if n == 1 else None
         try:
             fp = find_fold(n)
-            rows.append([str(n), fp.k_c, fp.omega_c, fp.residual, note])
+            rows.append([n, fp.k_c, fp.omega_c, fp.residual, note])
         except NoFoldFound as exc:
-            rows.append([str(n), math.nan, math.nan, math.nan, f"no fold: {exc}"])
+            rows.append([n, math.nan, math.nan, math.nan, f"no fold: {exc}"])
         if note:
             notes.append(note)
     return columns, rows, notes
@@ -188,25 +182,15 @@ def cmd_borel(args) -> tuple:
     approx = resum.approximant
 
     columns = ["row_type", "index", "b_n_exact", "re", "im", "abs_residue", "note"]
-    rows = [["coeff", str(n), str(bn), "", "", "", ""]
+    rows = [["coeff", n, bn, None, None, None, None]
             for n, bn in enumerate(resum.borel, 1)]
-    for p, r, genuine in zip(approx.poles, approx.residues, approx.physical):
-        rows.append(
-            [
-                "pole",
-                "",
-                "",
-                _fmt_float(p.real),
-                _fmt_float(p.imag),
-                _fmt_float(abs(r)),
-                "" if genuine else "spurious",
-            ]
-        )
+    rows += [["pole", None, None, p.real, p.imag, abs(r), None if genuine else "spurious"]
+             for p, r, genuine in zip(approx.poles, approx.residues, approx.physical)]
     nearest, verdict = summability(approx)
     if verdict:
-        rows.append(["summary", "", "", _fmt_float(nearest.real), _fmt_float(nearest.imag),
-                     "", f"nearest pole; |pole-(-1/2)| = {_fmt_float(abs(nearest + 0.5))}"])
-        rows.append(["summary", "", "", "", "", "", f"summability: {verdict}"])
+        rows.append(["summary", None, None, nearest.real, nearest.imag, None,
+                     f"nearest pole; |pole-(-1/2)| = {_csv_cell(abs(nearest + 0.5))}"])
+        rows.append(["summary", None, None, None, None, None, f"summability: {verdict}"])
     return columns, rows, [f"summability: {verdict}"] if verdict else []
 
 
@@ -269,13 +253,15 @@ def validate(args) -> None:
         if sum(args.pade) + 1 > N_MAX_MAX:
             raise ValueError(f"--pade L M needs L + M + 1 <= {N_MAX_MAX} coefficients")
     if hasattr(args, "k_step"):
+        for opt in ("k_min", "k_max", "k_step"):
+            if not math.isfinite(getattr(args, opt)):
+                raise ValueError(f"--{opt.replace('_', '-')} must be finite")
         if args.k_step <= 0 or args.k_min < 0 or args.k_max < args.k_min:
             raise ValueError("k grid must satisfy 0 <= k-min <= k-max, k-step > 0")
         if args.k_max > K_GRID_MAX:
             raise ValueError(f"k-max capped at {K_GRID_MAX}")
-        # floor(steps) + 1 > K_POINTS_MAX, without building the grid; the
-        # negated test also refuses a NaN bound or step
-        if not _grid_steps(args) < K_POINTS_MAX:
+        # floor(steps) + 1 > K_POINTS_MAX, without building the grid
+        if _grid_steps(args) >= K_POINTS_MAX:
             raise ValueError(f"k grid capped at {K_POINTS_MAX} points; raise --k-step")
     if getattr(args, "weight", None) is not None:
         # parsed once, failing early on a bad spec; the commands read the model

@@ -217,8 +217,8 @@ def compare_methods(
     Returns the columns by name: k, omega_exact, omega_resummed,
     omega_branch_n{X} with a physical_n{X} companion flag, omega_ce2,
     omega_ce4, and dev_* columns relative to the exact solver.  A cell is
-    NaN where a branch has ended at its fold or a Pade pole obstructs the
-    Laplace contour; any other failure raises.
+    NaN where a branch has ended at its fold, a Pade pole obstructs the
+    Laplace contour, or the Laplace sum overflows; any other failure raises.
     """
     ks = [float(k) for k in k_grid]
     if not all(0 <= k <= K_GRID_MAX + 1e-9 for k in ks):

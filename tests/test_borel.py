@@ -281,6 +281,18 @@ def test_laplace_resum_requires_positive_x(gaussian_30):
         laplace_resum(r.approximant, [0.5, 0.0])
 
 
+def test_laplace_sum_that_overflows_is_nan():
+    # at [129/47] p overflows at the Laplace nodes from k = 0.8 on: the
+    # resummed value there is NaN, one k or a grid, with no numpy warning
+    resum = resum_dispersion(ce_coefficients(WeightModel.gaussian(), 177), 129, 47)
+    ks = [0.8, 0.9, 1.0, 1.1, 1.2]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grid = resum(ks)
+        single = [resum(k) for k in ks]
+    assert np.isnan(grid).all() and np.isnan(single).all()
+
+
 def test_laplace_resum_grid_equals_one_point_calls(gaussian_30):
     # the README grid's x = k^2: one Gauss-Laguerre sum over the whole grid
     # gives the one-point values bit for bit, and those are the sum over the

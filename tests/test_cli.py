@@ -305,7 +305,7 @@ def test_dispersion_rejects_oversized_grid_before_building_it(tmp_path, monkeypa
         raise AssertionError("cmd_dispersion ran")
 
     monkeypatch.setattr(cli, "cmd_dispersion", fail)
-    for step in ("1e-12", "9.99e-5", "nan"):
+    for step in ("1e-12", "9.99e-5"):
         code, _ = run(tmp_path, "dispersion", "--k-step", step, "--n-list", "1")
         assert code == 2
         assert f"{cli.K_POINTS_MAX} points" in capsys.readouterr().err
@@ -365,6 +365,22 @@ def test_dispersion_rejects_bad_grid(tmp_path):
     assert code == 2
     code, _ = run(tmp_path, "dispersion", "--k-max", "2.0")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "option, value",
+    [("--k-step", "inf"), ("--k-min", "nan"), ("--k-max", "nan"), ("--k-step", "nan")],
+)
+def test_dispersion_rejects_nonfinite_grid_value(tmp_path, monkeypatch, capsys, option, value):
+    # refused by name before any other grid check: k_min + inf * 0 is NaN,
+    # and a NaN step count is no oversized grid
+    def fail(args):
+        raise AssertionError("cmd_dispersion ran")
+
+    monkeypatch.setattr(cli, "cmd_dispersion", fail)
+    code, _ = run(tmp_path, "dispersion", option, value, "--n-list", "1")
+    assert code == 2
+    assert f"{option} must be finite" in capsys.readouterr().err
 
 
 # --- borel ------------------------------------------------------------------------
@@ -463,7 +479,7 @@ def test_command_returns_its_table_and_writes_nothing(tmp_path, monkeypatch):
     cli.validate(args)
     columns, rows, notes = cli.cmd_folds(args)
     assert columns == ["n", "k_c", "omega_c", "residual", "note"]
-    assert [r[0] for r in rows] == ["1", "2"]
+    assert [r[0] for r in rows] == [1, 2]
     assert notes == [cli.FOLD_N1_NOTE]
     assert list(tmp_path.iterdir()) == []
 
@@ -540,6 +556,39 @@ def test_repeated_runs_are_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+def _check_ce_coeffs_cells(cells):
+    assert all(type(c["n"]) is int and type(c["a_2n"]) is str
+               and type(c["abs_log10"]) is float for c in cells)
+    assert cells[-1]["r_n"] is None and cells[-1]["r_n_over_2np1"] is None
+
+
+def _check_folds_cells(cells):
+    assert [c["n"] for c in cells] == [1, 2]
+    assert all(type(c["k_c"]) is float for c in cells)
+    assert [c["note"] for c in cells] == [cli.FOLD_N1_NOTE, None]
+
+
+def _check_dispersion_cells(cells):
+    assert all(type(c["k"]) is float and type(c["physical_n1"]) is bool for c in cells)
+    assert all((c["omega_resummed"] is None) == (c["dev_resummed"] is None) for c in cells)
+
+
+def _check_borel_cells(cells):
+    coeffs = [c for c in cells if c["row_type"] == "coeff"]
+    poles = [c for c in cells if c["row_type"] == "pole"]
+    assert [c["index"] for c in coeffs] == list(range(1, 9))
+    assert all(type(c["b_n_exact"]) is str and c["re"] is None for c in coeffs)
+    assert poles and all(c["index"] is None and type(c["re"]) is float for c in poles)
+
+
+JSON_CELL_CHECKS = {"ce-coeffs": _check_ce_coeffs_cells, "folds": _check_folds_cells,
+                    "dispersion": _check_dispersion_cells, "borel": _check_borel_cells}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -548,14 +597,19 @@ def test_repeated_runs_are_byte_identical(tmp_path):
         ["dispersion", "--k-min", "0", "--k-max", "0.2", "--k-step", "0.1",
          "--n-list", "1"],
         ["borel", "--n-max", "8", "--pade", "3", "3"],
+        # the Laplace sum of [129/47] overflows from k = 0.8 on
+        ["dispersion", "--k-min", "0.7", "--k-max", "1.2", "--k-step", "0.1",
+         "--n-list", "1", "--pade", "129", "47"],
     ],
 )
 def test_json_validates_against_shipped_schema(tmp_path, schema, argv):
+    # strict: NaN and Infinity are not JSON (RFC 8259, section 6)
     code, out = run(tmp_path, *argv, "--format", "json", name="out.json")
     assert code == 0
-    payload = json.loads(out.read_text())
+    payload = json.loads(out.read_text(), parse_constant=_refuse_constant)
     jsonschema.validate(payload, schema)
     assert payload["command"] == argv[0]
+    JSON_CELL_CHECKS[argv[0]]([dict(zip(payload["columns"], row)) for row in payload["rows"]])
 
 
 def test_json_config_echo_roundtrip(tmp_path):
