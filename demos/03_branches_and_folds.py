@@ -21,14 +21,14 @@ ks = [0.1, 0.2, 0.3, 0.4]
 exact = {k: solve_exact_gaussian(k).omega for k in ks}
 print("\nMax |omega_branch - omega_exact| on k <= 0.4 by truncation order:")
 for n in (2, 5, 10, 20, 50):
-    values = BranchCurve(n, find_fold(n)).omega_at(ks)
+    values = BranchCurve(n).omega_at(ks)
     dev = max(abs(w - exact[k]) for k, w in zip(ks, values))
     print(f"  n = {n:<3d}  {dev:.3e}")
 
 # Below the fold each branch value is the one root of R(omega, k^2) between
 # the minimiser of R and 0; at k_c it merges with its partner, and from k_c
 # on the branch has no value.
-curve = BranchCurve(5, find_fold(5))
+curve = BranchCurve(5)
 k_c, omega_c = curve.fold.k_c, curve.fold.omega_c
 below, at_fold = curve.omega_at([k_c - 1e-4, k_c])
 print(f"\nOrder-5 branch: fold at (k_c, omega_c) = ({k_c:.6f}, {omega_c:.6f}); "

@@ -18,7 +18,7 @@ from fractions import Fraction
 from . import __version__
 from .borel import resum_dispersion, summability
 from .ce import WeightModel, ce_coefficients, ratio_sequence
-from .dispersion import K_GRID_MAX, compare_methods
+from .dispersion import _GRID_ROUNDING, K_GRID_MAX, _on_grid, compare_methods
 from .spectral import NoFoldFound, find_fold
 
 EXIT_CONFIG = 2
@@ -148,14 +148,13 @@ def cmd_ce_coeffs(args) -> tuple:
 
 def _grid_steps(args) -> float:
     """Steps of k_step that fit in [k_min, k_max]; the grid has floor() + 1
-    points, k_min + i k_step.  The 1e-9 absorbs the rounding of the
-    quotient: 1.2 / 0.05 = 23.999999999999996."""
-    return (args.k_max - args.k_min) / args.k_step + 1e-9
+    points, k_min + i k_step.  _GRID_ROUNDING absorbs the rounding of the
+    quotient, and so lets the last point pass k_max by k_step times as much."""
+    return (args.k_max - args.k_min) / args.k_step + _GRID_ROUNDING
 
 
 def cmd_dispersion(args) -> tuple:
-    points = math.floor(_grid_steps(args)) + 1
-    ks = [args.k_min + args.k_step * i for i in range(points)]
+    ks = [args.k_min + args.k_step * i for i in range(math.floor(_grid_steps(args)) + 1)]
     table = compare_methods(ks, args.n_list, *args.pade)
     return list(table), list(zip(*table.values())), []
 
@@ -263,6 +262,8 @@ def validate(args) -> None:
         # floor(steps) + 1 > K_POINTS_MAX, without building the grid
         if _grid_steps(args) >= K_POINTS_MAX:
             raise ValueError(f"k grid capped at {K_POINTS_MAX} points; raise --k-step")
+        if not _on_grid(args.k_min + args.k_step * math.floor(_grid_steps(args))):
+            raise ValueError(f"--k-step {args.k_step!r} ends the grid past {K_GRID_MAX}")
     if getattr(args, "weight", None) is not None:
         # parsed once, failing early on a bad spec; the commands read the model
         args.weight_model = parse_weight(args.weight)

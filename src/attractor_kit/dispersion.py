@@ -5,8 +5,8 @@ velocity-space resolvent averaged over the Maxwellian: from u = sqrt(A/2) = 2
 on, R(w, k^2) = 0 for the spectral branches' R (see `_resolvent`).  The
 bounded-support case solves the analogous condition on [-1, 1]: the uniform
 weight in closed form, a custom weight as R = 0 of its own Jacobi fraction,
-summed by the same `spectral._eval_state` as the Gaussian's, over the
-levels the weight keeps.  These are the ground truth the resummation and
+over the levels the weight keeps, by the `spectral._fraction_root` that
+also gives the branch values.  These are the ground truth the resummation and
 the spectral branches are checked against.
 """
 
@@ -18,8 +18,8 @@ from typing import Iterable, Sequence
 
 from .borel import ce_truncation_eval, resum_dispersion
 from .ce import InsufficientData, WeightKind, WeightModel, ce_coefficients
-from .spectral import (_K_STAR, BranchCurve, _bracketed_newton, _eval_state, _fold,
-                       _hermite_levels, find_fold)
+from .spectral import (_K_STAR, BranchCurve, _bracketed_newton, _eval_state,
+                       _fraction_root, _hermite_levels)
 
 
 # largest wavenumber of a comparison grid; it stays below k* = sqrt(pi/2)
@@ -27,23 +27,19 @@ from .spectral import (_K_STAR, BranchCurve, _bracketed_newton, _eval_state, _fo
 # hydrodynamic branch ends
 K_GRID_MAX = 1.2
 
+# rounding that a grid point k_min + i k_step may carry past K_GRID_MAX; the
+# CLI allows as much in its step count, 1.2 / 0.05 = 23.999999999999996
+_GRID_ROUNDING = 1e-9
+
+
+def _on_grid(k: float) -> bool:
+    """Whether a comparison grid may hold k, up to _GRID_ROUNDING."""
+    return 0 <= k <= K_GRID_MAX + _GRID_ROUNDING
+
 
 class NoRootInInterval(Exception):
     """The exact solver's condition has the same sign at both ends of its
     bracket, so the interval holds no hydrodynamic root."""
-
-
-def _root_on(fg, lo, hi, x0):
-    """Root of fg on [lo, hi] by `_bracketed_newton` from x0, once fg's sign
-    at lo passes; each caller's fg is positive at hi = 0, left unevaluated."""
-    flo = fg(lo)[0]
-    if flo == 0.0:
-        return lo
-    if flo > 0:
-        raise NoRootInInterval(
-            f"no sign change on [{lo:.6g}, {hi:.6g}] (f = {flo:.3g} at the lower end)"
-        )
-    return _bracketed_newton(fg, lo, hi, x0)[0]
 
 
 @dataclass(frozen=True)
@@ -98,7 +94,9 @@ def gaussian_resolvent(A: float) -> float:
 def solve_exact_gaussian(k: float) -> DispersionSample:
     """Root of (w+1) - I((1+w)^2/k^2) on the hydrodynamic interval (-1, 0].
 
-    Starts from the 4th-order gradient estimate -k^2 + k^4 for small k.
+    One `_bracketed_newton` on [-1 + 1e-9, 0], once the condition's sign at
+    the lower end passes; at 0 it is positive and left unevaluated.  Starts
+    from the 4th-order gradient estimate -k^2 + k^4 for small k.
     From u = _CF_MIN on, the residual is R(w, k^2), recorded as |R|, and A,
     which overflows where k^2 is subnormal, is never formed.  Below, once
     1 - I < 1/2, it is w + (1 - I), for relative accuracy where |w| << 1.
@@ -121,32 +119,12 @@ def solve_exact_gaussian(k: float) -> DispersionSample:
         return r, 1 - dI_dA * 2 * s / q
 
     x0 = -q + k**4 if k <= 0.5 else -0.2
-    w = _root_on(fg, -1 + 1e-9, 0.0, x0)
+    lo = -1 + 1e-9
+    f_lo = fg(lo)[0]
+    if f_lo > 0:
+        raise NoRootInInterval(f"no sign change on [{lo:.6g}, 0] (f = {f_lo:.3g} at the lower end)")
+    w = lo if f_lo == 0.0 else _bracketed_newton(fg, lo, 0.0, x0)[0]
     return DispersionSample(k, w, abs(fg(w)[0]))
-
-
-def _fraction_root(levels: tuple, k: float):
-    """The hydrodynamic root of R(., k^2) for the fraction of ``levels``, or
-    None past its fold.
-
-    An even level count is a Gauss rule with a node at v = 0: R -> -1 as
-    1 + w -> 0 and R = beta_1 q/K_1 > 0 at w = 0, so (-1, 0] brackets a root
-    at every k.  An odd count has no such node and R -> +infinity there; its
-    branch ends at the fold of `spectral._fold`, whose inner bracket starts
-    at s = 2^-30, below the minimiser of every rule with a positive node
-    above 2^-28, and below the fold the root lies between R's minimiser
-    u k - 1 and 0.  No level at all is the one-point rule at v = 0: R = w.
-    """
-    if not levels:
-        return 0.0
-    q = k * k
-    lo = -1.0
-    if len(levels) % 2:
-        fold = _fold(levels, 2.0**-30, f"the {len(levels)}-level fraction")
-        if not k < fold.k_c:
-            return None
-        lo = (1 + fold.omega_c) / fold.k_c * k - 1
-    return _bracketed_newton(lambda om: _eval_state(levels, om, q), lo, 0.0, -levels[0] * q)[0]
 
 
 def solve_exact_bounded(k: float, w: WeightModel) -> DispersionSample:
@@ -156,8 +134,8 @@ def solve_exact_bounded(k: float, w: WeightModel) -> DispersionSample:
     cancels by symmetry) has the root w = k cot k - 1, in (-1, 0) for
     0 < k < pi/2.
 
-    A custom weight's condition is R = 0 of its Jacobi fraction, summed by
-    `spectral._eval_state` over ``w.levels``, one per supplied moment.  Where
+    A custom weight's condition is R = 0 of its Jacobi fraction, solved by
+    `spectral._fraction_root` over ``w.levels``, one per supplied moment.  Where
     a level is 0 the fraction is exact and its root is returned, or
     NoRootInInterval past the fold of an odd level count.  Otherwise the
     roots of the last two level counts lie on either side of the weight's
@@ -192,8 +170,8 @@ def solve_exact_bounded(k: float, w: WeightModel) -> DispersionSample:
         raise InsufficientData("custom weight supplies no moments; mu_2 requested")
     levels = tuple(map(float, w.levels))
     exact = len(levels) < len(w.moments)  # the levels ended at a zero
-    root = _fraction_root(levels, k)
-    other = root if exact else _fraction_root(levels[:-1], k)
+    root = _fraction_root(levels, k)[0]
+    other = root if exact else _fraction_root(levels[:-1], k)[0]
     if exact and root is None:
         raise NoRootInInterval(
             f"k = {k:.6g} is past the fold of the weight's {len(levels)}-level fraction"
@@ -221,9 +199,8 @@ def compare_methods(
     Laplace contour, or the Laplace sum overflows; any other failure raises.
     """
     ks = [float(k) for k in k_grid]
-    if not all(0 <= k <= K_GRID_MAX + 1e-9 for k in ks):
+    if not all(map(_on_grid, ks)):
         raise ValueError(f"grid must lie within [0, {K_GRID_MAX}]")
-    branch_orders = tuple(branch_orders)
     # omega_ce4 reads a_2 and a_4 even where the approximant needs fewer
     coeffs = ce_coefficients(WeightModel.gaussian(), max(pade_L + pade_M + 1, 2))
     resum = resum_dispersion(coeffs, pade_L, pade_M)
@@ -233,7 +210,7 @@ def compare_methods(
     cols["omega_exact"] = exact
     cols["omega_resummed"] = [float(v) for v in resum(ks)]
     for n in branch_orders:
-        vals = BranchCurve(n, find_fold(n)).omega_at(ks)
+        vals = BranchCurve(n).omega_at(ks)
         cols[f"omega_branch_n{n}"] = vals
         cols[f"physical_n{n}"] = [not math.isnan(v) for v in vals]
     cols["omega_ce2"] = [ce_truncation_eval(coeffs, 2, k) for k in ks]

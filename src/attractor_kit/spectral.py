@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 class NoFoldFound(Exception):
@@ -137,53 +137,46 @@ def _hermite(a: tuple, b: tuple, t: float) -> float:
 
 @dataclass(frozen=True)
 class BranchCurve:
-    """The order-n root branch of R from the origin up to its fold, as
-    ``BranchCurve(n, find_fold(n))``."""
+    """The order-n root branch of R from the origin up to its fold, which
+    ``fold`` holds: ``find_fold(n)``, raising where that does."""
 
     n: int
-    fold: FoldPoint
+    fold: FoldPoint = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "fold", find_fold(self.n))
 
     def omega_at(self, ks) -> list:
         """Branch value at every wavenumber of ``ks``, in the order given.
 
         NaN for k >= k_c, where the branch has ended: at k_c itself its
         root has merged with its partner into a double root.  0.0 where
-        k^2 is 0.  Otherwise the root of R(., k^2) on (u k - 1, 0], u =
-        (1 + omega_c) / k_c.  There R = k / k_c - 1 < 0 at the lower end,
-        the minimiser of R, and R = q / K_1 > 0 at 0, and R rises in
-        between, so the root is unique and the ends need no evaluation.
-
-        One `_bracketed_newton` per k, whose width stop is relative to the
-        iterate, so a root at small k, far below 1, keeps its relative
-        accuracy; the root is accepted only with a normalised residual
-        within _RESIDUAL_TOL, and ArithmeticError where it is not or Newton
-        does not converge.  The first two roots are seeded at
-        -k^2, every later one on the cubic Hermite through the two previous
-        roots in t = sqrt(1 - k / k_c), in which the branch is analytic
-        through its fold.  Each root's slope comes from its last
-        evaluation: d(omega)/dk = -2k R_q / R_w, and dk/dt = -2 k_c t.
+        k^2 is 0.  Otherwise the `_fraction_root` of the Hermite levels,
+        accepted only with a normalised residual within _RESIDUAL_TOL, and
+        ArithmeticError where it is not or Newton does not converge.  The
+        first two roots are seeded at -k^2, every later one on the cubic
+        Hermite through the two previous roots in t = sqrt(1 - k / k_c), in
+        which the branch is analytic through its fold.  Each root's slope
+        comes from its last evaluation: d(omega)/dk = -2k R_q / R_w, and
+        dk/dt = -2 k_c t.
         """
         n, k_c = self.n, self.fold.k_c
         levels = _hermite_levels(n)
-        u = (1 + self.fold.omega_c) / k_c
         out = []
         roots = []  # the last two roots, as (t, omega, d(omega)/dt)
         for k in ks:
             k = float(k)
             if not k >= 0:
                 raise ValueError(f"k = {k} is not a non-negative number")
-            q = k * k
             if not k < k_c:
                 out.append(math.nan)
                 continue
-            if q == 0:
+            if k * k == 0:
                 out.append(0.0)
                 continue
             t = math.sqrt(1 - k / k_c)
-            seed = _hermite(*roots, t) if len(roots) == 2 else -q
-            w, (R, Rw, Rq) = _bracketed_newton(
-                lambda w: _eval_state(levels, w, q), u * k - 1, 0.0, seed
-            )
+            seed = _hermite(*roots, t) if len(roots) == 2 else None
+            w, (R, Rw, Rq) = _fraction_root(levels, k, self.fold, seed)
             residual = _normalized_residual(R, Rw)
             if not residual <= _RESIDUAL_TOL:
                 raise ArithmeticError(
@@ -203,17 +196,17 @@ class BranchCurve:
 _K_STAR = math.sqrt(math.pi / 2)
 
 
-def _fold(levels: tuple, s_lo: float, name: str) -> FoldPoint:
+def _fold(levels: tuple, x_lo: float, name: str) -> FoldPoint:
     """Fold of the fraction of ``levels``, where R = R_w = 0, for an odd
     level count: a Gauss rule with no node at v = 0, whose R grows without
     bound as s -> 0, so that R has a minimum in s.
 
     Inner solve, at k = 1/4: the minimiser of R(., k^2) on (0, 1] is the
-    root of R_w, bracketed by [s_lo, 1/2].  There <1/(s + ikv)> = 1/(R + 1)
+    root of R_w, bracketed by [x_lo k, 1/2].  There <1/(s + ikv)> = 1/(R + 1)
     peaks in s, at an s/k between the rule's smallest and largest positive
-    nodes; s_lo is the caller's bound below it.  Secant on s^2 R_w in y = s^2,
-    which is linear in y for a single level, with bisection where the secant
-    leaves the bracket.  It stops after a secant step by `_newton_done`, or
+    nodes; x_lo is the caller's bound on s/k below it.  Secant on s^2 R_w in
+    y = s^2, which is linear in y for a single level, with bisection where
+    the secant leaves the bracket.  It stops after a secant step by `_newton_done`, or
     on the bracket's width, and keeps the state of its last evaluation,
     within that step of the minimiser.
 
@@ -231,7 +224,7 @@ def _fold(levels: tuple, s_lo: float, name: str) -> FoldPoint:
     k, s = 0.25, 0.5
     q = k * k
     (y0, f0), (y1, f1) = [(x * x, x * x * _eval_state(levels, x - 1, q)[1])
-                          for x in (s_lo, s)]
+                          for x in (x_lo * k, s)]
     if not f0 < 0 < f1:
         raise NoFoldFound(f"R_w does not change sign on [{y0**0.5:.6g}, {s:.6g}] for {name}")
     lo, hi = y0, y1
@@ -265,16 +258,44 @@ def _fold(levels: tuple, s_lo: float, name: str) -> FoldPoint:
     return FoldPoint(k_f, s_f - 1, residual)
 
 
+def _fraction_root(levels: tuple, k: float, fold: FoldPoint | None = None,
+                   seed: float | None = None) -> tuple:
+    """The hydrodynamic root of R(., k^2) for the fraction of ``levels``, and
+    (R, R_w, R_q) at the last iterate, by one `_bracketed_newton` from
+    ``seed``, by default -beta_1 k^2; (None, None) past the fold.
+
+    An even level count is a Gauss rule with a node at v = 0: R -> -1 as
+    1 + w -> 0 and R > 0 at w = 0, so (-1, 0] brackets a root at every k.
+    An odd count has none, and its branch ends at its fold: ``fold``, or
+    `_fold` of the levels with s/k from 2^-28, below the minimiser of every
+    rule with a positive node above 2^-28.  Below the fold R = k / k_c - 1
+    < 0 at its minimiser u k - 1, u = (1 + omega_c) / k_c, R > 0 at 0, and
+    R rises in between, so (u k - 1, 0] holds one root and neither end is
+    evaluated.  No level at all is the one-point rule at v = 0: R = w.
+    """
+    if not levels:
+        return 0.0, (0.0, 1.0, 0.0)
+    q = k * k
+    lo = -1.0
+    if len(levels) % 2:
+        fold = fold or _fold(levels, 2.0**-28, f"the {len(levels)}-level fraction")
+        if not k < fold.k_c:
+            return None, None
+        lo = (1 + fold.omega_c) / fold.k_c * k - 1
+    seed = -levels[0] * q if seed is None else seed
+    return _bracketed_newton(lambda w: _eval_state(levels, w, q), lo, 0.0, seed)
+
+
 def find_fold(n: int) -> FoldPoint:
     """Fold of the order-n branch, where R = R_w = 0: `_fold` of the
-    Hermite levels, with the inner bracket [k / (2 sqrt(n)), 1/2] at k = 1/4.
-    The minimiser's s sqrt(n) / k rises from 1 at n = 1 (2.13 at n = 3200),
-    and s = u k <= 1/4, as u = 1 at n = 1 and falls with n.  Raises
+    Hermite levels, with s/k bounded below by 1 / (2 sqrt(n)).  The
+    minimiser's s sqrt(n) / k rises from 1 at n = 1 (2.13 at n = 3200),
+    and s / k = u <= 1, as u = 1 at n = 1 and falls with n.  Raises
     NoFoldFound where `_fold` does, or k_c is not below sqrt(pi/2).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    fold = _fold(_hermite_levels(n), 0.25 / (2 * math.sqrt(n)), f"n={n}")
+    fold = _fold(_hermite_levels(n), 1 / (2 * math.sqrt(n)), f"n={n}")
     if not fold.k_c < _K_STAR:
         raise NoFoldFound(f"the fold of n={n} is not below sqrt(pi/2)")
     return fold

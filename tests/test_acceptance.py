@@ -176,7 +176,7 @@ def test_criterion_06_branch_convergence(exact_grid):
     grid = [k for k in ks if 0 < k <= 0.4 + 1e-12]
     devs = []
     for n in (2, 5, 10, 20, 50):
-        values = BranchCurve(n, find_fold(n)).omega_at(grid)
+        values = BranchCurve(n).omega_at(grid)
         devs.append(max(abs(w - exact[k]) for k, w in zip(grid, values)))
     ok = all(b < a for a, b in zip(devs, devs[1:]))
     assert report(6, "branch convergence in truncation order", ok,

@@ -10,7 +10,7 @@ import jsonschema
 import pytest
 
 import attractor_kit
-from attractor_kit import cli
+from attractor_kit import cli, dispersion
 from attractor_kit.cli import main
 
 
@@ -365,6 +365,36 @@ def test_dispersion_rejects_bad_grid(tmp_path):
     assert code == 2
     code, _ = run(tmp_path, "dispersion", "--k-max", "2.0")
     assert code == 2
+
+
+def test_dispersion_rejects_last_point_past_the_cap(tmp_path, monkeypatch, capsys):
+    # 1.2 / 1.20000000108 falls 9e-10 short of one step, within the step
+    # count's rounding allowance, so the grid's second point would be
+    # 1.20000000108, past K_GRID_MAX by more than compare_methods allows:
+    # refused as a configuration, before the command runs
+    def fail(args):
+        raise AssertionError("cmd_dispersion ran")
+
+    monkeypatch.setattr(cli, "cmd_dispersion", fail)
+    code, _ = run(tmp_path, "dispersion", "--k-min", "0", "--k-max", "1.2",
+                  "--k-step", "1.20000000108", "--n-list", "1")
+    assert code == 2
+    assert "--k-step 1.20000000108 ends the grid past 1.2" in capsys.readouterr().err
+    # every grid near a whole number of steps that validation accepts lies
+    # within the range that compare_methods accepts
+    accepted = 0
+    for steps in (1, 2, 3, 7, 120):
+        for rel in (-3e-9, -1e-9, -9e-10, -1e-10, 0.0, 1e-10, 9e-10, 1e-9, 3e-9):
+            k_step = 1.2 / steps * (1 + rel)
+            args = cli.build_parser().parse_args(["dispersion", "--k-step", repr(k_step)])
+            try:
+                cli.validate(args)
+            except ValueError:
+                continue
+            accepted += 1
+            points = math.floor(cli._grid_steps(args)) + 1
+            assert all(map(dispersion._on_grid, [k_step * i for i in range(points)]))
+    assert accepted >= 40
 
 
 @pytest.mark.parametrize(

@@ -172,17 +172,17 @@ def test_exact_root_is_the_branch_root_at_the_solvers_depth():
     # where u >= 2 at the root, the exact solver finds the root of the
     # order-n spectral R: the order-n branch value at the same k, with n
     # the depth the solver sums there; u falls to 2 at k = 0.32009
-    folds = {}
+    curves = {}
     for k in np.geomspace(1e-10, 0.32, 144):
         k = float(k)
         w = solve_exact_gaussian(k).omega
         assert (1 + w) ** 2 >= 8 * k * k
         n = _cf_depth(2 * k * k / (1 + w) ** 2)
-        if n not in folds:
-            folds[n] = spectral.find_fold(n)
-        (branch,) = spectral.BranchCurve(n, folds[n]).omega_at([k])
+        if n not in curves:
+            curves[n] = spectral.BranchCurve(n)
+        (branch,) = curves[n].omega_at([k])
         assert abs(branch - w) <= 1e-15 * abs(w), (k, n, branch, w)
-    assert min(folds) == 7 and max(folds) >= 30
+    assert min(curves) == 7 and max(curves) >= 30
 
 
 def test_exact_gaussian_leading_diffusion():
@@ -231,7 +231,7 @@ def resummed():
                  ValueError, "non-negative", id="bounded-nan"),
     pytest.param(lambda: compare_methods([math.nan], (1,), 2, 2), ValueError, "grid",
                  id="compare-nan"),
-    pytest.param(lambda: spectral.BranchCurve(1, spectral.find_fold(1)).omega_at([math.nan]),
+    pytest.param(lambda: spectral.BranchCurve(1).omega_at([math.nan]),
                  ValueError, "non-negative", id="branch-nan"),
     pytest.param(lambda: resummed()(math.nan), ValueError, "finite non-negative",
                  id="resummed-nan"),
@@ -430,6 +430,20 @@ def test_bounded_custom_needs_a_moment():
         solve_exact_bounded(0.5, WeightModel.bounded_custom([]))
 
 
+def test_bounded_custom_one_moment_meets_the_zero_level_fraction():
+    # one moment gives one level, beta_1 = 1/3, and the fraction one level
+    # shorter has none: the one-point rule at v = 0, whose root is 0.  So the
+    # interval runs from the one-level root, (-1 + sqrt(1 - 4k^2/3))/2, to
+    # 0, and past the one-level fold at k = sqrt(3)/2 from -1 to 0
+    w = WeightModel.bounded_custom([Fr(1, 3)])
+    lo, hi = refused_interval(0.5, w)
+    with mpmath.workdps(40):
+        ref = (mpmath.sqrt(1 - mpmath.mpf(0.5) ** 2 * 4 / 3) - 1) / 2
+    assert abs(lo - ref) <= 1e-16 and hi == 0.0
+    with pytest.raises(InsufficientData, match=re.escape("any root at k = 0.9 in (-1, 0.0]")):
+        solve_exact_bounded(0.9, w)
+
+
 def test_bounded_custom_three_point_cubic():
     # the three-point weight's exact fraction, levels (1/2, 1/2), makes
     # s = 1 + w solve 2s^3 + 2s k^2 - 2s^2 - k^2 = 0; it has a root at every
@@ -558,7 +572,7 @@ def test_exact_bracket_changes_sign_at_the_grid_edge():
         return (w + 1) - gaussian_resolvent((1 + w) ** 2 / (k * k))
 
     assert f(-1 + 1e-9) < 0 < f(0.0)
-    # `_root_on` does not evaluate the upper end: there the fraction half's
+    # the solver does not evaluate the upper end: there the fraction half's
     # R = q / K_1 stays positive also where k^2 is subnormal
     q = 1e-161 * 1e-161
     assert 0 < spectral._eval_state(spectral._hermite_levels(_cf_depth(2 * q)), 0.0, q)[0]

@@ -263,18 +263,14 @@ def test_eval_state_numpy_scalars_give_plain_floats():
 
 # --- branch values ------------------------------------------------------------
 
-def branch(n):
-    return BranchCurve(n, find_fold(n))
-
-
 @pytest.fixture(scope="module")
 def branch_1():
-    return branch(1)
+    return BranchCurve(1)
 
 
 @pytest.fixture(scope="module")
 def branch_50():
-    return branch(50)
+    return BranchCurve(50)
 
 
 # the README grid, and every 7th point of the CI grid with step 0.001, as the
@@ -320,7 +316,7 @@ def test_branch_values_match_high_precision_oracle(n):
     # The normalised recurrence's Newton left up to 3.8e-14 at n = 50,
     # k = 1.03 and 2.2e-13 at n = 200, k = 1.12
     grid = FINE_GRID if n >= 200 else README_GRID
-    curve = branch(n)
+    curve = BranchCurve(n)
     errors = {}
     for k, w in zip(grid, curve.omega_at(grid)):
         if math.isnan(w):
@@ -359,7 +355,7 @@ def test_branch_values_near_the_fold_within_their_conditioning():
     # k = 1.1528, 6.5e-6 below k_c, has R_w = 0.019 and lies 3.6e-14 from
     # the 50-digit root (P_n and R share their roots, as every K_j > 0)
     n = 400
-    curve = branch(n)
+    curve = BranchCurve(n)
     k_c = curve.fold.k_c
     # the CLI's cells of `--k-step 0.0001` from k = 1.1 on: each root is
     # seeded from the two before it
@@ -378,7 +374,7 @@ def test_single_point_values_within_rounding_of_grid_values():
     # k = 1.1); within 0.01 of it, within the rounding bound over R_w that
     # each keeps from the root (worst 7 % of it)
     n = 400
-    curve = branch(n)
+    curve = BranchCurve(n)
     k_c = curve.fold.k_c
     for grid in (README_GRID, [0.0001 * i for i in range(11000, 12001)]):
         for k, w in zip(grid, curve.omega_at(grid)):
@@ -397,7 +393,7 @@ def test_branch_values_independent_of_grid_order(n):
     # the first; in rising, falling and shuffled order every value stays
     # within 2e-15 of the 50-digit oracle, and the empty cells are exactly
     # the k >= k_c, k = k_c(1) = 1/2 among them
-    curve = branch(n)
+    curve = BranchCurve(n)
     k_c = curve.fold.k_c
     assert (0.5 in README_GRID) and (n > 1 or k_c == 0.5)
     shuffled = random.Random(n).sample(README_GRID, len(README_GRID))
@@ -451,14 +447,14 @@ def test_branch_keeps_relative_accuracy_at_small_k(n):
     # accuracy of w = -1e-12; K_0 - 1 would round it at 1e-16 absolute, 1e-4
     # of w
     k = 1e-6
-    assert branch(n).omega_at([k])[0] == pytest.approx(-k * k + k**4, rel=1e-15, abs=0)
+    assert BranchCurve(n).omega_at([k])[0] == pytest.approx(-k * k + k**4, rel=1e-15, abs=0)
     # Newton's width stop is relative to the iterate: an absolute 1e-15 fired
     # as soon as the iterates straddled a root far below it, 155 % off at
     # k = 9e-16 for n = 2 and 2.9e-5 off at k = 9e-10 for n = 50.  Each grid
     # is one call, so from its third k on the seeds come from the Hermite
     for h in (1e-16, 1e-10):
         ks = [i * h for i in range(11)]
-        for k, w in zip(ks, branch(n).omega_at(ks)):
+        for k, w in zip(ks, BranchCurve(n).omega_at(ks)):
             exact = solve_exact_gaussian(k).omega
             assert abs(w - exact) <= 1e-15 * abs(exact), (k, w, exact)
 
@@ -472,7 +468,7 @@ def test_branch_convergence_law():
     for k, orders in ((0.6, (25, 50, 100)), (0.9, (50, 100, 200, 400))):
         exact = solve_exact_gaussian(k).omega
         rate = 2 * math.sqrt(2) * (1 + exact) / k
-        errors = [abs(branch(n).omega_at([k])[0] - exact) for n in orders]
+        errors = [abs(BranchCurve(n).omega_at([k])[0] - exact) for n in orders]
         for n1, n2, e1, e2 in zip(orders, orders[1:], errors, errors[1:]):
             predicted = rate * (math.sqrt(n2) - math.sqrt(n1))
             assert math.log(e1 / e2) == pytest.approx(predicted, rel=0.02), (k, n1, n2)
@@ -487,6 +483,20 @@ def test_branch_n50_tracks_exact_dispersion(branch_50):
     ks = [0.1 * i for i in range(1, 9)]
     for k, w in zip(ks, branch_50.omega_at(ks)):
         assert abs(w - solve_exact_gaussian(k).omega) < 2e-3
+
+
+def test_branch_finds_its_own_fold():
+    # the curve computes the fold of its own order, so no other order's fold
+    # can end it early: the n = 20 branch has values past the n = 5 fold and
+    # up to k_c(20) = 0.9455
+    with pytest.raises(TypeError):
+        BranchCurve(20, find_fold(5))
+    curve = BranchCurve(20)
+    assert curve.fold == find_fold(20)
+    assert find_fold(5).k_c < 0.8
+    values = curve.omega_at([0.8, 0.9, curve.fold.k_c, 1.0])
+    assert all(-1 < w < 0 for w in values[:2])
+    assert all(math.isnan(w) for w in values[2:])
 
 
 def test_branch_no_point_past_fold(branch_1):
@@ -512,7 +522,7 @@ def test_branch_value_one_float_below_the_fold(n):
     # iterate.  At n = 215 and
     # 400 a solve stopped by the size of the update alone ran out of
     # iterations
-    curve = branch(n)
+    curve = BranchCurve(n)
     k_c, omega_c = curve.fold.k_c, curve.fold.omega_c
     w, at_fold = curve.omega_at([math.nextafter(k_c, 0), k_c])
     assert omega_c - 1e-15 <= w < omega_c + 1e-7
@@ -520,7 +530,7 @@ def test_branch_value_one_float_below_the_fold(n):
 
 
 def test_branch_n2_just_below_fold():
-    curve = branch(2)
+    curve = BranchCurve(2)
     k_c = curve.fold.k_c
     ks = [k_c - 5e-4, k_c - 1e-6]
     for k, w in zip(ks, curve.omega_at(ks)):
@@ -618,7 +628,7 @@ def test_branch_sample_slopes_match_closed_forms(monkeypatch):
     # dw/dk = -2k P_q / P_w from the explicit quartic of
     # test_fold_n2_closed_form, and dw/dt = -2 k_c t dw/dk; the seed of a
     # third root shows the slopes of the two before it
-    curve = branch(2)
+    curve = BranchCurve(2)
     k_c = curve.fold.k_c
     ks = [0.2, 0.5, 0.6]
     values = curve.omega_at(ks)
@@ -654,7 +664,7 @@ def test_omega_at_n400_below_fold_matches_eigenvalues():
     # diag(i^j) makes that matrix real, with ik J_2n -> k (L - L^T), L the
     # lower off-diagonal sqrt(j), which eigvals handles four times faster.
     n, k = 400, 1.104
-    curve = branch(n)
+    curve = BranchCurve(n)
     assert k < curve.fold.k_c
     w = curve.omega_at([k])[0]
     off = k * np.sqrt(np.arange(1, 2 * n))
@@ -679,7 +689,7 @@ def test_branch_convergence_to_attractor():
     exact = [solve_exact_gaussian(k).omega for k in ks]
     devs = []
     for n in (2, 5, 10, 20, 50):
-        values = branch(n).omega_at(ks)
+        values = BranchCurve(n).omega_at(ks)
         devs.append(max(abs(w - e) for w, e in zip(values, exact)))
     assert all(b < a for a, b in zip(devs, devs[1:]))
 
