@@ -224,24 +224,36 @@ def _lagrange_kernel(source: tuple) -> list:
 
     a_{2n} = (1/n) [x^{n-1}] F'(x) (1+F(x))^{-2n}, the same value as
     ``lagrange_coefficient`` for each n.  Every series is a list of Python
-    ints over one common denominator: (1+F)^{-2} is computed once, the
-    running power (1+F)^{-2n} is advanced by one integer Cauchy product and
-    one gcd per order, and each coefficient is read from it with a single
-    dot product against F'.
+    ints over one common denominator, of length N.  The powers of
+    phi = (1+F)^{-2} come in baby and giant steps (Paterson and Stockmeyer,
+    SIAM J. Comput. 2 (1973) 60; Brent and Kung, J. ACM 25 (1978) 581):
+    with b = isqrt(N), the baby steps phi^1 .. phi^b are kept, and one giant
+    series H = F' phi^{bi} advances by one product with phi^b every b
+    orders.  For n = bi + j, j = 1..b, a_{2n} is the single dot product
+    [x^{n-1}] H phi^j.  That is b - 1 + ceil(N/b) - 1 integer Cauchy
+    products of length N, about 2 sqrt(N), and N(N+1)/2 for the dot
+    products: about N^{5/2} integer products in all (3.7-4.8 s at N = 200
+    for the uniform and 3/(2m+3) moments on a 2-vCPU Xeon).
     """
     n_max = len(source) - 1
     d = math.lcm(*(c.denominator for c in source[1:]))
     f = [0] + [c.numerator * (d // c.denominator) for c in source[1:]]  # F over d
     fp = [m * f[m] for m in range(1, n_max + 1)]  # F' over d
     # 1+F to order n_max - 1, as far as [x^{n-1}] reads
-    recip_sq, drecip = _recip_square([d] + f[1:n_max], d)
-    power, dpow = recip_sq, drecip  # (1+F)^{-2n} at n = 1
+    phi = _recip_square([d] + f[1:n_max], d)
+    b = math.isqrt(n_max)
+    baby = [phi]  # baby[j - 1] = phi^j over its denominator
+    for _ in range(b - 1):
+        baby.append(_mul_reduced(*baby[-1], *phi))
+    h, dh = fp, d  # H = F' phi^{bi}
     values = []
     for n in range(1, n_max + 1):
-        if n > 1:
-            power, dpow = _mul_reduced(power, dpow, recip_sq, drecip)
-        dot = sum(map(mul, fp[:n], power[n - 1 :: -1]))
-        values.append(Fraction(dot, n * d * dpow))
+        j = (n - 1) % b
+        if j == 0 and n > 1:
+            h, dh = _mul_reduced(h, dh, *baby[-1])
+        power, dpow = baby[j]
+        dot = sum(map(mul, h[:n], power[n - 1 :: -1]))
+        values.append(Fraction(dot, n * dh * dpow))
     return values
 
 

@@ -59,18 +59,61 @@ def test_uniform_coefficients():
     assert c.values == (Fr(-1, 3), Fr(-1, 45))
 
 
-def test_incremental_path_equals_per_order_lagrange():
-    # the last weight has non-geometric moments with unrelated denominators,
-    # so the common denominator of (1+F)^{-2n} changes and is reduced
-    custom = WeightModel.bounded_custom(
-        [Fr(1, m + 2) + Fr(1, 7 * (3 * m + 1)) for m in range(1, 10)]
+# non-geometric moments with unrelated denominators, so the common
+# denominator of each power of (1+F)^{-2} changes and is reduced
+def unrelated_denominators(n):
+    return WeightModel.bounded_custom(
+        [Fr(1, m + 2) + Fr(1, 7 * (3 * m + 1)) for m in range(1, n + 1)]
     )
+
+
+def test_every_path_equals_per_order_lagrange():
+    custom = unrelated_denominators(9)
     for w in (WeightModel.gaussian(), WeightModel.bounded_uniform(), custom):
         c = ce_coefficients(w, 9)
         F = build_source_series(w, 9)
         assert c.values == tuple(
             lagrange_coefficient(F, n) for n in range(1, 10)
         )
+
+
+def test_baby_giant_steps_equal_per_order_lagrange():
+    # N < 4 has b = 1, and every giant step n = b i + 1 is met: b = 3 at
+    # N = 9..12 and 15, b = 4 at 16, 17, 24, b = 5 at 25, 26
+    w = unrelated_denominators(26)
+    F = build_source_series(w, 26)
+    oracle = tuple(lagrange_coefficient(F, n) for n in range(1, 27))
+    for n_max in [*range(1, 13), 15, 16, 17, 24, 25, 26]:
+        assert ce_coefficients(w, n_max).values == oracle[:n_max], n_max
+
+
+def test_kernel_makes_about_two_sqrt_n_products(monkeypatch):
+    # b - 1 baby steps and ceil(N/b) - 1 giant steps, b = isqrt(N): 27 at
+    # N = 200, where one power per order made 199
+    calls = []
+    mul_reduced = attractor_kit.ce._mul_reduced
+
+    def counted(*args):
+        calls.append(1)
+        return mul_reduced(*args)
+
+    monkeypatch.setattr(attractor_kit.ce, "_mul_reduced", counted)
+    # the two-point weight at +-1: small integers, so the call is cheap
+    w = WeightModel.bounded_custom([1] * 200)
+    c = ce_coefficients(w, 200)
+    b = math.isqrt(200)
+    assert len(calls) == b - 1 + -(-200 // b) - 1 == 27
+    # w (1 + w) + k^2 = 0
+    assert c[199] == -Fr(math.comb(398, 199), 200)
+
+
+def test_arcsine_weight_matches_square_root():
+    # mu_2m = C(2m, m)/4^m, the massless gas in two dimensions, gives
+    # 1 + w = sqrt(1 - k^2), so a_2n = -C(2n, n)/((2n - 1) 4^n)
+    w = WeightModel.bounded_custom([Fr(math.comb(2 * m, m), 4**m) for m in range(1, 121)])
+    assert ce_coefficients(w, 120).values == tuple(
+        -Fr(math.comb(2 * n, n), (2 * n - 1) * 4**n) for n in range(1, 121)
+    )
 
 
 # --- closed-form paths against the Lagrange kernel ------------------------------
