@@ -4,8 +4,8 @@ The equilibrium velocity distribution enters only through its even moments
 mu_{2m}.  The Gaussian (unbounded velocities) gives mu_{2m} = (2m-1)!!, the
 uniform weight on [-1, 1] gives 1/(2m+1), and a custom list of moments is
 accepted only where some weight on [-1, 1] has them: building its
-`WeightModel` checks that, Chebyshev's algorithm among the checks, and
-keeps the exact Jacobi levels that the algorithm finds.
+`WeightModel` decides that from the exact Jacobi levels that Chebyshev's
+algorithm finds, and keeps them.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ class InsufficientData(Exception):
 
 
 class InvalidWeight(ValueError):
-    """Moment sequence violates the bounded-support invariants."""
+    """No weight on [-1, 1] has the moment sequence."""
 
 
 def double_factorial(m: int) -> int:
@@ -79,6 +79,9 @@ class WeightModel:
     ``moments`` holds mu_2, mu_4, ... of a custom weight; the built-in
     weights have closed forms and leave it empty.  ``levels`` holds their
     exact Jacobi levels, which follow from them, so equality ignores it.
+
+    Some weight on [-1, 1] has the moments exactly when no level is negative
+    and no monic orthogonal polynomial is negative at v = 1; else InvalidWeight.
     """
 
     kind: WeightKind
@@ -86,20 +89,16 @@ class WeightModel:
     levels: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # InvalidWeight where no weight on [-1, 1] has the moments: that
-        # support needs 0 < mu_{2(m+1)} <= mu_{2m} <= 1, and every weight
-        # needs the levels that `_jacobi_levels` checks
-        prev = Fraction(1)
-        for i, mu in enumerate(self.moments):
-            if not (0 < mu <= 1):
-                raise InvalidWeight(f"mu_{2 * (i + 1)} = {mu} outside (0, 1]")
-            if mu > prev:
-                raise InvalidWeight(
-                    f"moments must be non-increasing; mu_{2 * (i + 1)} = {mu} "
-                    f"> mu_{2 * i} = {prev}"
-                )
-            prev = mu
-        object.__setattr__(self, "levels", tuple(_jacobi_levels(self.moments)))
+        # pi_{j+1}(1) = pi_j(1) - beta_j pi_{j-1}(1), pi_0 = pi_1 = 1: a negative one has
+        # a Gauss node past |v| = 1 (Szego, Orthogonal Polynomials, 1939, sec. 3.3), and
+        # with none the levels' Gauss rule is a weight with these moments; all zero is delta(v)
+        levels = tuple(_jacobi_levels(self.moments))
+        before = pi = Fraction(1)
+        for j, beta in enumerate(levels, 2):
+            before, pi = pi, pi - beta * before
+            if pi < 0:
+                raise InvalidWeight(f"pi_{j}(1) = {pi}: no weight on [-1, 1] has these moments")
+        object.__setattr__(self, "levels", levels)
 
     def moment(self, m: int) -> Fraction:
         """mu_{2m}; mu_0 = 1 by normalization."""

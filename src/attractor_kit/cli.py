@@ -237,8 +237,11 @@ PARSER = build_parser()
 
 
 def validate(args) -> None:
-    if args.out != "-" and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
-        raise ValueError(f"--out {args.out}: no such directory")
+    if args.out != "-":
+        if not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
+            raise ValueError(f"--out {args.out}: no such directory")
+        if os.path.isdir(args.out):
+            raise ValueError(f"--out {args.out}: is a directory")
     if not 1 <= getattr(args, "n_max", 1) <= N_MAX_MAX:
         raise ValueError(f"--n-max must be in 1..{N_MAX_MAX}")
     if hasattr(args, "n_list"):

@@ -4,7 +4,10 @@ import math
 import sys
 from fractions import Fraction as Fr
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import attractor_kit.ce
 from attractor_kit.ce import (
@@ -13,6 +16,7 @@ from attractor_kit.ce import (
     InvalidWeight,
     WeightKind,
     WeightModel,
+    _jacobi_levels,
     _lagrange_kernel,
     build_source_series,
     ce_coefficients,
@@ -288,6 +292,54 @@ def test_custom_weight_rejects_moments_no_weight_has(build):
                            ([Fr(1, 2)] * 3 + [Fr(1, 3)], "beta_3 = 0")):
         with pytest.raises(InvalidWeight, match=level):
             build(moments)
+
+
+# a symmetric weight on the nodes 0 (when drawn) and +-x for each drawn x
+# > 0, with positive masses: the node values, and the masses before they
+# are normalised to total 1
+_nodes = st.lists(st.one_of(st.just(Fr(1)), st.fractions(Fr(1, 8), Fr(3, 2), max_denominator=8)),
+                  max_size=4, unique=True)
+_mass = st.fractions(Fr(1, 10), Fr(1), max_denominator=10)
+
+
+@settings(deadline=None, max_examples=200)
+@given(_nodes, st.booleans(), st.data(), st.integers(0, 2))
+def test_custom_weight_accepted_exactly_on_unit_support(xs, at_zero, data, extra):
+    at_zero = at_zero or not xs  # no node at all is delta(v)
+    masses = data.draw(st.lists(_mass, min_size=len(xs) + at_zero, max_size=len(xs) + at_zero))
+    total = sum(masses)
+    points = 2 * len(xs) + at_zero
+    moments = [sum(w * x ** (2 * m) for w, x in zip(masses, xs)) / total
+               for m in range(1, points + extra + 1)]
+    if max(xs, default=0) <= 1:
+        assert len(WeightModel.bounded_custom(moments).levels) == points - 1
+    else:
+        with pytest.raises(InvalidWeight, match=r"pi_\d+\(1\) = -"):
+            WeightModel.bounded_custom(moments)
+
+
+def test_moments_past_unit_speed_refused_as_both_oracles_say():
+    # each mu lies in (0, 1] and none rises, yet the 4-point Gauss rule of
+    # the levels has nodes at +-1.2441, and the (1 - v^2)-weighted Hankel
+    # matrix [[1/2, 1/5], [1/5, 1/20]] has determinant -3/200 < 0
+    moments = [Fr(1, 2), Fr(3, 10), Fr(1, 4)]
+    off = np.sqrt([float(b) for b in _jacobi_levels(moments)])
+    nodes = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    assert nodes[-1] == pytest.approx(1.2441, abs=1e-4)
+    mu = [Fr(1), *moments]
+    a, b, c = (mu[i] - mu[i + 1] for i in range(3))
+    assert a * c - b * b == Fr(-3, 200)
+    with pytest.raises(InvalidWeight, match=r"pi_4\(1\) = -3/10: no weight on \[-1, 1\]"):
+        WeightModel.bounded_custom(moments)
+
+
+def test_unit_and_zero_speed_weights_are_accepted():
+    # all mass at +-1, whose pi_2(1) is 0, and all at v = 0, delta(v), whose
+    # every moment and every coefficient is 0
+    assert WeightModel.bounded_custom([1] * 200).levels == (Fr(1),)
+    delta = WeightModel.bounded_custom([0] * 5)
+    assert delta.levels == ()
+    assert ce_coefficients(delta, 5).values == (0,) * 5
 
 
 def test_custom_weight_keeps_its_levels():

@@ -139,6 +139,38 @@ def test_moments_no_weight_has_are_config_error(tmp_path, monkeypatch, capsys, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["ce-coeffs", "borel"])
+@pytest.mark.parametrize("text, message", [("1/2\n3/10\n1/4\n", "pi_4(1) = -3/10"),
+                                           ("1/3\n1/2\n", "pi_3(1) = -1/2"),
+                                           ("3/2\n", "pi_2(1) = -1/2")])
+def test_moments_past_unit_speed_are_config_error(tmp_path, monkeypatch, capsys,
+                                                  command, text, message):
+    # a Gauss node of the levels lies past |v| = 1: refused while the weight
+    # is built, before any coefficient
+    mom = tmp_path / "moments.txt"
+    mom.write_text(text)
+    monkeypatch.setattr(cli, "ce_coefficients", None)
+    code, out = run(tmp_path, command, "--weight", f"bounded-custom={mom}", "--n-max", "3")
+    assert code == 2
+    assert f"{message}: no weight on [-1, 1] has these moments" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_zero_moments_are_delta(tmp_path, capsys):
+    # all mass at v = 0: every a_2n is 0, so no ratio is defined, and the
+    # Borel series of zeros has no Pade approximant
+    mom = tmp_path / "zero.txt"
+    mom.write_text("0\n" * 30)
+    code, out = run(tmp_path, "ce-coeffs", "--weight", f"bounded-custom={mom}")
+    assert code == 0
+    _, rows = read_csv(out)
+    assert rows == [[str(n), "0", "", "", ""] for n in range(1, 31)]
+    code, out = run(tmp_path, "borel", "--weight", f"bounded-custom={mom}", name="borel")
+    assert code == 3
+    assert "SingularPadeSystem" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bounded_custom_too_few_moments_is_compute_error(tmp_path):
     mom = tmp_path / "moments.txt"
     mom.write_text("1/3\n")
@@ -550,6 +582,18 @@ def test_out_in_missing_directory_is_config_error(tmp_path, monkeypatch, capsys)
     assert calls == []
     assert "no such directory" in capsys.readouterr().err
     assert not out.parent.exists()
+
+
+def test_out_naming_a_directory_is_config_error(tmp_path, monkeypatch, capsys):
+    # refused by validation, before any coefficient, and no temporary file
+    # is left beside it
+    out = tmp_path / "dir"
+    out.mkdir()
+    monkeypatch.setattr(cli, "ce_coefficients", None)
+    assert main(["ce-coeffs", "--out", str(out)]) == 2
+    assert "is a directory" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [out]
+    assert list(out.iterdir()) == []
 
 
 def test_out_file_takes_the_umask_mode(tmp_path):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from attractor_kit import spectral
+from attractor_kit.ce import WeightModel
 from attractor_kit.cli import N_LIST_MAX
 from attractor_kit.dispersion import K_GRID_MAX, solve_exact_gaussian
 from attractor_kit.spectral import (
@@ -483,6 +484,74 @@ def test_branch_n50_tracks_exact_dispersion(branch_50):
     ks = [0.1 * i for i in range(1, 9)]
     for k, w in zip(ks, branch_50.omega_at(ks)):
         assert abs(w - solve_exact_gaussian(k).omega) < 2e-3
+
+
+def _poly_add(a, b):
+    return [x + y for x, y in zip(a + [0] * (len(b) - len(a)), b + [0] * (len(a) - len(b)))]
+
+
+def _poly_mul(a, b):
+    out = [Fr(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _poly_der(a):
+    return [i * c for i, c in enumerate(a)][1:] or [Fr(0)]
+
+
+def fold_oracle(levels):
+    """(k_c, omega_c) of the fraction of exact ``levels``, from polynomials.
+
+    R + 1 = s G(zeta), zeta = k^2 / s^2, where G = P/Q is the fraction at
+    s = 1, built bottom-up from K_d = 1, K_j = 1 + beta_{j+1} zeta / K_{j+1}.
+    R = R_s = 0 is G = 1/s and G = 2 zeta G', so zeta is a root of E = PQ -
+    2 zeta (P'Q - PQ'), s = Q/P and k^2 = zeta (Q/P)^2: the fold is the
+    smallest such k^2 over E's positive real roots, found in mpmath.
+    """
+    P, Q = [Fr(1)], [Fr(1)]
+    for beta in reversed(levels):
+        P, Q = _poly_add(P, [Fr(0)] + [beta * c for c in Q]), P
+    wronskian = _poly_add(_poly_mul(_poly_der(P), Q), [-c for c in _poly_mul(P, _poly_der(Q))])
+    E = _poly_add(_poly_mul(P, Q), [Fr(0)] + [-2 * c for c in wronskian])
+    while E[-1] == 0:
+        E.pop()
+    with mpmath.workdps(50):
+        def mp(poly):  # highest degree first, as mpmath takes it
+            return [mpmath.mpf(c.numerator) / c.denominator for c in poly[::-1]]
+
+        P, Q, folds = mp(P), mp(Q), []
+        for z in mpmath.polyroots(mp(E), maxsteps=500, extraprec=200):
+            z = mpmath.mpc(z)
+            if abs(z.imag) < 1e-30 and z.real > 0:
+                s = mpmath.polyval(Q, z.real) / mpmath.polyval(P, z.real)
+                folds.append((z.real * s * s, s - 1))
+        q, omega_c = min(folds)
+        return float(mpmath.sqrt(q)), float(omega_c)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_find_fold_matches_polynomial_oracle(n):
+    k_c, omega_c = fold_oracle([Fr(j) for j in range(1, 2 * n)])
+    fp = find_fold(n)
+    assert abs(fp.k_c - k_c) <= 1e-12 and abs(fp.omega_c - omega_c) <= 1e-12
+    if n == 1:
+        assert (k_c, omega_c) == (0.5, -0.5)
+
+
+@pytest.mark.parametrize("d", [1, 3, 5, 9])
+def test_uniform_truncation_fold_matches_polynomial_oracle(d):
+    # the d levels of the uniform weight's first d moments 1/(2m+1); its
+    # 1- and 3-level folds have closed forms
+    levels = WeightModel.bounded_custom([Fr(1, 2 * m + 1) for m in range(1, d + 1)]).levels
+    k_c, omega_c = fold_oracle(levels)
+    fp = spectral._fold(tuple(map(float, levels)), 2.0**-28, f"{d} uniform levels")
+    assert abs(fp.k_c - k_c) <= 1e-12 and abs(fp.omega_c - omega_c) <= 1e-12
+    closed = {1: (math.sqrt(3) / 2, -1 / 2), 3: (5 * math.sqrt(7) / 12, -7 / 12)}
+    if d in closed:
+        assert (k_c, omega_c) == pytest.approx(closed[d], abs=1e-15)
 
 
 def test_branch_finds_its_own_fold():
