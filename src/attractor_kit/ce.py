@@ -15,6 +15,7 @@ import math
 import statistics
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from operator import mul
 from typing import Sequence
 
@@ -25,14 +26,6 @@ class InsufficientData(Exception):
 
 class InvalidWeight(ValueError):
     """No weight on [-1, 1] has the moment sequence."""
-
-
-def double_factorial(m: int) -> int:
-    """(2m-1)!! as an exact integer (direct product, no shortcuts)."""
-    out = 1
-    for i in range(1, 2 * m, 2):
-        out *= i
-    return out
 
 
 class WeightKind(enum.Enum):
@@ -77,8 +70,10 @@ class WeightModel:
     """Even-moment sequence mu_{2m} of an equilibrium velocity distribution.
 
     ``moments`` holds mu_2, mu_4, ... of a custom weight; the built-in
-    weights have closed forms and leave it empty.  ``levels`` holds their
-    exact Jacobi levels, which follow from them, so equality ignores it.
+    weights have closed forms and leave it empty.  ``levels`` holds a custom
+    weight's exact Jacobi levels, which follow from its moments, so equality
+    ignores it.  The built-ins keep no levels: theirs is (), the same value
+    as the point mass delta(v)'s.
 
     Some weight on [-1, 1] has the moments exactly when no level is negative
     and no monic orthogonal polynomial is negative at v = 1; else InvalidWeight.
@@ -100,22 +95,6 @@ class WeightModel:
                 raise InvalidWeight(f"pi_{j}(1) = {pi}: no weight on [-1, 1] has these moments")
         object.__setattr__(self, "levels", levels)
 
-    def moment(self, m: int) -> Fraction:
-        """mu_{2m}; mu_0 = 1 by normalization."""
-        if m == 0:
-            return Fraction(1)
-        if self.kind is WeightKind.GAUSSIAN:
-            return Fraction(double_factorial(m))
-        if self.kind is WeightKind.BOUNDED_UNIFORM:
-            # W(v) = 1/2 on [-1, 1]
-            return Fraction(1, 2 * m + 1)
-        if m > len(self.moments):
-            raise InsufficientData(
-                f"custom weight supplies {len(self.moments)} moments; "
-                f"mu_{2 * m} requested"
-            )
-        return self.moments[m - 1]
-
     @classmethod
     def gaussian(cls) -> "WeightModel":
         return cls(WeightKind.GAUSSIAN)
@@ -132,12 +111,21 @@ class WeightModel:
 
 def build_source_series(w: WeightModel, order: int) -> tuple:
     """Coefficients (0, -mu_2, mu_4, ...) of the source of the implicit
-    relation, F(x) = Sum_{m=1..order} (-1)^m mu_{2m} x^m."""
+    relation, F(x) = Sum_{m=1..order} (-1)^m mu_{2m} x^m: the one place a
+    weight becomes its moments.  InsufficientData, before any other work,
+    where a custom weight supplies fewer than ``order``."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    return (Fraction(0),) + tuple(
-        (-1) ** m * w.moment(m) for m in range(1, order + 1)
-    )
+    if w.kind is WeightKind.GAUSSIAN:  # (2m-1)!!
+        mus = map(Fraction, accumulate(range(1, 2 * order, 2), mul))
+    elif w.kind is WeightKind.BOUNDED_UNIFORM:  # W(v) = 1/2 on [-1, 1]
+        mus = (Fraction(1, 2 * m + 1) for m in range(1, order + 1))
+    elif order > len(w.moments):
+        n = len(w.moments)
+        raise InsufficientData(f"custom weight supplies {n} moments; mu_{2 * n + 2} requested")
+    else:
+        mus = w.moments[:order]
+    return (Fraction(0),) + tuple(mu if m % 2 == 0 else -mu for m, mu in enumerate(mus, 1))
 
 
 @dataclass(frozen=True)
@@ -229,10 +217,11 @@ def _lagrange_kernel(source: tuple) -> list:
     with b = isqrt(N), the baby steps phi^1 .. phi^b are kept, and one giant
     series H = F' phi^{bi} advances by one product with phi^b every b
     orders.  For n = bi + j, j = 1..b, a_{2n} is the single dot product
-    [x^{n-1}] H phi^j.  That is b - 1 + ceil(N/b) - 1 integer Cauchy
-    products of length N, about 2 sqrt(N), and N(N+1)/2 for the dot
-    products: about N^{5/2} integer products in all (3.7-4.8 s at N = 200
-    for the uniform and 3/(2m+3) moments on a 2-vCPU Xeon).
+    [x^{n-1}] H phi^j.  Each giant series is kept to length N, because the
+    next giant step, H phi^b, reads all of it.  That is b - 1 + ceil(N/b) - 1
+    integer Cauchy products of length N, about 2 sqrt(N), and N(N+1)/2 for
+    the dot products: about N^{5/2} integer products in all (3.7-4.8 s at
+    N = 200 for the uniform and 3/(2m+3) moments on a 2-vCPU Xeon).
     """
     n_max = len(source) - 1
     d = math.lcm(*(c.denominator for c in source[1:]))

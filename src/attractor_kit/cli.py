@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import __version__
 from .borel import resum_dispersion, summability
-from .ce import WeightModel, ce_coefficients, ratio_sequence
+from .ce import InsufficientData, WeightModel, ce_coefficients, ratio_sequence
 from .dispersion import _GRID_ROUNDING, K_GRID_MAX, _on_grid, compare_methods
 from .spectral import NoFoldFound, find_fold
 
@@ -285,6 +285,9 @@ def main(argv=None) -> int:
                "folds": cmd_folds, "borel": cmd_borel}[args.command]
     try:
         emit(args, *command(args))
+    except InsufficientData as exc:  # a moment file too short for the request
+        print(f"attractor-kit: invalid configuration: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except Exception as exc:
         print(f"attractor-kit: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_COMPUTE

@@ -95,7 +95,9 @@ def solve_exact_gaussian(k: float) -> DispersionSample:
     """Root of (w+1) - I((1+w)^2/k^2) on the hydrodynamic interval (-1, 0].
 
     One `_bracketed_newton` on [-1 + 1e-9, 0], once the condition's sign at
-    the lower end passes; at 0 it is positive and left unevaluated.  Starts
+    the lower end passes; at 0 it is positive and left unevaluated.  Where
+    it does not pass, within about 6e-10 (relative) below sqrt(pi/2), any
+    root lies in (-1, -1 + 1e-9), and NoRootInInterval says so.  Starts
     from the 4th-order gradient estimate -k^2 + k^4 for small k.
     From u = _CF_MIN on, the residual is R(w, k^2), recorded as |R|, and A,
     which overflows where k^2 is subnormal, is never formed.  Below, once
@@ -122,7 +124,8 @@ def solve_exact_gaussian(k: float) -> DispersionSample:
     lo = -1 + 1e-9
     f_lo = fg(lo)[0]
     if f_lo > 0:
-        raise NoRootInInterval(f"no sign change on [{lo:.6g}, 0] (f = {f_lo:.3g} at the lower end)")
+        raise NoRootInInterval(f"no sign change on [{lo!r}, 0] (f = {f_lo:.3g} at the lower "
+                               f"end): any root lies in (-1, {lo!r})")
     w = lo if f_lo == 0.0 else _bracketed_newton(fg, lo, 0.0, x0)[0]
     return DispersionSample(k, w, abs(fg(w)[0]))
 

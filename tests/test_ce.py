@@ -20,7 +20,6 @@ from attractor_kit.ce import (
     _lagrange_kernel,
     build_source_series,
     ce_coefficients,
-    double_factorial,
     radius_estimate,
     ratio_sequence,
 )
@@ -29,13 +28,10 @@ from attractor_kit.exactseries import lagrange_coefficient
 REFERENCE_SEQUENCE = (-1, 1, -4, 27, -248, 2830, -38232)
 
 
-def test_double_factorial():
-    assert [double_factorial(m) for m in range(5)] == [1, 1, 3, 15, 105]
-
-
 def test_gaussian_source_series():
-    s = build_source_series(WeightModel.gaussian(), 3)
-    assert s == (0, -1, 3, -15)
+    # mu_2m = (2m-1)!!
+    s = build_source_series(WeightModel.gaussian(), 4)
+    assert s == (0, -1, 3, -15, 105)
 
 
 def test_uniform_source_series():
@@ -44,9 +40,8 @@ def test_uniform_source_series():
 
 
 def test_source_series_single_term():
-    for w in (WeightModel.gaussian(), WeightModel.bounded_uniform()):
-        s = build_source_series(w, 1)
-        assert s == (0, -w.moment(1))
+    assert build_source_series(WeightModel.gaussian(), 1) == (0, -1)
+    assert build_source_series(WeightModel.bounded_uniform(), 1) == (0, Fr(-1, 3))
 
 
 def test_gaussian_coefficients_match_known_sequence():

@@ -171,13 +171,23 @@ def test_zero_moments_are_delta(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_bounded_custom_too_few_moments_is_compute_error(tmp_path):
+@pytest.mark.parametrize("command, text, options, message", [
+    pytest.param("ce-coeffs", "1/3\n", ["--n-max", "5"], "supplies 1 moments; mu_4 requested",
+                 id="ce-coeffs"),
+    # borel's default 30 coefficients
+    pytest.param("borel", "1/3\n1/5\n1/7\n", [], "supplies 3 moments; mu_8 requested",
+                 id="borel"),
+])
+def test_bounded_custom_too_few_moments_is_config_error(tmp_path, capsys, monkeypatch,
+                                                        command, text, options, message):
+    # refused by build_source_series, before the kernel runs
+    monkeypatch.setattr(attractor_kit.ce, "_lagrange_kernel", None)
     mom = tmp_path / "moments.txt"
-    mom.write_text("1/3\n")
-    code, _ = run(
-        tmp_path, "ce-coeffs", "--weight", f"bounded-custom={mom}", "--n-max", "5"
-    )
-    assert code == 3
+    mom.write_text(text)
+    code, out = run(tmp_path, command, "--weight", f"bounded-custom={mom}", *options)
+    assert code == 2
+    assert f"invalid configuration: custom weight {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bounded_custom_vanishing_coefficient(tmp_path):

@@ -209,6 +209,24 @@ def test_exact_gaussian_no_root_at_large_k():
         solve_exact_gaussian(2.0)
 
 
+def test_exact_gaussian_root_below_the_bracket():
+    # within about 6e-10 (relative) below sqrt(pi/2), 1 + w falls under the
+    # bracket's lower end 1e-9: the refusal prints that end in full and says
+    # where the root is, and at 50 digits s - I(s^2/k^2) changes sign
+    # between s = 1.5e-12 and 1.6e-12
+    k = math.sqrt(math.pi / 2) * (1 - 1e-12)
+    with pytest.raises(NoRootInInterval) as info:
+        solve_exact_gaussian(k)
+    assert str(info.value).startswith("no sign change on [-0.999999999, 0]")
+    assert str(info.value).endswith("any root lies in (-1, -0.999999999)")
+    with mpmath.workdps(50):
+        def condition(s):
+            u = mpmath.mpf(s) / (mpmath.sqrt(2) * k)  # sqrt(A/2), A = s^2/k^2
+            return s - mpmath.sqrt(mpmath.pi) * u * mpmath.exp(u * u) * mpmath.erfc(u)
+
+        assert condition(1.5e-12) < 0 < condition(1.6e-12)
+
+
 def test_exact_gaussian_input_validation():
     with pytest.raises(ValueError):
         solve_exact_gaussian(-0.1)

@@ -532,7 +532,7 @@ def fold_oracle(levels):
         return float(mpmath.sqrt(q)), float(omega_c)
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", range(1, 11))
 def test_find_fold_matches_polynomial_oracle(n):
     k_c, omega_c = fold_oracle([Fr(j) for j in range(1, 2 * n)])
     fp = find_fold(n)
