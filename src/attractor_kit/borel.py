@@ -260,8 +260,9 @@ def resum_dispersion(c: Sequence[Fraction], L: int, M: int) -> ResummedDispersio
     return ResummedDispersion(pade([0.0] + [float(v) for v in b[: L + M]], L, M), b)
 
 
-def ce_truncation_eval(c: Sequence[Fraction], order: int, k: float) -> float:
-    """Partial sum of the gradient series sum a_{2n} k^{2n} through k^order."""
+def ce_truncation_eval(c: Sequence, order: int, k: float) -> float:
+    """Partial sum of the gradient series sum a_{2n} k^{2n} through k^order,
+    from exact coefficients or their floats, which give the same sum."""
     if not 0 <= order <= 2 * len(c):
         raise ValueError(f"order {order} is outside 0..{2 * len(c)}")
     return float(sum(float(a) * k ** (2 * n) for n, a in enumerate(c[: order // 2], 1)))

@@ -49,12 +49,23 @@ FOLD_N1_NOTE = (
 
 
 def _csv_cell(c) -> str:
-    """A cell as CSV text; None and a non-finite float are empty."""
-    if c is None or isinstance(c, float) and not math.isfinite(c):
+    """A cell as CSV text; None and a non-finite float are empty.  A float,
+    the common cell, is decided by its first type test."""
+    if isinstance(c, float):
+        return "%.17g" % c if math.isfinite(c) else ""
+    if c is None:
         return ""
     if isinstance(c, bool):
         return "1" if c else "0"
-    return "%.17g" % c if isinstance(c, float) else str(c)
+    return str(c)
+
+
+def _unquoted(columns: list, rows: list) -> bool:
+    """Whether csv.writer would quote no field of the table: more than one
+    column (a lone empty field is written as ""), identifiers for names, and
+    no str cell, so every other cell is a number's text or empty."""
+    return (len(columns) > 1 and all(map(str.isidentifier, columns))
+            and not any(isinstance(c, str) for row in rows for c in row))
 
 
 def _json_cell(c):
@@ -111,7 +122,12 @@ def _write_atomic(path: str, data: bytes) -> None:
 
 def emit(args, columns: list, rows: list, notes: list) -> None:
     """Serialize one result table as CSV or JSON, atomically."""
-    if args.format == "csv":
+    if args.format == "csv" and _unquoted(columns, rows):
+        # the bytes csv.writer would write, without its scan of every field
+        # for characters to quote
+        lines = [",".join(columns)] + [",".join(map(_csv_cell, row)) for row in rows]
+        text = "\n".join(lines) + "\n"
+    elif args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)

@@ -216,8 +216,10 @@ def compare_methods(
         vals = BranchCurve(n).omega_at(ks)
         cols[f"omega_branch_n{n}"] = vals
         cols[f"physical_n{n}"] = [not math.isnan(v) for v in vals]
-    cols["omega_ce2"] = [ce_truncation_eval(coeffs, 2, k) for k in ks]
-    cols["omega_ce4"] = [ce_truncation_eval(coeffs, 4, k) for k in ks]
+    # a_2 and a_4 as floats once, not once per point: the same partial sums
+    a24 = [float(a) for a in coeffs.values[:2]]
+    cols["omega_ce2"] = [ce_truncation_eval(a24, 2, k) for k in ks]
+    cols["omega_ce4"] = [ce_truncation_eval(a24, 4, k) for k in ks]
 
     for name in list(cols):
         if name.startswith("omega_") and name != "omega_exact":

@@ -1,3 +1,6 @@
+import argparse
+import csv
+import io
 import json
 import math
 import os
@@ -630,6 +633,43 @@ def test_out_file_leaves_the_umask_alone(tmp_path, monkeypatch):
     code, out = run(tmp_path, "folds", "--n-list", "1", name="folds.csv")
     assert code == 0 and out.read_text().startswith("n,k_c")
     assert [p.name for p in tmp_path.iterdir()] == ["folds.csv"]
+
+
+def _command_table(*argv):
+    args = cli.build_parser().parse_args([*argv, "--out", "-"])
+    cli.validate(args)
+    columns, rows, _ = getattr(cli, "cmd_" + args.command.replace("-", "_"))(args)
+    return columns, rows
+
+
+@pytest.mark.parametrize("table, joined", [
+    # NaN, bool and float cells
+    pytest.param(lambda: _command_table("dispersion", "--k-min", "0", "--k-max", "1.2",
+                                        "--k-step", "0.01", "--n-list", "1,2,20,50"),
+                 True, id="dispersion"),
+    # Fraction, int and a NaN ratio
+    pytest.param(lambda: _command_table("ce-coeffs", "--n-max", "30"), True, id="ce-coeffs"),
+    pytest.param(lambda: _command_table("borel"), False, id="borel"),
+    # the n = 1 note is text
+    pytest.param(lambda: _command_table("folds", "--n-list", "1,2,20"), False, id="folds"),
+    pytest.param(lambda: (["name", "value"],
+                          [["a,b", 1.5], ['say "hi"', None], ["x", math.nan]]),
+                 False, id="quoted-text"),
+    pytest.param(lambda: (["n", "k_c"], []), True, id="no-rows"),
+    # csv.writer writes a lone empty field as ""
+    pytest.param(lambda: (["k"], [[None], [0.5]]), False, id="one-column"),
+])
+def test_csv_is_what_csv_writer_writes(tmp_path, table, joined):
+    # a table with no field to quote is joined without csv.writer, which
+    # must not change a byte
+    columns, rows = table()
+    assert cli._unquoted(columns, rows) == joined
+    out = tmp_path / "t.csv"
+    cli.emit(argparse.Namespace(format="csv", out=str(out)), columns, rows, [])
+    ref = io.StringIO()
+    csv.writer(ref, lineterminator="\n").writerows(
+        [columns] + [[cli._csv_cell(c) for c in row] for row in rows])
+    assert out.read_bytes() == ref.getvalue().encode("utf-8")
 
 
 def test_repeated_runs_are_byte_identical(tmp_path):

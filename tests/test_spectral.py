@@ -554,6 +554,45 @@ def test_uniform_truncation_fold_matches_polynomial_oracle(d):
         assert (k_c, omega_c) == pytest.approx(closed[d], abs=1e-15)
 
 
+@pytest.mark.parametrize("k, n", [(1.0, 4), (1.4, 16)])
+def test_uniform_truncations_converge_geometrically(k, n):
+    """The uniform weight's order-m truncation, its first 2m - 1 levels
+    j^2/(4j^2 - 1), is the N = 2m point Gauss-Legendre rule, and its root
+    reaches k cot k - 1 geometrically, like rho^(-4m), where the Gaussian's
+    error falls like exp(-c sqrt(m)).
+
+    At the root s = 1 + omega = k cot k, <1/(s + ikv)> = arctan(k/s)/k = 1
+    and R_w = 1/(s^2 + k^2).  The rule's error for the pole at v = iy,
+    y = s/k, is (1/k)|Q_N/P_N| = (pi/k) rho^(-2N-1) (1 + eps), with
+    rho = y + sqrt(1 + y^2) = cot(k/2) the Bernstein ellipse through the
+    pole (Trefethen, Approximation Theory and Approximation Practice, 2013,
+    ch. 19) and eps = -(rho^2 - 1)/(4N (rho^2 + 1)) + O(N^-2).  Over R_w the
+    root is off by e_m = C rho^(-4m) (1 + eps_m), C = pi (s^2 + k^2)/(k rho).
+    The first-order eps is below 1/(4N) = 1/(8m); the bound 1/(4m) leaves
+    as much again for the O(N^-2) terms and for the rho of the truncation's
+    root, which moves e_m by about 4m e_m/(k sqrt(1 + y^2)).  The per-order
+    factor (e_2n/e_n)^(1/n) is rho^-4 ((1 + eps_2n)/(1 + eps_n))^(1/n), so
+    those two bounds bound it.  The orders stay clear of rounding, which
+    the error reaches at n = 16 for k = 1.0 (5.6e-17) and at n = 64 for
+    k = 1.4 (1.1e-16).
+    """
+    s = k / math.tan(k)
+    y = s / k
+    rho = y + math.sqrt(1 + y * y)
+    C = math.pi * (s * s + k * k) / (k * rho)
+    errors = {}
+    for m in (n, 2 * n):
+        levels = tuple(j * j / (4 * j * j - 1) for j in range(1, 2 * m))
+        omega, _ = spectral._fraction_root(levels, k)
+        errors[m] = abs(omega - (s - 1))
+        assert errors[m] > 1e-12
+        assert abs(errors[m] / (C * rho ** (-4 * m)) - 1) <= 1 / (4 * m)
+    factor = (errors[2 * n] / errors[n]) ** (1 / n)
+    lo = ((1 - 1 / (8 * n)) / (1 + 1 / (4 * n))) ** (1 / n)
+    hi = ((1 + 1 / (8 * n)) / (1 - 1 / (4 * n))) ** (1 / n)
+    assert lo * rho**-4 <= factor <= hi * rho**-4
+
+
 def test_branch_finds_its_own_fold():
     # the curve computes the fold of its own order, so no other order's fold
     # can end it early: the n = 20 branch has values past the n = 5 fold and
