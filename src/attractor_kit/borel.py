@@ -8,9 +8,8 @@ self-consistent term by term (int e^{-t} t^n dt = n!).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -44,8 +43,7 @@ def borel_transform(c: Sequence[Fraction]) -> tuple:
     return tuple(Fraction(a) / math.factorial(n) for n, a in enumerate(values, 1))
 
 
-@dataclass(frozen=True)
-class PadeApproximant:
+class PadeApproximant(NamedTuple):
     """Rational function matching a Taylor series through order L + M.
 
     ``num``/``den`` are ascending-power float coefficient arrays with
@@ -220,8 +218,7 @@ def _graded_laplace(p: PadeApproximant, x: float) -> float:
     return float(np.sum((half * w).ravel() * np.exp(-u) * p(x * u).real))
 
 
-@dataclass(frozen=True)
-class ResummedDispersion:
+class ResummedDispersion(NamedTuple):
     """k -> omega evaluator built from Borel transform + Pade + Laplace:
     ``approximant`` of the exact Borel coefficients ``borel``."""
 

@@ -12,12 +12,10 @@ from __future__ import annotations
 
 import enum
 import math
-import statistics
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 from operator import mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 
 class InsufficientData(Exception):
@@ -65,35 +63,54 @@ def _jacobi_levels(moments: Sequence[Fraction]) -> list:
     return levels
 
 
-@dataclass(frozen=True)
 class WeightModel:
     """Even-moment sequence mu_{2m} of an equilibrium velocity distribution.
 
     ``moments`` holds mu_2, mu_4, ... of a custom weight; the built-in
     weights have closed forms and leave it empty.  ``levels`` holds a custom
     weight's exact Jacobi levels, which follow from its moments, so equality
-    ignores it.  The built-ins keep no levels: theirs is (), the same value
-    as the point mass delta(v)'s.
+    and the hash ignore it.  The built-ins keep no levels: theirs is (), the
+    same value as the point mass delta(v)'s.  Immutable.
 
     Some weight on [-1, 1] has the moments exactly when no level is negative
     and no monic orthogonal polynomial is negative at v = 1; else InvalidWeight.
     """
 
-    kind: WeightKind
-    moments: tuple = ()
-    levels: tuple = field(default=(), init=False, repr=False, compare=False)
+    __slots__ = ("kind", "moments", "levels")
 
-    def __post_init__(self):
+    def __init__(self, kind: WeightKind, moments: tuple = ()):
         # pi_{j+1}(1) = pi_j(1) - beta_j pi_{j-1}(1), pi_0 = pi_1 = 1: a negative one has
         # a Gauss node past |v| = 1 (Szego, Orthogonal Polynomials, 1939, sec. 3.3), and
         # with none the levels' Gauss rule is a weight with these moments; all zero is delta(v)
-        levels = tuple(_jacobi_levels(self.moments))
+        levels = tuple(_jacobi_levels(moments))
         before = pi = Fraction(1)
         for j, beta in enumerate(levels, 2):
             before, pi = pi, pi - beta * before
             if pi < 0:
                 raise InvalidWeight(f"pi_{j}(1) = {pi}: no weight on [-1, 1] has these moments")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "moments", moments)
         object.__setattr__(self, "levels", levels)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return f"WeightModel(kind={self.kind!r}, moments={self.moments!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.moments) == (other.kind, other.moments)
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.moments))
+
+    def __reduce__(self):
+        return WeightModel, (self.kind, self.moments)
 
     @classmethod
     def gaussian(cls) -> "WeightModel":
@@ -128,11 +145,34 @@ def build_source_series(w: WeightModel, order: int) -> tuple:
     return (Fraction(0),) + tuple(mu if m % 2 == 0 else -mu for m, mu in enumerate(mus, 1))
 
 
-@dataclass(frozen=True)
 class CECoefficients:
-    """Exact coefficients a_{2n} of the inverted series w(k) = sum a_{2n} k^{2n}."""
+    """Exact coefficients a_{2n} of the inverted series w(k) = sum a_{2n} k^{2n}.
+    Immutable."""
 
-    values: tuple
+    __slots__ = ("values",)
+
+    def __init__(self, values: tuple):
+        object.__setattr__(self, "values", values)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return f"CECoefficients(values={self.values!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.values == other.values
+
+    def __hash__(self) -> int:
+        return hash((self.values,))
+
+    def __reduce__(self):
+        return CECoefficients, (self.values,)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -273,8 +313,7 @@ def ratio_sequence(c: CECoefficients) -> list:
     return [abs(float(b / a)) if a else math.nan for a, b in zip(v, v[1:])]
 
 
-@dataclass(frozen=True)
-class RadiusEstimate:
+class RadiusEstimate(NamedTuple):
     """Extrapolated convergence radius of the k^2 series, with divergence flag."""
 
     radius: float
@@ -291,6 +330,8 @@ def radius_estimate(c: CECoefficients) -> RadiusEstimate:
     Uses the last third of the available ratios.  A limit consistent with
     zero is reported as divergent evidence, not asserted as a theorem.
     """
+    import statistics  # here, not at import: no CLI command calls this
+
     if len(c) < 8:
         raise InsufficientData("radius extrapolation needs >= 8 coefficients")
     if 0 in c.values:

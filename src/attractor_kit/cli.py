@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import math
 import os
 import sys
@@ -77,11 +76,16 @@ def _json_cell(c):
 
 
 def _log10_abs(a: Fraction) -> float:
-    """log10|a| for a nonzero rational, also where |a| leaves the float range."""
+    """log10|a| for a nonzero rational, also where |a| leaves the normal
+    float range: there the float keeps too few bits, or none, so the log
+    comes from the integers."""
     try:
-        return math.log10(abs(a))
-    except (OverflowError, ValueError):
-        return math.log10(abs(a.numerator)) - math.log10(a.denominator)
+        x = abs(float(a))
+    except OverflowError:
+        x = math.inf
+    if sys.float_info.min <= x < math.inf:
+        return math.log10(x)
+    return math.log10(abs(a.numerator)) - math.log10(a.denominator)
 
 
 def parse_weight(spec: str) -> WeightModel:
@@ -134,6 +138,8 @@ def emit(args, columns: list, rows: list, notes: list) -> None:
         writer.writerows([_csv_cell(c) for c in row] for row in rows)
         text = buf.getvalue()
     else:
+        import json  # here, not at import: a CSV run never loads it
+
         payload = {
             "command": args.command,
             "config": {

@@ -13,8 +13,7 @@ the spectral branches are checked against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .borel import ce_truncation_eval, resum_dispersion
 from .ce import InsufficientData, WeightKind, WeightModel, ce_coefficients
@@ -42,8 +41,7 @@ class NoRootInInterval(Exception):
     bracket, so the interval holds no hydrodynamic root."""
 
 
-@dataclass(frozen=True)
-class DispersionSample:
+class DispersionSample(NamedTuple):
     k: float
     omega: float
     residual: float

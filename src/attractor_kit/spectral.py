@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
 class NoFoldFound(Exception):
@@ -69,8 +69,7 @@ def _eval_state(levels: tuple, w: float, q: float):
     return w + t, 1.0 - t * Ks * inv, b * (1.0 + s * Ks * inv) / (2.0 * K)
 
 
-@dataclass(frozen=True)
-class FoldPoint:
+class FoldPoint(NamedTuple):
     """Location where the branch turns back: R = R_w = 0."""
 
     k_c: float
@@ -135,16 +134,35 @@ def _hermite(a: tuple, b: tuple, t: float) -> float:
     ) * x * x
 
 
-@dataclass(frozen=True)
 class BranchCurve:
     """The order-n root branch of R from the origin up to its fold, which
-    ``fold`` holds: ``find_fold(n)``, raising where that does."""
+    ``fold`` holds: ``find_fold(n)``, raising where that does.  Immutable."""
 
-    n: int
-    fold: FoldPoint = field(init=False)
+    __slots__ = ("n", "fold")
 
-    def __post_init__(self):
-        object.__setattr__(self, "fold", find_fold(self.n))
+    def __init__(self, n: int):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "fold", find_fold(n))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return f"BranchCurve(n={self.n!r}, fold={self.fold!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.fold) == (other.n, other.fold)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.fold))
+
+    def __reduce__(self):
+        return BranchCurve, (self.n,)
 
     def omega_at(self, ks) -> list:
         """Branch value at every wavenumber of ``ks``, in the order given.

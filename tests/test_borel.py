@@ -76,6 +76,17 @@ def test_pade_recovers_simple_pole():
     assert p.poles == pytest.approx([-0.5], abs=1e-12)
 
 
+def test_pade_records_keep_their_public_behaviour():
+    p = pade([0.0, 1.0, -0.5], 1, 1)
+    assert repr(p) == ("PadeApproximant(num=array([0., 1.]), den=array([1. , 0.5]), "
+                       "poles=array([-2.]), residues=array([-4.]))")
+    r = borel.ResummedDispersion(p, (Fr(-1),))
+    assert repr(r) == f"ResummedDispersion(approximant={p!r}, borel=(Fraction(-1, 1),))"
+    for record, name in ((p, "num"), (p, "residues"), (r, "approximant"), (r, "borel")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+
+
 def test_pade_constant():
     p = pade([3.5, 0.0, 0.0], 0, 0)
     assert p(17.0) == 3.5

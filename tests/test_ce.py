@@ -1,6 +1,8 @@
+import copy
 import functools
 import importlib.util
 import math
+import pickle
 import sys
 from fractions import Fraction as Fr
 
@@ -14,6 +16,7 @@ from attractor_kit.ce import (
     CECoefficients,
     InsufficientData,
     InvalidWeight,
+    RadiusEstimate,
     WeightKind,
     WeightModel,
     _jacobi_levels,
@@ -244,8 +247,8 @@ def test_ce_loads_without_numpy(monkeypatch):
     monkeypatch.setitem(sys.modules, "numpy", None)
     spec = importlib.util.spec_from_file_location("ce_without_numpy", attractor_kit.ce.__file__)
     ce = importlib.util.module_from_spec(spec)
-    # dataclasses look their module up in sys.modules
-    monkeypatch.setitem(sys.modules, spec.name, ce)
+    # run without being registered in sys.modules: no class of ce looks its
+    # module up there
     spec.loader.exec_module(ce)
     est = ce.radius_estimate(ce.ce_coefficients(ce.WeightModel.bounded_uniform(), 30))
     ref = radius_estimate(ce_coefficients(WeightModel.bounded_uniform(), 30))
@@ -362,6 +365,32 @@ def test_weight_is_its_moments():
     assert WeightModel.gaussian() != WeightModel.bounded_uniform()
     for w in (WeightModel.gaussian(), WeightModel.bounded_uniform(), third):
         assert "function" not in repr(w)
+
+
+def test_records_keep_their_public_behaviour():
+    # the repr names every field but the levels; assigning to a field of a
+    # weight or of a radius estimate raises
+    w = WeightModel.bounded_custom([Fr(1, 4), Fr(1, 16)])
+    assert repr(w) == ("WeightModel(kind=<WeightKind.BOUNDED_CUSTOM: 'bounded-custom'>, "
+                       "moments=(Fraction(1, 4), Fraction(1, 16)))")
+    assert repr(WeightModel.gaussian()) == (
+        "WeightModel(kind=<WeightKind.GAUSSIAN: 'gaussian'>, moments=())")
+    est = RadiusEstimate(0.0, True)
+    assert repr(est) == "RadiusEstimate(radius=0.0, divergent=True)"
+    for record, name in ((w, "kind"), (w, "moments"), (w, "levels"), (est, "radius"),
+                         (est, "divergent")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    c = CECoefficients((Fr(-1), Fr(2)))
+    assert repr(c) == "CECoefficients(values=(Fraction(-1, 1), Fraction(2, 1)))"
+    assert len(c) == 2 and c[1] == Fr(2) and c[-1] == 2 and c[:1] == (Fr(-1),)
+    assert c.values == (Fr(-1), Fr(2))
+    assert c == CECoefficients((Fr(-1), Fr(2))) != CECoefficients((Fr(-1),))
+    # a copy and a pickle rebuild the record, a weight's levels included
+    for record in (w, c):
+        assert copy.copy(record) == record
+        assert pickle.loads(pickle.dumps(record)) == record
+    assert pickle.loads(pickle.dumps(w)).levels == w.levels
 
 
 def test_cached_coefficients_tell_custom_weights_apart():

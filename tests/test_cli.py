@@ -6,6 +6,8 @@ import math
 import os
 import subprocess
 import sys
+from decimal import Decimal, localcontext
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
@@ -64,6 +66,32 @@ def test_ce_coeffs_gaussian_past_float_range(tmp_path):
         num = abs(int(row[1].split("/")[0]))
         assert float(row[2]) == pytest.approx(math.log10(num), rel=1e-14)
     assert float(rows[150][2]) > 308.3
+
+
+def log10_reference(a):
+    """log10|a| of a nonzero rational from its integers, to 40 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        return float(Decimal(abs(a.numerator)).log10() - Decimal(a.denominator).log10())
+
+
+def test_log10_abs_where_the_float_is_subnormal(tmp_path):
+    # below the smallest normal float, 2.2250738585072014e-308, float(a)
+    # keeps too few bits for its log10, and none below 5e-324
+    for a in (Fraction(-3, 10**322), Fraction(1, 2**1074), Fraction(7, 10**310),
+              Fraction(1, 10**400), Fraction(10**400 + 1, 3), Fraction(-2, 3)):
+        assert cli._log10_abs(a) == pytest.approx(log10_reference(a), rel=0, abs=1e-12)
+    # the two-point weight at +-1/100: |a_2n| is subnormal from n = 90 to 94
+    weight = tmp_path / "two_point.txt"
+    weight.write_text("".join(f"1/{100 ** (2 * m)}\n" for m in range(1, 201)))
+    code, out = run(tmp_path, "ce-coeffs", "--weight", f"bounded-custom={weight}",
+                    "--n-max", "100")
+    assert code == 0
+    _, rows = read_csv(out)
+    values = [Fraction(row[1]) for row in rows]
+    assert sum(0 < abs(float(a)) < sys.float_info.min for a in values) == 5
+    for row, a in zip(rows, values):
+        assert float(row[2]) == pytest.approx(log10_reference(a), rel=0, abs=1e-12)
 
 
 def test_ce_coeffs_rejects_zero_order(tmp_path):
@@ -748,23 +776,34 @@ def test_cli_import_loads_no_scipy(tmp_path):
     # a fresh interpreter: every CLI run pays this import before any work.
     # The import builds the parser, which loads argparse's gettext and
     # locale.  The Gauss rules of the Laplace sums are stored, so not even a
-    # dispersion run loads numpy.polynomial
+    # dispersion run loads numpy.polynomial.  Nor does the import load
+    # what no command needs: json only for a JSON output, and dataclasses
+    # or statistics never
     src = str(Path(attractor_kit.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     argv = ["dispersion", "--k-min", "0", "--k-max", "1.2", "--k-step", "0.01",
             "--n-list", "1,2,20,50", "--out", str(tmp_path / "readme.csv")]
+    json_argv = ["folds", "--n-list", "1", "--format", "json", "--out", str(tmp_path / "f.json")]
     probe = (
-        "import sys, json, attractor_kit.cli; "
+        "import sys, attractor_kit.cli; "
         "imported = sorted(sys.modules); "
         f"code = attractor_kit.cli.main({argv!r}); "
-        "print(json.dumps([imported, code, sorted(sys.modules)]))"
+        "after_run = sorted(sys.modules); "
+        f"json_code = attractor_kit.cli.main({json_argv!r}); "
+        "after_json = sorted(sys.modules); "
+        "import json; "
+        "print(json.dumps([imported, code, after_run, json_code, after_json]))"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
         check=True, timeout=120,
     )
-    modules, code, after_run = json.loads(out.stdout)
+    modules, code, after_run, json_code, after_json = json.loads(out.stdout)
     assert [m for m in modules if m.split(".")[0] == "scipy"] == []
     assert "locale" in modules
-    assert code == 0
+    assert code == json_code == 0
     assert [m for m in after_run if m.startswith("numpy.polynomial")] == []
+    unused = {"dataclasses", "json", "statistics"}
+    assert unused.intersection(modules) == set()
+    assert unused.intersection(after_run) == set()
+    assert "json" in after_json

@@ -13,6 +13,7 @@ from attractor_kit.ce import InsufficientData, WeightModel, _jacobi_levels, ce_c
 from attractor_kit.dispersion import (
     _CF_MIN,
     K_GRID_MAX,
+    DispersionSample,
     NoRootInInterval,
     _cf_depth,
     _resolvent,
@@ -40,6 +41,14 @@ def resolvent_quadrature(A):
 
 
 # --- resolvent -----------------------------------------------------------------
+
+def test_sample_keeps_its_public_behaviour():
+    s = DispersionSample(0.25, -0.0625, 1e-17)
+    assert repr(s) == "DispersionSample(k=0.25, omega=-0.0625, residual=1e-17)"
+    with pytest.raises(AttributeError):
+        s.omega = 0.0
+    assert type(solve_exact_gaussian(0.1)) is DispersionSample
+
 
 def test_resolvent_equilibrium_limit():
     assert gaussian_resolvent(1e5) > 0.999

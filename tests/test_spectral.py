@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 from decimal import Decimal, localcontext
 from fractions import Fraction as Fr
@@ -13,6 +14,7 @@ from attractor_kit.cli import N_LIST_MAX
 from attractor_kit.dispersion import K_GRID_MAX, solve_exact_gaussian
 from attractor_kit.spectral import (
     BranchCurve,
+    FoldPoint,
     NoFoldFound,
     _eval_state,
     _hermite_levels,
@@ -605,6 +607,21 @@ def test_branch_finds_its_own_fold():
     values = curve.omega_at([0.8, 0.9, curve.fold.k_c, 1.0])
     assert all(-1 < w < 0 for w in values[:2])
     assert all(math.isnan(w) for w in values[2:])
+
+
+def test_fold_and_branch_keep_their_public_behaviour():
+    fold = FoldPoint(0.5, -0.5, 0.0)
+    assert repr(fold) == "FoldPoint(k_c=0.5, omega_c=-0.5, residual=0.0)"
+    curve = BranchCurve(1)
+    assert repr(curve) == f"BranchCurve(n=1, fold={fold!r})"
+    for record, name in ((fold, "k_c"), (fold, "residual"), (curve, "n"), (curve, "fold")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    for n in (1, 2, 20):
+        assert BranchCurve(n).fold == find_fold(n)
+    assert BranchCurve(2) == BranchCurve(2) != curve
+    assert hash(BranchCurve(2)) == hash(BranchCurve(2))
+    assert pickle.loads(pickle.dumps(curve)) == curve
 
 
 def test_branch_no_point_past_fold(branch_1):
