@@ -41,18 +41,20 @@ def _jacobi_levels(moments: Sequence[Fraction]) -> list:
     Approximation, 2004, sec. 2.1.7), which gives the levels of Rutishauser's
     qd scheme: row j holds <pi_j(v) v^(j+2i)>, i = 0, 1, ..., for the monic
     orthogonal polynomials pi_j, and beta_j is the ratio of the first
-    entries of rows j and j - 1, so it divides only by products of earlier
-    levels.  A zero level ends the list where the weight has finite support
+    entries of rows j and j - 1.  The rows are fraction-free: each is a list
+    of ints over one denominator D, and with P the row before R,
+    R'[i] = R[i+1] P[0] - R[0] P[i+1] over D P[0], reduced by one gcd over
+    the row.  A zero level ends the list where the weight has finite support
     and its fraction is exact; its later moments must then give a zero row.
     InvalidWeight at a negative level, or at a zero one that the later
     moments contradict: no weight has those moments.
     """
-    prev, row = [0] * (len(moments) + 1), [Fraction(1), *moments]
+    d = math.lcm(*(mu.denominator for mu in moments))
+    row = [mu.numerator * (d // mu.denominator) for mu in moments]  # row 1 over d
+    prev, dprev = [d, *row], d  # row 0, the moments mu_0 = 1, mu_2, ...
     levels = []
-    beta = 0
-    while len(row) > 1:
-        prev, row = row, [a - beta * b for a, b in zip(row[1:], prev[1:])]
-        beta = row[0] / prev[0]
+    while row:
+        beta = Fraction(row[0] * dprev, d * prev[0])
         if beta < 0 or beta == 0 and any(row):
             raise InvalidWeight(
                 f"beta_{len(levels) + 1} = {beta}: no weight has these moments"
@@ -60,6 +62,10 @@ def _jacobi_levels(moments: Sequence[Fraction]) -> list:
         if beta == 0:
             break
         levels.append(beta)
+        nxt = [a * prev[0] - row[0] * b for a, b in zip(row[1:], prev[1:])]
+        den = d * prev[0]
+        g = math.gcd(den, *nxt)
+        prev, dprev, row, d = row, d, [v // g for v in nxt], den // g
     return levels
 
 
@@ -250,38 +256,49 @@ def _lagrange_kernel(source: tuple) -> list:
     (0, F_1, ..., F_N) of ``build_source_series``.
 
     a_{2n} = (1/n) [x^{n-1}] F'(x) (1+F(x))^{-2n}, the same value as
-    ``lagrange_coefficient`` for each n.  Every series is a list of Python
-    ints over one common denominator, of length N.  The powers of
-    phi = (1+F)^{-2} come in baby and giant steps (Paterson and Stockmeyer,
-    SIAM J. Comput. 2 (1973) 60; Brent and Kung, J. ACM 25 (1978) 581):
-    with b = isqrt(N), the baby steps phi^1 .. phi^b are kept, and one giant
-    series H = F' phi^{bi} advances by one product with phi^b every b
+    ``lagrange_coefficient`` for each n.  The kernel runs in thermal units:
+    with lam = -F_1 = mu_2 (1 where F_1 = 0, as for delta(v)), the source
+    F~_m = F_m / lam^m has unit variance and w(q) = w~(lam q).  As a_{2n} is
+    homogeneous of degree n in the velocity scale, a_{2n} = lam^n a~_{2n}
+    exactly, and no integer of the kernel carries the scale's digits: the
+    two-point weight mu_2m = r^2m becomes F~_m = (-1)^m.  Every series is a
+    list of Python ints over one common denominator, of length N.  The
+    powers of phi = (1+F~)^{-2} come in baby and giant steps (Paterson and
+    Stockmeyer, SIAM J. Comput. 2 (1973) 60; Brent and Kung, J. ACM 25
+    (1978) 581): with b = isqrt(N), the baby steps phi^1 .. phi^b are kept,
+    and one giant series H = F~' phi^{bi} advances by one product with phi^b every b
     orders.  For n = bi + j, j = 1..b, a_{2n} is the single dot product
     [x^{n-1}] H phi^j.  Each giant series is kept to length N, because the
     next giant step, H phi^b, reads all of it.  That is b - 1 + ceil(N/b) - 1
     integer Cauchy products of length N, about 2 sqrt(N), and N(N+1)/2 for
-    the dot products: about N^{5/2} integer products in all (3.7-4.8 s at
-    N = 200 for the uniform and 3/(2m+3) moments on a 2-vCPU Xeon).
+    the dot products: about N^{5/2} integer products in all (3.2-4.2 s for
+    ``ce-coeffs --n-max 200`` with the uniform and 3/(2m+3) moments on a
+    2-vCPU Xeon).
     """
     n_max = len(source) - 1
-    d = math.lcm(*(c.denominator for c in source[1:]))
-    f = [0] + [c.numerator * (d // c.denominator) for c in source[1:]]  # F over d
-    fp = [m * f[m] for m in range(1, n_max + 1)]  # F' over d
-    # 1+F to order n_max - 1, as far as [x^{n-1}] reads
+    lam = Fraction(-source[1] or 1)
+    scaled = [c / lam**m for m, c in enumerate(source[1:], 1)]
+    d = math.lcm(*(c.denominator for c in scaled))
+    f = [0] + [c.numerator * (d // c.denominator) for c in scaled]  # F~ over d
+    fp = [m * f[m] for m in range(1, n_max + 1)]  # F~' over d
+    # 1+F~ to order n_max - 1, as far as [x^{n-1}] reads
     phi = _recip_square([d] + f[1:n_max], d)
     b = math.isqrt(n_max)
     baby = [phi]  # baby[j - 1] = phi^j over its denominator
     for _ in range(b - 1):
         baby.append(_mul_reduced(*baby[-1], *phi))
-    h, dh = fp, d  # H = F' phi^{bi}
+    h, dh = fp, d  # H = F~' phi^{bi}
     values = []
+    up = down = 1  # lam^n = up / down
     for n in range(1, n_max + 1):
         j = (n - 1) % b
         if j == 0 and n > 1:
             h, dh = _mul_reduced(h, dh, *baby[-1])
         power, dpow = baby[j]
         dot = sum(map(mul, h[:n], power[n - 1 :: -1]))
-        values.append(Fraction(dot, n * dh * dpow))
+        up *= lam.numerator
+        down *= lam.denominator
+        values.append(Fraction(dot * up, n * dh * dpow * down))
     return values
 
 
@@ -306,11 +323,14 @@ def ce_coefficients(w: WeightModel, n_max: int) -> CECoefficients:
 
 def ratio_sequence(c: CECoefficients) -> list:
     """Successive ratios r_n = |a_{2(n+1)} / a_{2n}| as floats, n = 1..N-1,
-    and NaN where a_{2n} = 0 leaves r_n undefined."""
+    and NaN where a_{2n} = 0 leaves r_n undefined.  Each is one correctly
+    rounded integer division, the float of the exact ratio, as
+    ``float(b / a)`` gives it without reducing b / a first."""
     if len(c) < 2:
         raise InsufficientData("need at least two coefficients for ratios")
     v = c.values
-    return [abs(float(b / a)) if a else math.nan for a, b in zip(v, v[1:])]
+    return [abs(b.numerator * a.denominator / (b.denominator * a.numerator)) if a else math.nan
+            for a, b in zip(v, v[1:])]
 
 
 class RadiusEstimate(NamedTuple):

@@ -31,8 +31,9 @@ N_LIST_MAX = {"dispersion": 400, "folds": 3200}
 
 # largest --n-max `ce-coeffs` and `borel` accept, and largest coefficient
 # count L + M + 1 that --pade may ask for: a custom weight runs the
-# Lagrange kernel, about n^{5/2} integer products whose integers grow with
-# n, 4-5 s at n = 200 for the uniform and 3/(2m+3) moments (2-vCPU Xeon)
+# Lagrange kernel in thermal units, about n^{5/2} integer products whose
+# integers grow with n, 3.2-4.2 s at n = 200 for the uniform and 3/(2m+3)
+# moments (2-vCPU Xeon)
 N_MAX_MAX = 200
 
 # most k-grid points `dispersion` accepts: a step of 1e-4 over [0, K_GRID_MAX]

@@ -118,6 +118,30 @@ def test_arcsine_weight_matches_square_root():
     )
 
 
+# W(v) = |v|^(-21/22)/22 on [-1, 1] has mu_2m = 1/(22m + 1): the scale
+# lam = mu_2 = 1/23 shares no prime with a later moment's denominator, so
+# nothing cancels the 23^m that thermal units put into F~_m
+COPRIME_SCALE = [Fr(1, 22 * m + 1) for m in range(1, 21)]
+
+
+def test_coprime_scale_shares_no_prime():
+    assert all(math.gcd(23, mu.denominator) == 1 for mu in COPRIME_SCALE[1:])
+
+
+# the kernel works in thermal units, F~_m = F_m / lam^m with lam = -F_1, and
+# scales each a~_2n back by lam^n; lam = 1 where F_1 = 0
+@pytest.mark.parametrize("source", [
+    build_source_series(WeightModel.bounded_custom(COPRIME_SCALE), 20),
+    # delta(v): every moment and every coefficient is 0
+    build_source_series(WeightModel.bounded_custom([0] * 6), 6),
+    (Fr(0), Fr(0), Fr(1, 3), Fr(-2, 5), Fr(1, 7), Fr(5, 11), Fr(-3, 13), Fr(1, 2)),
+    (Fr(0), Fr(2, 3), Fr(1, 5), Fr(-4, 7), Fr(1, 9), Fr(2, 11), Fr(-7, 13), Fr(1, 3)),
+], ids=["mu2-coprime", "delta", "F1-zero", "F1-positive"])
+def test_thermal_units_equal_per_order_lagrange(source):
+    n_max = len(source) - 1
+    assert _lagrange_kernel(source) == [lagrange_coefficient(source, n) for n in range(1, n_max + 1)]
+
+
 # --- closed-form paths against the Lagrange kernel ------------------------------
 
 @pytest.mark.parametrize("w", [WeightModel.gaussian(), WeightModel.bounded_uniform()],
@@ -197,6 +221,35 @@ def test_ratio_sequence_rejects_zero_coefficient():
     assert c.values[:4] == (Fr(-1, 2), 0, Fr(1, 8), Fr(1, 8))
     with pytest.raises(ZeroDivisionError, match="a_4 = 0"):
         radius_estimate(c)
+
+
+def same_float(x, y):
+    return x.hex() == y.hex() or math.isnan(x) and math.isnan(y)
+
+
+_exact = st.fractions(-(10**40), 10**40, max_denominator=10**40)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.one_of(st.just(Fr(0)), _exact), min_size=2, max_size=8))
+def test_ratio_sequence_is_the_float_of_each_exact_ratio(values):
+    r = ratio_sequence(CECoefficients(tuple(values)))
+    expected = [abs(float(b / a)) if a else math.nan for a, b in zip(values, values[1:])]
+    assert all(map(same_float, r, expected)), (r, expected)
+
+
+def test_ratio_sequence_at_the_ends_of_the_float_range():
+    tiny, huge = Fr(1, 10**200), Fr(10**200, 3)
+    # past the largest float: both raise
+    with pytest.raises(OverflowError):
+        ratio_sequence(CECoefficients((tiny, huge)))
+    with pytest.raises(OverflowError):
+        float(huge / tiny)
+    # a subnormal ratio, rounded once; and a_2n = 0 gives NaN
+    r = ratio_sequence(CECoefficients((-huge, Fr(-1, 7 * 10**110), Fr(0), Fr(1))))
+    assert 0 < r[0] < sys.float_info.min
+    assert same_float(r[0], abs(float(Fr(-1, 7 * 10**110) / -huge)))
+    assert r[1] == 0.0 and math.isnan(r[2])
 
 
 def test_ratio_sequence_needs_two_values():
@@ -314,6 +367,68 @@ def test_custom_weight_accepted_exactly_on_unit_support(xs, at_zero, data, extra
     else:
         with pytest.raises(InvalidWeight, match=r"pi_\d+\(1\) = -"):
             WeightModel.bounded_custom(moments)
+
+
+def fraction_jacobi_levels(moments):
+    """Chebyshev's algorithm with every row entry a Fraction: the reference
+    for the fraction-free rows of ``_jacobi_levels``."""
+    prev, row = [0] * (len(moments) + 1), [Fr(1), *moments]
+    levels = []
+    beta = 0
+    while len(row) > 1:
+        prev, row = row, [a - beta * b for a, b in zip(row[1:], prev[1:])]
+        beta = row[0] / prev[0]
+        if beta < 0 or beta == 0 and any(row):
+            raise InvalidWeight(
+                f"beta_{len(levels) + 1} = {beta}: no weight has these moments"
+            )
+        if beta == 0:
+            break
+        levels.append(beta)
+    return levels
+
+
+def levels_or_refusal(levels, moments):
+    try:
+        return levels(moments)
+    except InvalidWeight as e:
+        return f"InvalidWeight: {e}"
+
+
+@st.composite
+def discrete_moments(draw):
+    """mu_2.. of a drawn discrete weight, some past its last level, and at
+    times with the last moment replaced by a drawn one that contradicts it."""
+    xs = draw(_nodes)
+    at_zero = draw(st.booleans()) or not xs
+    masses = draw(st.lists(_mass, min_size=len(xs) + at_zero, max_size=len(xs) + at_zero))
+    total = sum(masses)
+    count = draw(st.integers(0, 2 * len(xs) + at_zero + 3))
+    moments = [sum(w * x ** (2 * m) for w, x in zip(masses, xs)) / total
+               for m in range(1, count + 1)]
+    if moments and draw(st.booleans()):
+        moments[-1] = draw(st.fractions(0, 2, max_denominator=50))
+    return moments
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.one_of(st.lists(st.fractions(Fr(-1, 4), 2, max_denominator=30), max_size=10),
+                 discrete_moments()))
+def test_integer_rows_give_the_fraction_levels(moments):
+    assert (levels_or_refusal(_jacobi_levels, moments)
+            == levels_or_refusal(fraction_jacobi_levels, moments))
+
+
+@pytest.mark.parametrize("moments", [
+    [Fr(1, 2 * m + 1) for m in range(1, 61)],
+    [Fr(3, 2 * m + 3) for m in range(1, 41)],
+    [Fr(93, 97) ** (2 * m) for m in range(1, 41)],
+    [Fr(math.comb(2 * m, m), 4**m) for m in range(1, 41)],
+    [Fr(1, 2)] * 20,
+    COPRIME_SCALE,
+], ids=["uniform", "3/(2m+3)", "two-point", "arcsine", "three-point", "mu2-coprime"])
+def test_integer_rows_give_the_fraction_levels_of_long_lists(moments):
+    assert _jacobi_levels(moments) == fraction_jacobi_levels(moments)
 
 
 def test_moments_past_unit_speed_refused_as_both_oracles_say():
