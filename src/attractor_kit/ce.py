@@ -14,7 +14,7 @@ import enum
 import math
 from fractions import Fraction
 from itertools import accumulate
-from operator import mul
+from operator import itemgetter, mul
 from typing import NamedTuple, Sequence
 
 
@@ -69,22 +69,29 @@ def _jacobi_levels(moments: Sequence[Fraction]) -> list:
     return levels
 
 
-class WeightModel:
-    """Even-moment sequence mu_{2m} of an equilibrium velocity distribution.
+class WeightModel(tuple):
+    """Even-moment sequence mu_{2m} of an equilibrium velocity distribution:
+    the tuple (kind, moments, levels).
 
-    ``moments`` holds mu_2, mu_4, ... of a custom weight; the built-in
-    weights have closed forms and leave it empty.  ``levels`` holds a custom
-    weight's exact Jacobi levels, which follow from its moments, so equality
-    and the hash ignore it.  The built-ins keep no levels: theirs is (), the
-    same value as the point mass delta(v)'s.  Immutable.
+    ``moments`` holds mu_2, mu_4, ... of a custom weight as Fractions; the
+    built-in weights have closed forms and leave it empty.  ``levels`` holds
+    a custom weight's exact Jacobi levels, computed from its moments, so two
+    weights are equal exactly when their kinds and moments are.  The
+    built-ins keep no levels: theirs is (), the same value as the point mass
+    delta(v)'s.  A copy or a pickle builds the weight again from its kind
+    and moments.
 
     Some weight on [-1, 1] has the moments exactly when no level is negative
     and no monic orthogonal polynomial is negative at v = 1; else InvalidWeight.
     """
 
-    __slots__ = ("kind", "moments", "levels")
+    __slots__ = ()
+    kind = property(itemgetter(0))
+    moments = property(itemgetter(1))
+    levels = property(itemgetter(2))
 
-    def __init__(self, kind: WeightKind, moments: tuple = ()):
+    def __new__(cls, kind: WeightKind, moments: Sequence = ()):
+        moments = tuple(map(Fraction, moments))
         # pi_{j+1}(1) = pi_j(1) - beta_j pi_{j-1}(1), pi_0 = pi_1 = 1: a negative one has
         # a Gauss node past |v| = 1 (Szego, Orthogonal Polynomials, 1939, sec. 3.3), and
         # with none the levels' Gauss rule is a weight with these moments; all zero is delta(v)
@@ -94,29 +101,13 @@ class WeightModel:
             before, pi = pi, pi - beta * before
             if pi < 0:
                 raise InvalidWeight(f"pi_{j}(1) = {pi}: no weight on [-1, 1] has these moments")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "moments", moments)
-        object.__setattr__(self, "levels", levels)
+        return tuple.__new__(cls, (kind, moments, levels))
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
+    def __getnewargs__(self):
+        return self.kind, self.moments
 
     def __repr__(self) -> str:
         return f"WeightModel(kind={self.kind!r}, moments={self.moments!r})"
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.kind, self.moments) == (other.kind, other.moments)
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.moments))
-
-    def __reduce__(self):
-        return WeightModel, (self.kind, self.moments)
 
     @classmethod
     def gaussian(cls) -> "WeightModel":
@@ -129,7 +120,7 @@ class WeightModel:
     @classmethod
     def bounded_custom(cls, moments: Sequence[Fraction]) -> "WeightModel":
         """Weight from an explicit sequence mu_2, mu_4, ..., read as Fractions."""
-        return cls(WeightKind.BOUNDED_CUSTOM, tuple(map(Fraction, moments)))
+        return cls(WeightKind.BOUNDED_CUSTOM, moments)
 
 
 def build_source_series(w: WeightModel, order: int) -> tuple:
@@ -151,40 +142,15 @@ def build_source_series(w: WeightModel, order: int) -> tuple:
     return (Fraction(0),) + tuple(mu if m % 2 == 0 else -mu for m, mu in enumerate(mus, 1))
 
 
-class CECoefficients:
-    """Exact coefficients a_{2n} of the inverted series w(k) = sum a_{2n} k^{2n}.
-    Immutable."""
+class CECoefficients(tuple):
+    """Exact coefficients a_{2n} of the inverted series w(k) = sum a_{2n} k^{2n}:
+    the tuple a_2, a_4, ..., which ``values`` gives as a plain tuple."""
 
-    __slots__ = ("values",)
-
-    def __init__(self, values: tuple):
-        object.__setattr__(self, "values", values)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
+    __slots__ = ()
+    values = property(tuple)
 
     def __repr__(self) -> str:
         return f"CECoefficients(values={self.values!r})"
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.values == other.values
-
-    def __hash__(self) -> int:
-        return hash((self.values,))
-
-    def __reduce__(self):
-        return CECoefficients, (self.values,)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __getitem__(self, i):
-        return self.values[i]
 
 
 def _recip_square(a: list, d: int) -> tuple:
@@ -318,7 +284,7 @@ def ce_coefficients(w: WeightModel, n_max: int) -> CECoefficients:
         values = _tangent_coefficients(n_max)
     else:
         values = _lagrange_kernel(build_source_series(w, n_max))
-    return CECoefficients(tuple(values))
+    return CECoefficients(values)
 
 
 def ratio_sequence(c: CECoefficients) -> list:

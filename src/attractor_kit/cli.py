@@ -7,8 +7,6 @@ Emits deterministic CSV or JSON artifacts.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import math
 import os
 import sys
@@ -60,12 +58,20 @@ def _csv_cell(c) -> str:
     return str(c)
 
 
-def _unquoted(columns: list, rows: list) -> bool:
-    """Whether csv.writer would quote no field of the table: more than one
-    column (a lone empty field is written as ""), identifiers for names, and
-    no str cell, so every other cell is a number's text or empty."""
-    return (len(columns) > 1 and all(map(str.isidentifier, columns))
-            and not any(isinstance(c, str) for row in rows for c in row))
+def _quoted(text: str) -> str:
+    r"""A text field as csv.writer(lineterminator="\n") writes it: in double
+    quotes, with each '"' doubled, where it holds ',', '"' or a newline."""
+    if "," in text or '"' in text or "\n" in text:
+        return '"%s"' % text.replace('"', '""')
+    return text
+
+
+def _csv_line(fields) -> str:
+    r"""The fields' `_csv_cell` texts as one CSV line, with the bytes
+    csv.writer(lineterminator="\n") writes: only a str can need quotes, so
+    no number's text is scanned, and a lone empty field is written as ""."""
+    line = ",".join([_quoted(c) if isinstance(c, str) else _csv_cell(c) for c in fields])
+    return '""' if not line and len(fields) == 1 else line
 
 
 def _json_cell(c):
@@ -127,17 +133,8 @@ def _write_atomic(path: str, data: bytes) -> None:
 
 def emit(args, columns: list, rows: list, notes: list) -> None:
     """Serialize one result table as CSV or JSON, atomically."""
-    if args.format == "csv" and _unquoted(columns, rows):
-        # the bytes csv.writer would write, without its scan of every field
-        # for characters to quote
-        lines = [",".join(columns)] + [",".join(map(_csv_cell, row)) for row in rows]
-        text = "\n".join(lines) + "\n"
-    elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows([_csv_cell(c) for c in row] for row in rows)
-        text = buf.getvalue()
+    if args.format == "csv":
+        text = "\n".join(map(_csv_line, [columns, *rows])) + "\n"
     else:
         import json  # here, not at import: a CSV run never loads it
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
+from operator import itemgetter
 from typing import NamedTuple
 
 
@@ -134,35 +135,23 @@ def _hermite(a: tuple, b: tuple, t: float) -> float:
     ) * x * x
 
 
-class BranchCurve:
-    """The order-n root branch of R from the origin up to its fold, which
-    ``fold`` holds: ``find_fold(n)``, raising where that does.  Immutable."""
+class BranchCurve(tuple):
+    """The order-n root branch of R from the origin up to its fold: the
+    tuple (n, fold), with ``fold`` computed as ``find_fold(n)``, raising
+    where that does.  A copy or a pickle builds the curve again from n."""
 
-    __slots__ = ("n", "fold")
+    __slots__ = ()
+    n = property(itemgetter(0))
+    fold = property(itemgetter(1))
 
-    def __init__(self, n: int):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "fold", find_fold(n))
+    def __new__(cls, n: int):
+        return tuple.__new__(cls, (n, find_fold(n)))
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
+    def __getnewargs__(self):
+        return (self.n,)
 
     def __repr__(self) -> str:
         return f"BranchCurve(n={self.n!r}, fold={self.fold!r})"
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n, self.fold) == (other.n, other.fold)
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.fold))
-
-    def __reduce__(self):
-        return BranchCurve, (self.n,)
 
     def omega_at(self, ks) -> list:
         """Branch value at every wavenumber of ``ks``, in the order given.

@@ -508,6 +508,49 @@ def test_records_keep_their_public_behaviour():
     assert pickle.loads(pickle.dumps(w)).levels == w.levels
 
 
+def test_weight_reads_its_moments_as_fractions():
+    # the constructor takes any sequence of rationals or floats, as
+    # bounded_custom does, and keeps them as a tuple of Fractions: the
+    # weight hashes, and a float moment reaches Chebyshev's rows exact
+    w = WeightModel(WeightKind.BOUNDED_CUSTOM, [Fr(1, 2)])
+    assert w.moments == (Fr(1, 2),) and type(w.moments) is tuple
+    assert hash(w) == hash(WeightModel.bounded_custom([Fr(1, 2)]))
+    assert w == WeightModel.bounded_custom([0.5])
+    floats = WeightModel(WeightKind.BOUNDED_CUSTOM, [0.25, 0.0625])
+    assert floats.moments == (Fr(1, 4), Fr(1, 16))
+    assert all(type(mu) is Fr for mu in floats.moments)
+    assert floats.levels == (Fr(1, 4),)
+
+
+def test_records_are_tuples_of_their_fields(monkeypatch):
+    # a weight is (kind, moments, levels) and coefficients are the tuple of
+    # their a_2n: each equals, hashes like and iterates as that plain tuple
+    w = WeightModel.bounded_custom([Fr(1, 4), Fr(1, 16)])
+    fields = (WeightKind.BOUNDED_CUSTOM, (Fr(1, 4), Fr(1, 16)), (Fr(1, 4),))
+    assert w == fields and hash(w) == hash(fields) and tuple(w) == fields
+    assert WeightModel.gaussian() == (WeightKind.GAUSSIAN, (), ())
+    c = ce_coefficients(WeightModel.gaussian(), 5)
+    assert type(c.values) is tuple
+    assert c == c.values == tuple(map(Fr, REFERENCE_SEQUENCE[:5]))
+    assert hash(c) == hash(c.values)
+    assert len(c) == 5 and c[0] == -1 and c[-1] == -248 and c[1:3] == (Fr(1), Fr(-4))
+    # no NamedTuple methods, which would build a record past its checks
+    for record in (w, c):
+        assert not hasattr(record, "_replace") and not hasattr(record, "_make")
+    # a copy and a pickle run the constructor again: the levels are
+    # recomputed from the moments, not copied
+    calls = []
+
+    def levels(moments):
+        calls.append(moments)
+        return _jacobi_levels(moments)
+
+    monkeypatch.setattr(attractor_kit.ce, "_jacobi_levels", levels)
+    for rebuilt in (copy.copy(w), copy.deepcopy(w), pickle.loads(pickle.dumps(w))):
+        assert rebuilt == w and type(rebuilt) is WeightModel
+    assert calls == [w.moments] * 3
+
+
 def test_cached_coefficients_tell_custom_weights_apart():
     cached = functools.lru_cache(ce_coefficients)
     assert cached(WeightModel.bounded_custom([Fr(1, 3)]), 1).values == (Fr(-1, 3),)

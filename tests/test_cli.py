@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -13,6 +14,8 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import attractor_kit
 from attractor_kit import cli, dispersion
@@ -670,34 +673,53 @@ def _command_table(*argv):
     return columns, rows
 
 
-@pytest.mark.parametrize("table, joined", [
-    # NaN, bool and float cells
-    pytest.param(lambda: _command_table("dispersion", "--k-min", "0", "--k-max", "1.2",
-                                        "--k-step", "0.01", "--n-list", "1,2,20,50"),
-                 True, id="dispersion"),
-    # Fraction, int and a NaN ratio
-    pytest.param(lambda: _command_table("ce-coeffs", "--n-max", "30"), True, id="ce-coeffs"),
-    pytest.param(lambda: _command_table("borel"), False, id="borel"),
-    # the n = 1 note is text
-    pytest.param(lambda: _command_table("folds", "--n-list", "1,2,20"), False, id="folds"),
-    pytest.param(lambda: (["name", "value"],
-                          [["a,b", 1.5], ['say "hi"', None], ["x", math.nan]]),
-                 False, id="quoted-text"),
-    pytest.param(lambda: (["n", "k_c"], []), True, id="no-rows"),
-    # csv.writer writes a lone empty field as ""
-    pytest.param(lambda: (["k"], [[None], [0.5]]), False, id="one-column"),
-])
-def test_csv_is_what_csv_writer_writes(tmp_path, table, joined):
-    # a table with no field to quote is joined without csv.writer, which
-    # must not change a byte
-    columns, rows = table()
-    assert cli._unquoted(columns, rows) == joined
-    out = tmp_path / "t.csv"
-    cli.emit(argparse.Namespace(format="csv", out=str(out)), columns, rows, [])
+def _csv_writer_bytes(columns, rows):
     ref = io.StringIO()
     csv.writer(ref, lineterminator="\n").writerows(
         [columns] + [[cli._csv_cell(c) for c in row] for row in rows])
-    assert out.read_bytes() == ref.getvalue().encode("utf-8")
+    return ref.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("table", [
+    # NaN, bool and float cells
+    pytest.param(lambda: _command_table("dispersion", "--k-min", "0", "--k-max", "1.2",
+                                        "--k-step", "0.01", "--n-list", "1,2,20,50"),
+                 id="dispersion"),
+    # Fraction, int and a NaN ratio
+    pytest.param(lambda: _command_table("ce-coeffs", "--n-max", "30"), id="ce-coeffs"),
+    # text row types and notes
+    pytest.param(lambda: _command_table("borel"), id="borel"),
+    # the n = 1 note is text
+    pytest.param(lambda: _command_table("folds", "--n-list", "1,2,20"), id="folds"),
+    pytest.param(lambda: (["name", "value"],
+                          [["a,b", 1.5], ['say "hi"', None], ["x", math.nan]]),
+                 id="quoted-text"),
+    pytest.param(lambda: (["n", "k_c"], []), id="no-rows"),
+    # csv.writer writes a lone empty field as ""
+    pytest.param(lambda: (["k"], [[None], [0.5]]), id="one-column"),
+])
+def test_csv_is_what_csv_writer_writes(tmp_path, table):
+    # every table is joined from its cells' texts without csv.writer, which
+    # must not change a byte
+    columns, rows = table()
+    out = tmp_path / "t.csv"
+    cli.emit(argparse.Namespace(format="csv", out=str(out)), columns, rows, [])
+    assert out.read_bytes() == _csv_writer_bytes(columns, rows)
+
+
+# csv.writer quotes "\r" only from Python 3.13 on, and no CLI text holds one
+_TEXT = st.text(alphabet='a,"\n; ', max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(columns=st.lists(_TEXT, min_size=1, max_size=3),
+       rows=st.lists(st.lists(st.one_of(_TEXT, st.none(), st.floats(), st.integers()),
+                              min_size=1, max_size=3), max_size=4))
+def test_csv_quotes_text_as_csv_writer_does(columns, rows):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli.emit(argparse.Namespace(format="csv", out="-"), columns, rows, [])
+    assert out.getvalue().encode("utf-8") == _csv_writer_bytes(columns, rows)
 
 
 def test_repeated_runs_are_byte_identical(tmp_path):
@@ -770,6 +792,8 @@ def test_json_config_echo_roundtrip(tmp_path):
     cfg = json.loads(out.read_text())["config"]
     assert cfg["n_max"] == 4
     assert cfg["weight"] == "gaussian"
+    # the parsed weight, a tuple, is not an option's value
+    assert "weight_model" not in cfg
 
 
 def test_cli_import_loads_no_scipy(tmp_path):
@@ -777,8 +801,8 @@ def test_cli_import_loads_no_scipy(tmp_path):
     # The import builds the parser, which loads argparse's gettext and
     # locale.  The Gauss rules of the Laplace sums are stored, so not even a
     # dispersion run loads numpy.polynomial.  Nor does the import load
-    # what no command needs: json only for a JSON output, and dataclasses
-    # or statistics never
+    # what no command needs: json only for a JSON output, and csv,
+    # dataclasses or statistics never
     src = str(Path(attractor_kit.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     argv = ["dispersion", "--k-min", "0", "--k-max", "1.2", "--k-step", "0.01",
@@ -803,7 +827,7 @@ def test_cli_import_loads_no_scipy(tmp_path):
     assert "locale" in modules
     assert code == json_code == 0
     assert [m for m in after_run if m.startswith("numpy.polynomial")] == []
-    unused = {"dataclasses", "json", "statistics"}
+    unused = {"csv", "dataclasses", "json", "statistics"}
     assert unused.intersection(modules) == set()
     assert unused.intersection(after_run) == set()
     assert "json" in after_json

@@ -1,3 +1,4 @@
+import copy
 import math
 import pickle
 import random
@@ -622,6 +623,28 @@ def test_fold_and_branch_keep_their_public_behaviour():
     assert BranchCurve(2) == BranchCurve(2) != curve
     assert hash(BranchCurve(2)) == hash(BranchCurve(2))
     assert pickle.loads(pickle.dumps(curve)) == curve
+
+
+def test_branch_is_the_tuple_of_its_order_and_fold(monkeypatch):
+    # the curve is (n, fold): it equals, hashes like and iterates as that
+    # plain tuple, and has no NamedTuple method that could pair an order
+    # with another order's fold
+    curve = BranchCurve(2)
+    assert curve == (2, find_fold(2)) and hash(curve) == hash((2, find_fold(2)))
+    assert tuple(curve) == (curve.n, curve.fold)
+    assert not hasattr(curve, "_replace") and not hasattr(curve, "_make")
+    # a copy and a pickle run the constructor again, which looks find_fold
+    # up when it runs: the fold is recomputed, not copied
+    calls = []
+
+    def fold(n):
+        calls.append(n)
+        return find_fold(n)
+
+    monkeypatch.setattr(spectral, "find_fold", fold)
+    for rebuilt in (copy.copy(curve), copy.deepcopy(curve), pickle.loads(pickle.dumps(curve))):
+        assert rebuilt == curve and type(rebuilt) is BranchCurve
+    assert calls == [2, 2, 2]
 
 
 def test_branch_no_point_past_fold(branch_1):
